@@ -93,7 +93,6 @@ def _iter_window_blocks(
     r: int,
     segment_len: int,
     cache_dir: str | None = None,
-    workers: int = 1,
 ) -> Iterator[tuple[np.ndarray, int, int]]:
     """Yield (block, n_start, starts) with block carrying r-1 values of overlap.
 
@@ -104,7 +103,7 @@ def _iter_window_blocks(
     segment_len = min(segment_len, max(x + 4096, 4096))
     carry = np.empty(0, dtype=np.int64)
     n_start = 1
-    for values in iter_member_arrays(segment_len, cache_dir, workers):
+    for values in iter_member_arrays(segment_len, cache_dir):
         block = np.concatenate([carry, values]) if carry.size else values
         if block.size < r:
             carry = block
@@ -127,7 +126,6 @@ def match_pattern(
     max_occurrences: int = DEFAULT_MAX_OCCURRENCES,
     segment_len: int = DEFAULT_SEGMENT_LEN,
     cache_dir: str | None = None,
-    workers: int = 1,
 ) -> MatchResult:
     """Count windows matching `spec` with start value <= x.
 
@@ -137,7 +135,7 @@ def match_pattern(
     q, r = spec.q.value, spec.r
     count = 0
     occurrences: list[Occurrence] = []
-    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir, workers):
+    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir):
         res = block % q
         mask = res[:starts] == spec.classes[0]
         for i in range(1, r):
@@ -158,11 +156,10 @@ def find_first_occurrence(
     bound: int,
     segment_len: int = DEFAULT_SEGMENT_LEN,
     cache_dir: str | None = None,
-    workers: int = 1,
 ) -> Occurrence | None:
     """Smallest n whose window matches with E_n <= bound, or None."""
     q, r = spec.q.value, spec.r
-    for block, n_start, starts in _iter_window_blocks(bound, r, segment_len, cache_dir, workers):
+    for block, n_start, starts in _iter_window_blocks(bound, r, segment_len, cache_dir):
         res = block % q
         mask = res[:starts] == spec.classes[0]
         for i in range(1, r):
@@ -182,7 +179,6 @@ def census_report(
     pattern_cap: int = DEFAULT_PATTERN_CAP,
     segment_len: int = DEFAULT_SEGMENT_LEN,
     cache_dir: str | None = None,
-    workers: int = 1,
 ) -> CensusReport:
     """One pass computing counts for every r-tuple of classes simultaneously.
 
@@ -199,7 +195,7 @@ def census_report(
     counts: dict[int, int] = {}
     occ: dict[int, list[Occurrence]] = {}
     total = 0
-    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir, workers):
+    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir):
         res = block % qv
         codes = res[:starts] * weights[0]
         for i in range(1, r):

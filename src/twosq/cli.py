@@ -26,7 +26,7 @@ from .arith import FactoredInteger, factorize
 from .census import PatternSpec, census_report, match_pattern
 from .errors import HypothesisViolation, TwoSqError
 from .forcing import bin_plan, construct_two_class_tuple, delta_constant, end_to_end_triple
-from .sieve import DEFAULT_SEGMENT_LEN, sieve_segment
+from .sieve import DEFAULT_SEGMENT_LEN, MAX_HI, sieve_segment
 from .witness import TripleCertificate, build_witness_family, check_local_obstructions, scan_family
 
 EXIT_OK = 0
@@ -76,7 +76,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json", "jsonl"), default=None)
     sub.add_argument("--output", metavar="PATH", default=None)
     sub.add_argument("--segment-length", type=int, default=DEFAULT_SEGMENT_LEN)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument(
         "--cache-dir",
         default=os.environ.get("TWOSQ_CACHE_DIR"),
@@ -85,6 +84,9 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_sieve(args) -> int:
+    if args.hi > MAX_HI:
+        # fail before sieving any of the segments below the limit
+        raise ValueError(f"segment end {args.hi} exceeds the int64 sieve limit 2^62")
     lines = []
     if args.dump:
         # the dump format is a single segment, so build the range as one
@@ -129,7 +131,6 @@ def _cmd_census(args) -> int:
         args.x,
         segment_len=args.segment_length,
         cache_dir=args.cache_dir,
-        workers=args.workers,
     )
     fmt = args.format or "csv"
     if fmt == "json":
@@ -175,7 +176,6 @@ def _cmd_pattern(args) -> int:
         args.x,
         segment_len=args.segment_length,
         cache_dir=args.cache_dir,
-        workers=args.workers,
     )
     fmt = args.format or "csv"
     if fmt == "json":
@@ -380,8 +380,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

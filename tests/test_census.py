@@ -96,10 +96,3 @@ def test_pattern_spec_validation():
         PatternSpec(factorize(4), (4,))
     assert not PatternSpec(factorize(4), (1, 3)).all_admissible()
     assert PatternSpec(factorize(4), (1, 2)).all_admissible()
-
-
-def test_workers_equivalence():
-    fq = factorize(4)
-    a = census_report(fq, 2, 20_000, segment_len=4096, workers=1)
-    b = census_report(fq, 2, 20_000, segment_len=4096, workers=3)
-    assert a.counts == b.counts and a.occurrences == b.occurrences

@@ -145,3 +145,10 @@ def test_sieve_dump(capsys, tmp_path):
     blob = path.read_bytes()
     assert blob[:8] == (0).to_bytes(8, "little")
     assert blob[8:16] == (64).to_bytes(8, "little")
+
+
+def test_sieve_beyond_int64_limit(capsys):
+    for argv in (["sieve", str(2**62 - 10), str(2**62 + 10)], ["sieve", "0", str(2**63)]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 64 and out == ""
+        assert json.loads(err)["error"] == "bad_argument"
