@@ -23,7 +23,6 @@ from .forcing import (
     construct_two_class_tuple,
     delta_constant,
     end_to_end_triple,
-    gap_blocking,
 )
 from .sieve import TwoSqSegment, count_N, sieve_segment, stream_E
 from .witness import (
@@ -73,7 +72,6 @@ __all__ = [
     "ext_gcd",
     "factorize",
     "find_first_occurrence",
-    "gap_blocking",
     "is_admissible",
     "is_sum_two_squares",
     "lift_admissible",

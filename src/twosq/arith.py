@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateInput, NonCoprimeModuli
+from .errors import BudgetExceeded, DegenerateInput, InternalInconsistency, NonCoprimeModuli
 
 # Bases giving a deterministic Miller-Rabin test for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -51,12 +51,6 @@ class ResidueClass:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
             object.__setattr__(self, "value", self.value % self.modulus)
-
-    def reduce(self, d: int) -> "ResidueClass":
-        """Reduction mod d, well defined whenever d divides the modulus."""
-        if d < 1 or self.modulus % d != 0:
-            raise ValueError(f"{d} does not divide modulus {self.modulus}")
-        return ResidueClass(self.value % d, d)
 
     def __int__(self) -> int:
         return self.value
@@ -104,23 +98,11 @@ class FactoredInteger:
         return sorted(self.factors)
 
     @classmethod
-    def from_value(cls, n: int, budget: FactorBudget = DEFAULT_BUDGET) -> "FactoredInteger":
-        return factorize(n, budget)
-
-    @classmethod
     def from_factors(cls, factors: dict[int, int]) -> "FactoredInteger":
         value = 1
         for p, e in factors.items():
             value *= p**e
         return cls(value, dict(sorted(factors.items())))
-
-    def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
-        if self.is_zero or other.is_zero:
-            return FactoredInteger(0)
-        merged = dict(self.factors)
-        for p, e in other.factors.items():
-            merged[p] = merged.get(p, 0) + e
-        return FactoredInteger.from_factors(merged)
 
     def __int__(self) -> int:
         return self.value
@@ -452,7 +434,9 @@ def sqrt_mod_prime_power(a: int, p: int, e: int) -> SqrtModRoots:
 def _cornacchia_prime(p: int) -> tuple[int, int]:
     """(x, y) with x^2 + y^2 = p for a prime p = 1 mod 4."""
     t = sqrt_mod_prime(p - 1, p)
-    assert t is not None and t * t % p == p - 1
+    if t is None or t * t % p != p - 1:
+        # p can run past the int-to-str digit limit, so name its size only
+        raise InternalInconsistency(f"no square root of -1 modulo a {p.bit_length()}-bit p")
     t = max(t, p - t)
     a, b = p, t
     limit = math.isqrt(p)
@@ -460,7 +444,8 @@ def _cornacchia_prime(p: int) -> tuple[int, int]:
         a, b = b, a % b
     y2 = p - b * b
     y = math.isqrt(y2)
-    assert y * y == y2
+    if y * y != y2:
+        raise InternalInconsistency(f"Cornacchia remainder not a square for a {p.bit_length()}-bit p")
     return b, y
 
 

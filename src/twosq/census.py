@@ -12,6 +12,7 @@ integers so one pass serves every pattern simultaneously.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -78,14 +79,7 @@ class CensusReport:
 
     def pattern_universe(self) -> Iterator[tuple[int, ...]]:
         """All r-tuples of admissible classes in lexicographic order."""
-        def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if len(prefix) == self.r:
-                yield prefix
-                return
-            for c in self.admissible:
-                yield from rec(prefix + (c,))
-
-        yield from rec(())
+        return itertools.product(self.admissible, repeat=self.r)
 
 
 def _iter_window_blocks(
@@ -120,6 +114,30 @@ def _iter_window_blocks(
         n_start += starts
 
 
+def _occurrence(block: np.ndarray, n_start: int, pos: int, r: int) -> Occurrence:
+    return Occurrence(n_start + pos, tuple(int(v) for v in block[pos : pos + r]))
+
+
+def _iter_pattern_masks(
+    spec: PatternSpec,
+    x: int,
+    segment_len: int,
+    cache_dir: str | None,
+) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """Yield (block, n_start, mask) with mask[i] set where the window at i matches.
+
+    Classes are compared elementwise rather than encoded as base-q codes,
+    which would overflow int64 once q^r exceeds 2^63.
+    """
+    q, r = spec.q.value, spec.r
+    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir):
+        res = block % q
+        mask = res[:starts] == spec.classes[0]
+        for i in range(1, r):
+            mask &= res[i : starts + i] == spec.classes[i]
+        yield block, n_start, mask
+
+
 def match_pattern(
     spec: PatternSpec,
     x: int,
@@ -132,21 +150,13 @@ def match_pattern(
     Also reports the first `max_occurrences` matches. A count of 0 is the
     legitimate output for patterns containing a non-admissible class.
     """
-    q, r = spec.q.value, spec.r
     count = 0
     occurrences: list[Occurrence] = []
-    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir):
-        res = block % q
-        mask = res[:starts] == spec.classes[0]
-        for i in range(1, r):
-            mask &= res[i : starts + i] == spec.classes[i]
+    for block, n_start, mask in _iter_pattern_masks(spec, x, segment_len, cache_dir):
         block_count = int(np.count_nonzero(mask))
         if block_count and len(occurrences) < max_occurrences:
-            for pos in np.flatnonzero(mask)[: max_occurrences - len(occurrences)]:
-                pos = int(pos)
-                occurrences.append(
-                    Occurrence(n_start + pos, tuple(int(v) for v in block[pos : pos + r]))
-                )
+            for pos in np.flatnonzero(mask)[: max_occurrences - len(occurrences)].tolist():
+                occurrences.append(_occurrence(block, n_start, pos, spec.r))
         count += block_count
     return MatchResult(count, tuple(occurrences))
 
@@ -158,16 +168,9 @@ def find_first_occurrence(
     cache_dir: str | None = None,
 ) -> Occurrence | None:
     """Smallest n whose window matches with E_n <= bound, or None."""
-    q, r = spec.q.value, spec.r
-    for block, n_start, starts in _iter_window_blocks(bound, r, segment_len, cache_dir):
-        res = block % q
-        mask = res[:starts] == spec.classes[0]
-        for i in range(1, r):
-            mask &= res[i : starts + i] == spec.classes[i]
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            pos = int(hits[0])
-            return Occurrence(n_start + pos, tuple(int(v) for v in block[pos : pos + r]))
+    for block, n_start, mask in _iter_pattern_masks(spec, bound, segment_len, cache_dir):
+        if mask.any():
+            return _occurrence(block, n_start, int(np.argmax(mask)), spec.r)
     return None
 
 
@@ -212,9 +215,7 @@ def census_report(
             lst = occ.setdefault(int(codes[grp[0]]), [])
             need = max_occurrences - len(lst)
             for pos in grp[:need].tolist():
-                lst.append(
-                    Occurrence(n_start + pos, tuple(int(v) for v in block[pos : pos + r]))
-                )
+                lst.append(_occurrence(block, n_start, pos, r))
 
     def decode(code: int) -> tuple[int, ...]:
         out = []

@@ -16,6 +16,7 @@ and every bound is inclusive (members <= x).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -57,6 +58,10 @@ def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _diagnose(error: str, detail: str, **fields) -> None:
+    print(json.dumps({"error": error, "detail": detail, **fields}), file=sys.stderr)
+
+
 def _csv_field(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
@@ -72,9 +77,13 @@ def _parse_classes(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad class list {text!r}") from exc
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json", "jsonl"), default=None)
+def _output_flags(sub: argparse.ArgumentParser, formats: bool = True) -> None:
+    if formats:
+        sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--output", metavar="PATH", default=None)
+
+
+def _sieve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--segment-length", type=int, default=DEFAULT_SEGMENT_LEN)
     sub.add_argument(
         "--cache-dir",
@@ -288,9 +297,13 @@ def _cmd_verify(args) -> int:
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        cert = TripleCertificate.from_json_dict(json.loads(line))
+        try:
+            cert = TripleCertificate.from_json_dict(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            _diagnose("malformed_certificate", f"{type(exc).__name__}: {exc}", line=str(lineno))
+            return EXIT_INTERNAL
         if not cert.verify():
-            _status(f"line {lineno}: certificate failed verification")
+            _diagnose("verification_failed", "certificate failed verification", line=str(lineno))
             return EXIT_INTERNAL
         total += 1
     _status(f"{total} certificates verified")
@@ -313,26 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
     p.add_argument("--dump", metavar="PATH", help="write the raw bitmap dump")
-    _common_flags(p)
+    _output_flags(p)
+    _sieve_flags(p)
     p.set_defaults(func=_cmd_sieve)
 
     p = subs.add_parser("admissible", help="admissible classes mod q")
     p.add_argument("q", type=int)
-    _common_flags(p)
+    _output_flags(p)
     p.set_defaults(func=_cmd_admissible)
 
     p = subs.add_parser("census", help="all-pattern census N(x;q,a) for length r")
     p.add_argument("q", type=int)
     p.add_argument("r", type=int)
     p.add_argument("x", type=int)
-    _common_flags(p)
+    _output_flags(p)
+    _sieve_flags(p)
     p.set_defaults(func=_cmd_census)
 
     p = subs.add_parser("pattern", help="count one pattern, e.g. pattern 4 1,2 10")
     p.add_argument("q", type=int)
     p.add_argument("classes", help="comma-separated residue classes")
     p.add_argument("x", type=int)
-    _common_flags(p)
+    _output_flags(p)
+    _sieve_flags(p)
     p.set_defaults(func=_cmd_pattern)
 
     p = subs.add_parser("witness", help="build the quadratic family and scan it")
@@ -341,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--tmax", type=int, default=100)
-    _common_flags(p)
+    _output_flags(p, formats=False)
     p.set_defaults(func=_cmd_witness)
 
     p = subs.add_parser("force-triple", help="blocking system plus census triples")
@@ -350,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
     p.add_argument("--xbudget", type=int, default=10_000_000)
-    _common_flags(p)
+    _output_flags(p, formats=False)
+    _sieve_flags(p)
     p.set_defaults(func=_cmd_force_triple)
 
     p = subs.add_parser("tuple", help="two-class offset tuple from a bin plan")
@@ -362,18 +379,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theta1", type=float)
     p.add_argument("theta2", type=float)
     p.add_argument("--sizes", help="explicit bin sizes, bypassing the plan minima")
-    _common_flags(p)
+    _output_flags(p, formats=False)
     p.set_defaults(func=_cmd_tuple)
 
     p = subs.add_parser("verify", help="re-verify JSONL certificates (file or stdin)")
     p.add_argument("path", nargs="?", default="-")
-    _common_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int<->str digit limit for one command, then restore it.
+
+    Blocking-system moduli and the values of their families run to many
+    thousands of digits, past the default limit of 4300.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(argv: list[str] | None = None) -> int:
+    with _unlimited_int_digits():
+        return _run(argv)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -384,19 +423,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except HypothesisViolation as exc:
-        print(
-            json.dumps({"error": "hypothesis_violation", "detail": str(exc)}),
-            file=sys.stderr,
-        )
+        _diagnose("hypothesis_violation", str(exc))
         return EXIT_HYPOTHESIS
     except ValueError as exc:
-        print(json.dumps({"error": "bad_argument", "detail": str(exc)}), file=sys.stderr)
+        _diagnose("bad_argument", str(exc))
         return EXIT_USAGE
     except TwoSqError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
+        _diagnose(type(exc).__name__, str(exc))
         return EXIT_INTERNAL
 
 

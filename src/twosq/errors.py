@@ -33,10 +33,6 @@ class NoAdmissibleLift(TwoSqError):
     """No admissible lift exists in the requested window."""
 
 
-class LiftWindowEmpty(NoAdmissibleLift):
-    """The normalization window for a lift contains no admissible candidate."""
-
-
 class SearchExhausted(TwoSqError):
     """A bounded constructive search ran out of budget before succeeding."""
 

@@ -19,7 +19,15 @@ import math
 from dataclasses import dataclass, field
 
 from .admissibility import admissibility_reason, is_admissible_value, lift_admissible
-from .arith import FactoredInteger, ResidueClass, crt_combine, factorize, is_prime, represent_two_squares
+from .arith import (
+    FactoredInteger,
+    ResidueClass,
+    crt_combine,
+    factorize,
+    is_prime,
+    represent_two_squares,
+    small_primes,
+)
 from .census import Occurrence, PatternSpec, match_pattern
 from .errors import (
     DomainError,
@@ -82,12 +90,12 @@ class TupleDesign:
     def target_class(self, index: int) -> int:
         return self.a if index < self.transition_index else self.b
 
-    def form_admissibility_witnesses(self, prime_bound: int | None = None) -> dict[int, int]:
+    def form_admissibility_witnesses(self) -> dict[int, int]:
         """For each prime p up to the tuple length, an n mod p avoiding every
         root of prod (q n + h_i); raises when some prime has no such n."""
         k = len(self.offsets)
         witnesses: dict[int, int] = {}
-        for p in _primes_upto(prime_bound if prime_bound is not None else k):
+        for p in small_primes(k):
             forbidden = set()
             if self.q % p == 0:
                 if any(h % p == 0 for h in self.offsets):
@@ -102,10 +110,6 @@ class TupleDesign:
             else:
                 raise InternalInconsistency(f"no admissible residue mod {p}")
         return witnesses
-
-
-def _primes_upto(bound: int) -> list[int]:
-    return [p for p in range(2, bound + 1) if is_prime(p)]
 
 
 def construct_two_class_tuple(
@@ -132,7 +136,7 @@ def construct_two_class_tuple(
         if not is_admissible_value(cls % qv, q):
             raise HypothesisViolation(f"class {label} = {cls} is not admissible mod {qv}")
     k = sum(sizes)
-    primes = _primes_upto(k)
+    primes = small_primes(k)
     roots: dict[int, set[int]] = {p: set() for p in primes}
     qinv = {p: pow(qv, -1, p) for p in primes if qv % p != 0}
     transition = sum(sizes[:j])
@@ -175,14 +179,6 @@ def construct_two_class_tuple(
     return design
 
 
-def _iter_primes_3mod4():
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 4
-
-
 def _primes_3mod4_above(bound: int, avoid_divisors_of: int):
     """Ascending primes p = 3 mod 4 with p > bound not dividing the given integer."""
     n = bound + 1
@@ -191,49 +187,6 @@ def _primes_3mod4_above(bound: int, avoid_divisors_of: int):
         if is_prime(n) and avoid_divisors_of % n != 0:
             yield n
         n += 4
-
-
-def gap_blocking(g: int, offsets: list[int]) -> tuple[FactoredInteger, int]:
-    """Block every integer strictly between the first and last offset.
-
-    For each t in that open interval not itself an offset, a distinct prime
-    q_t = 3 mod 4 is chosen with t not congruent to any offset mod q_t, and
-    a is built by CRT so that g*a + t = q_t mod q_t^2: then g*a + t is
-    divisible by q_t exactly once, hence not a sum of two squares, while no
-    g*a + h_j is divisible by any q_t. Returns (Q = prod q_t^2, a).
-    """
-    if g < 1 or g % 2 == 0:
-        raise HypothesisViolation(f"g must be odd and positive, got {g}")
-    if any(y <= x for x, y in zip(offsets, offsets[1:])) or not offsets:
-        raise ValueError("offsets must be strictly increasing and nonempty")
-    gaps = [t for t in range(offsets[0] + 1, offsets[-1]) if t not in set(offsets)]
-    if not gaps:
-        return FactoredInteger(1), 0
-    assignments: dict[int, int] = {}
-    used: set[int] = set()
-    for t in gaps:
-        for p in _iter_primes_3mod4():
-            if p in used or g % p == 0:
-                continue
-            if any((t - h) % p == 0 for h in offsets):
-                continue
-            assignments[t] = p
-            used.add(p)
-            break
-    congruences = []
-    for t, p in assignments.items():
-        p2 = p * p
-        ginv = pow(g, -1, p2)
-        congruences.append(ResidueClass((p - t) * ginv % p2, p2))
-    a = crt_combine(congruences).value
-    Q = FactoredInteger.from_factors({p: 2 for p in assignments.values()})
-    for t, p in assignments.items():
-        if (g * a + t - p) % (p * p) != 0:
-            raise InternalInconsistency(f"blocking congruence failed at t={t}")
-        for h in offsets:
-            if (g * a + h) % p == 0:
-                raise InternalInconsistency(f"offset {h} blocked by q_{t}={p}")
-    return Q, a
 
 
 @dataclass

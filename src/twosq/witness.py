@@ -34,6 +34,7 @@ from .arith import (
     crt_combine,
     ext_gcd,
     factorize,
+    is_prime,
     is_sum_two_squares,
     represent_two_squares,
     sqrt_mod_prime_power,
@@ -161,8 +162,8 @@ class TripleCertificate:
 
     reps carry explicit (x, y) with x^2+y^2 equal to n, n+h, n+k in order.
     When `consecutive` is set, evidence lists one witness (m, p) per integer
-    m strictly between n and n+k (other than n+h): p = 3 mod 4 divides m to
-    an odd power, so m is not a sum of two squares.
+    m strictly between n and n+k (other than n+h): a prime p = 3 mod 4
+    divides m to an odd power, so m is not a sum of two squares.
     """
 
     n: int
@@ -180,17 +181,20 @@ class TripleCertificate:
         for (x, y), m in zip(self.reps, targets):
             if x * x + y * y != m:
                 return False
-        if self.n % self.q != self.a % self.q:
+        if self.q < 1 or self.n % self.q != self.a % self.q:
             return False
         if self.consecutive:
-            needed = set(range(self.n + 1, self.n + self.k)) - {self.n + self.h}
+            # Count first, so the cost stays bounded by the evidence itself.
+            needed = max(self.k - 1, 0) - (1 if 0 < self.h < self.k else 0)
+            if len(self.evidence) != needed:
+                return False
             covered = set()
             for m, p in self.evidence:
-                if p % 4 != 3 or m <= 0 or valuation(m, p) % 2 == 0:
+                if not self.n < m < self.n + self.k or m == self.n + self.h or m in covered:
+                    return False
+                if p % 4 != 3 or not is_prime(p) or valuation(m, p) % 2 == 0:
                     return False
                 covered.add(m)
-            if covered != needed:
-                return False
         return True
 
     def to_json_dict(self) -> dict:
@@ -211,19 +215,23 @@ class TripleCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TripleCertificate":
-        reps = tuple((int(x), int(y)) for x, y in data["reps"])
+        """Inverse of to_json_dict; raises KeyError, TypeError or ValueError
+        on anything that is not a certificate in the wire form."""
+        if not isinstance(data, dict):
+            raise ValueError(f"certificate must be a JSON object, not {type(data).__name__}")
+        reps = tuple((_decimal(x), _decimal(y)) for x, y in data["reps"])
         if len(reps) != 3:
             raise ValueError("certificate needs exactly three representations")
         return cls(
-            n=int(data["n"]),
-            q=int(data["q"]),
-            a=int(data["a"]),
-            h=int(data["h"]),
-            k=int(data["k"]),
-            t=None if data.get("t") is None else int(data["t"]),
+            n=_decimal(data["n"]),
+            q=_decimal(data["q"]),
+            a=_decimal(data["a"]),
+            h=_decimal(data["h"]),
+            k=_decimal(data["k"]),
+            t=None if data.get("t") is None else _decimal(data["t"]),
             reps=reps,
             consecutive=data.get("consecutive"),
-            evidence=tuple((int(m), int(p)) for m, p in data.get("evidence", [])),
+            evidence=tuple((_decimal(m), _decimal(p)) for m, p in data.get("evidence", [])),
         )
 
 
@@ -241,6 +249,13 @@ class ObstructionReport:
     nonzero_mod_small: list[tuple[int, bool]] = field(default_factory=list)
     disc_is_neg_square: bool = False
     clear: bool = True
+
+
+def _decimal(text) -> int:
+    """An integer from its wire form, a decimal string; int() rejects other strings."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a decimal string, got {text!r:.40}")
+    return int(text)
 
 
 def _canon_pair(x: int, y: int) -> tuple[int, int]:
@@ -293,22 +308,52 @@ def _base_target(c: int, p: int, e: int) -> int:
     return beta // 2
 
 
-def _iter_xy_local(c: int, p: int, e: int, target: int, scan_cap: int = LOCAL_SCAN_CAP):
-    """(x, y) mod p^e with x^2 + y^2 = c and min valuation exactly `target`.
+def _iter_uv_local(
+    x0: int, y0: int, c: int, p: int, e: int, target: int, scan_cap: int = LOCAL_SCAN_CAP
+):
+    """(u, v) mod p^e with (x0+u)^2 + (y0+v)^2 = c, min valuation exactly `target`.
 
-    Scans y ascending and resolves x by modular square roots, so output is
-    lexicographic in (y, x).
+    Scans v ascending and resolves u by modular square roots, so output is
+    lexicographic in (v, u). With x0 = y0 = 0 this enumerates the base
+    congruence x^2 + y^2 = c.
     """
     mod = p**e
     c %= mod
-    for y in range(min(mod, scan_cap)):
-        vy = _res_val(y, p, e)
-        if vy < target:
+    for v in range(min(mod, scan_cap)):
+        vv = _res_val(v, p, e)
+        if vv < target:
             continue
-        for x in sqrt_mod_prime_power(c - y * y, p, e).expand():
-            vx = _res_val(x, p, e)
-            if min(vx, vy) == target:
-                yield x, y
+        yv = (y0 + v) % mod
+        us = sqrt_mod_prime_power(c - yv * yv, p, e).expand()
+        if x0:  # expand() is sorted; only a nonzero shift can reorder it
+            us = sorted([(x - x0) % mod for x in us])
+        for u in us:
+            vu = _res_val(u, p, e)
+            if min(vu, vv) == target:
+                yield u, v
+
+
+def _iter_crt_pairs(q: FactoredInteger, local, missing: str, local_candidates: int, combo_cap: int):
+    """Pairs mod q glued by CRT from per-prime local pairs, in product order.
+
+    `local(p, e)` enumerates the local pairs at each p^e || q; the first
+    `local_candidates` of each are kept and at most `combo_cap` combinations
+    are glued. Raises SearchExhausted naming the first prime with none.
+    """
+    primes = q.primes()
+    locals_: list[list[tuple[int, int]]] = []
+    for p in primes:
+        e = q.factors[p]
+        cands = list(itertools.islice(local(p, e), local_candidates))
+        if not cands:
+            raise SearchExhausted(f"{missing} at prime power {p}^{e}")
+        locals_.append(cands)
+    moduli = [p ** q.factors[p] for p in primes]
+    for combo in itertools.islice(itertools.product(*locals_), combo_cap):
+        yield (
+            crt_combine([ResidueClass(xy[0], m) for xy, m in zip(combo, moduli)]).value,
+            crt_combine([ResidueClass(xy[1], m) for xy, m in zip(combo, moduli)]).value,
+        )
 
 
 def iter_base_solutions(
@@ -324,22 +369,14 @@ def iter_base_solutions(
         yield BaseSolution(0, 0, ResidueClass(0, 1), q, {})
         return
     primes = q.primes()
-    locals_: list[list[tuple[int, int]]] = []
-    for p in primes:
-        e = q.factors[p]
-        target = _base_target(a, p, e)
-        cands = list(itertools.islice(_iter_xy_local(a, p, e, target), local_candidates))
-        if not cands:
-            raise SearchExhausted(f"no base solution for a={a} at prime power {p}^{e}")
-        locals_.append(cands)
-    moduli = [p ** q.factors[p] for p in primes]
-    count = 0
-    for combo in itertools.product(*locals_):
-        if count >= combo_cap:
-            return
-        count += 1
-        x0 = crt_combine([ResidueClass(xy[0], m) for xy, m in zip(combo, moduli)]).value
-        y0 = crt_combine([ResidueClass(xy[1], m) for xy, m in zip(combo, moduli)]).value
+    pairs = _iter_crt_pairs(
+        q,
+        lambda p, e: _iter_uv_local(0, 0, a, p, e, _base_target(a, p, e)),
+        f"no base solution for a={a}",
+        local_candidates,
+        combo_cap,
+    )
+    for x0, y0 in pairs:
         if x0 == 0 and y0 == 0:
             continue
         g0 = math.gcd(x0, y0)
@@ -375,24 +412,6 @@ def _shift_target(a: int, h: int, p: int, e: int) -> int:
         return beta // 2 if beta % 2 == 0 else (beta + 1) // 2
     alpha = min(valuation(h, p), e)
     return min(alpha, beta) // 2
-
-
-def _iter_uv_local(
-    x0: int, y0: int, c: int, p: int, e: int, target: int, scan_cap: int = LOCAL_SCAN_CAP
-):
-    """(u, v) mod p^e with (x0+u)^2 + (y0+v)^2 = c, min valuation exactly `target`."""
-    mod = p**e
-    c %= mod
-    for v in range(min(mod, scan_cap)):
-        vv = _res_val(v, p, e)
-        if vv < target:
-            continue
-        yv = (y0 + v) % mod
-        xs = sqrt_mod_prime_power(c - yv * yv, p, e).expand()
-        for u in sorted((x - x0) % mod for x in xs):
-            vu = _res_val(u, p, e)
-            if min(vu, vv) == target:
-                yield u, v
 
 
 def _q_smooth_part(n: int, primes: list[int]) -> int:
@@ -452,28 +471,16 @@ def iter_shift_pairs(
     if not is_admissible_value(target_cls, q):
         raise HypothesisViolation(f"a+h = {target_cls} mod {qv} is not admissible")
     primes = q.primes()
-    locals_: list[list[tuple[int, int]]] = []
-    for p in primes:
-        e = q.factors[p]
-        target = _shift_target(a, h, p, e)
-        cands = list(
-            itertools.islice(
-                _iter_uv_local(base.x0, base.y0, a + h, p, e, target), local_candidates
-            )
-        )
-        if not cands:
-            raise SearchExhausted(f"no shift solution for h={h} at prime power {p}^{e}")
-        locals_.append(cands)
-    moduli = [p ** q.factors[p] for p in primes]
+    pairs = _iter_crt_pairs(
+        q,
+        lambda p, e: _iter_uv_local(base.x0, base.y0, a + h, p, e, _shift_target(a, h, p, e)),
+        f"no shift solution for h={h}",
+        local_candidates,
+        combo_cap,
+    )
     gbound = _gcd_bound(q)
     g0_twice = 2 * math.gcd(base.x0, base.y0)
-    count = 0
-    for combo in itertools.product(*locals_):
-        if count >= combo_cap:
-            return
-        count += 1
-        u0 = crt_combine([ResidueClass(uv[0], m) for uv, m in zip(combo, moduli)]).value
-        v0 = crt_combine([ResidueClass(uv[1], m) for uv, m in zip(combo, moduli)]).value
+    for u0, v0 in pairs:
         for du, dv in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
             u, v = u0 + du * qv, v0 + dv * qv
             if u == 0 and v == 0:
@@ -624,7 +631,8 @@ def scan_family(
         if not is_sum_two_squares(fact):
             continue
         rep_k = represent_two_squares(fact)
-        assert rep_k is not None
+        if rep_k is None:
+            raise InternalInconsistency(f"F({t}) is a sum of two squares with no representation")
         certs.append(
             TripleCertificate(
                 n=family.n_value(t),

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twosq import arith
 from twosq.arith import (
     FactorBudget,
     FactoredInteger,
@@ -17,7 +19,7 @@ from twosq.arith import (
     sqrt_mod_prime_power,
     valuation,
 )
-from twosq.errors import DegenerateInput, NonCoprimeModuli
+from twosq.errors import DegenerateInput, InternalInconsistency, NonCoprimeModuli
 
 from .conftest import brute_representation, brute_two_square_set
 
@@ -189,9 +191,14 @@ def test_sqrt_mod_prime_roots_square_back(p, a):
         assert (rs.step**2) % (p * p) == 0
 
 
-def test_residue_class_reduce():
-    cls = ResidueClass(17, 36)
-    assert cls.reduce(4) == ResidueClass(1, 4)
-    assert cls.reduce(9) == ResidueClass(8, 9)
-    with pytest.raises(ValueError):
-        cls.reduce(5)
+def test_cornacchia_without_root_raises(monkeypatch):
+    monkeypatch.setattr(arith, "sqrt_mod_prime", lambda a, p: None)
+    with pytest.raises(InternalInconsistency):
+        arith._cornacchia_prime(13)
+
+
+def test_cornacchia_non_square_remainder_raises(monkeypatch):
+    # an isqrt that comes out one short makes the remainder check fail
+    monkeypatch.setattr(arith, "math", SimpleNamespace(isqrt=lambda n: max(math.isqrt(n) - 1, 0)))
+    with pytest.raises(InternalInconsistency):
+        arith._cornacchia_prime(13)

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twosq
 from twosq.cli import run
 
 
@@ -57,14 +63,70 @@ def test_witness_jsonl_and_verify(capsys, tmp_path):
     assert "3 certificates verified" in err
 
 
+def _without_k(data):
+    data = dict(data)
+    del data["k"]
+    return json.dumps(data)
+
+
+BAD_CERTIFICATE_LINES = {
+    "tampered": lambda data: json.dumps(dict(data, n="7")),  # fails verification
+    "missing_key": _without_k,
+    "array": lambda data: json.dumps([data]),
+    "non_decimal": lambda data: json.dumps(dict(data, n="0x29")),
+    "int_field": lambda data: json.dumps(dict(data, h=4)),
+    "invalid_json": lambda data: json.dumps(data)[:-7],
+}
+
+
 def test_verify_rejects_bad_certificate(capsys, tmp_path):
     code, out, _ = run_capture(capsys, ["witness", "4", "1", "4", "8", "--tmax", "4"])
-    data = json.loads(out.splitlines()[0])
-    data["n"] = "7"
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    first = out.splitlines()[0]
+    for case, make_line in BAD_CERTIFICATE_LINES.items():
+        path = tmp_path / f"{case}.jsonl"
+        path.write_text(first + "\n\n" + make_line(json.loads(first)) + "\n", encoding="utf-8")
+        code, _, err = run_capture(capsys, ["verify", str(path)])
+        assert code == 1, case
+        (line,) = err.splitlines()  # one JSON diagnostic, naming the bad line
+        assert json.loads(line)["line"] == "3", case
+
+
+def test_verify_beyond_int_str_digit_limit(capsys, tmp_path):
+    # n = y^2, n + 1 = 1 + y^2, n + 2y + 1 = (y + 1)^2 with y = 10**2600, so n
+    # has 5201 digits, past Python's default int<->str limit of 4300
+    y = 10**2600
+    cert = {
+        "n": "1" + "0" * 5200,
+        "q": "1",
+        "a": "0",
+        "h": "1",
+        "k": str(2 * y + 1),
+        "t": None,
+        "reps": [["0", str(y)], ["1", str(y)], ["0", str(y + 1)]],
+        "consecutive": None,
+    }
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps(cert) + "\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
     code, _, err = run_capture(capsys, ["verify", str(path)])
-    assert code == 1
+    assert code == 0 and "1 certificates verified" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "5", "2", "100", "--format", "jsonl"],
+        ["witness", "4", "1", "4", "8", "--format", "json"],
+        ["witness", "4", "1", "4", "8", "--segment-length", "1000"],
+        ["admissible", "4", "--cache-dir", "."],
+        ["tuple", "5", "1", "2", "1", "2", "0.025", "0.025", "--format", "csv"],
+        ["verify", "-", "--output", "x"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 64 and out == ""
 
 
 def test_census_csv(capsys):
@@ -152,3 +214,22 @@ def test_sieve_beyond_int64_limit(capsys):
         code, out, err = run_capture(capsys, argv)
         assert code == 64 and out == ""
         assert json.loads(err)["error"] == "bad_argument"
+
+
+RECORDED_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "cli_stdout_sha256.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_STDOUT))
+def test_stdout_matches_recorded_hash(command):
+    """Each command's stdout, run as its own process, hashes to the recorded value."""
+    src = str(Path(twosq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TWOSQ_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "twosq.cli", *command.split()],
+        capture_output=True, env=env, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == RECORDED_STDOUT[command]

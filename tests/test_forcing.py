@@ -4,7 +4,7 @@ import math
 import pytest
 
 from twosq.admissibility import admissible_classes, is_admissible_value
-from twosq.arith import FactoredInteger, factorize, valuation
+from twosq.arith import FactoredInteger, factorize
 from twosq.errors import DomainError, HypothesisViolation, NoneFoundWithinBudget, SearchExhausted
 from twosq.forcing import (
     bin_plan,
@@ -12,7 +12,6 @@ from twosq.forcing import (
     construct_two_class_tuple,
     delta_constant,
     end_to_end_triple,
-    gap_blocking,
 )
 from twosq.witness import check_hypotheses
 
@@ -82,33 +81,6 @@ def test_tuple_requires_odd_q():
 def test_tuple_search_exhausted():
     with pytest.raises(SearchExhausted):
         construct_two_class_tuple(factorize(5), 1, 2, 1, [2, 3], offset_cap=10)
-
-
-def test_gap_blocking_example():
-    Q, a = gap_blocking(1, [4, 8])
-    primes = sorted(Q.factors)
-    assert all(Q.factors[p] == 2 and p % 4 == 3 for p in primes)
-    for t in (5, 6, 7):
-        owners = [p for p in primes if (a + t) % p == 0]
-        assert len(owners) == 1
-        assert valuation(a + t, owners[0]) == 1
-    for h in (4, 8):
-        assert all((a + h) % p != 0 for p in primes)
-
-
-def test_gap_blocking_contiguous():
-    Q, a = gap_blocking(1, [3, 4, 5])
-    assert Q.value == 1 and a == 0
-
-
-def test_gap_blocking_odd_g():
-    g = 15
-    Q, a = gap_blocking(g, [4, 12])
-    for t in range(5, 12):
-        owners = [p for p in sorted(Q.factors) if (g * a + t) % p == 0]
-        assert len(owners) >= 1 and valuation(g * a + t, owners[0]) == 1
-    with pytest.raises(HypothesisViolation):
-        gap_blocking(2, [4, 8])
 
 
 def test_blocking_system_q1_fixture():

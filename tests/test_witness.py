@@ -3,10 +3,12 @@ import math
 
 import pytest
 
-from twosq.arith import FactorBudget, factorize, valuation
-from twosq.errors import HypothesisViolation
+from twosq.arith import FactorBudget, factorize, sqrt_mod_prime_power, valuation
+from twosq.errors import HypothesisViolation, InternalInconsistency
 from twosq.witness import (
     TripleCertificate,
+    _iter_uv_local,
+    _res_val,
     build_family,
     build_witness_family,
     check_hypotheses,
@@ -181,3 +183,81 @@ def test_scan_budget_skips():
     result = scan_family(fam, 4, budget=tiny)
     assert [c.t for c in result.certificates] == [0, 2]
     assert result.skipped_t == [1, 3, 4]
+
+
+def _reference_xy_local(c, p, e, target):
+    """The former base enumerator, kept verbatim as the reference for the
+    shared local enumerator: lexicographic in (y, x)."""
+    mod = p**e
+    c %= mod
+    for y in range(mod):
+        vy = _res_val(y, p, e)
+        if vy < target:
+            continue
+        for x in sqrt_mod_prime_power(c - y * y, p, e).expand():
+            vx = _res_val(x, p, e)
+            if min(vx, vy) == target:
+                yield x, y
+
+
+@pytest.mark.parametrize(
+    "p,e", [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 8) if p**e <= 13**2]
+)
+def test_base_enumerator_matches_reference(p, e):
+    for c in range(p**e):
+        for target in range(e + 1):
+            assert list(_iter_uv_local(0, 0, c, p, e, target)) == list(
+                _reference_xy_local(c, p, e, target)
+            )
+
+
+def _consecutive_cert(n, h, k, reps, evidence):
+    return TripleCertificate(
+        n=n, q=1, a=0, h=h, k=k, t=None, reps=reps, consecutive=True, evidence=evidence
+    )
+
+
+def test_consecutive_certificate_evidence():
+    reps = ((0, 2), (1, 2), (2, 2))  # 4, 5, 8 with 6 and 7 between
+    assert _consecutive_cert(4, 1, 4, reps, ((6, 3), (7, 7))).verify()
+    assert _consecutive_cert(4, 1, 4, reps, ((7, 7), (6, 3))).verify()
+    for evidence in (
+        ((6, 3),),  # too few
+        ((6, 3), (7, 7), (7, 7)),  # too many
+        ((6, 3), (6, 3)),  # repeated
+        ((6, 3), (5, 5)),  # n+h is not between
+        ((6, 3), (9, 3)),  # out of range
+        ((6, 3), (7, -1)),  # -1 = 3 mod 4 in Python, and no prime
+        ((6, 3), (7, 3)),  # does not divide
+    ):
+        assert not _consecutive_cert(4, 1, 4, reps, evidence).verify()
+
+
+def test_forged_negative_prime_evidence():
+    # -5 = 3 mod 4 and -5 divides 5 once, but 5 = 1 + 4 sits between 4 and 8
+    reps = ((0, 2), (2, 2), (0, 3))
+    assert not _consecutive_cert(4, 4, 5, reps, ((5, -5), (6, 3), (7, 7))).verify()
+
+
+def test_forged_composite_evidence():
+    # 15 = 3 mod 4 divides 45 once, but 45 = 36 + 9 sits between 41 and 49
+    reps = ((4, 5), (0, 7), (1, 7))
+    evidence = ((42, 3), (43, 43), (44, 11), (45, 15), (46, 23), (47, 47), (48, 3))
+    assert not _consecutive_cert(41, 8, 9, reps, evidence).verify()
+
+
+def test_forged_gap_is_rejected_at_once():
+    # k = 10**18 would need about 10**18 evidence items; rejecting it must not
+    # build the range of integers in between.
+    y = 10**9
+    cert = _consecutive_cert(0, 1, 10**18, ((0, 0), (0, 1), (0, y)), ())
+    assert not cert.verify()
+
+
+def test_scan_rejects_missing_representation(monkeypatch):
+    import twosq.witness as witness
+
+    fam = build_witness_family(factorize(4), 1, 4, 8)
+    monkeypatch.setattr(witness, "represent_two_squares", lambda fact: None)
+    with pytest.raises(InternalInconsistency):
+        scan_family(fam, 4)
