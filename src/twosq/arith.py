@@ -8,6 +8,7 @@ outputs across runs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -16,8 +17,22 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, InternalInconsistency, NonCoprimeModuli
 
-# Bases giving a deterministic Miller-Rabin test for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin uses the first k prime bases for n below the k-th bound: each
+# bound is psi_k, the smallest strong pseudoprime to those bases (psi_7 = psi_8
+# and psi_9 = psi_11, so 8, 10 and 11 bases are never needed). At and above
+# psi_12 all 13 bases run, which is exact below psi_13 ~ 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LEVELS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
 
 _SMALL_PRIME_CACHE: dict[int, list[int]] = {}
 
@@ -108,8 +123,8 @@ class FactoredInteger:
         return self.value
 
 
-def small_primes(bound: int) -> list[int]:
-    """All primes <= bound, cached per bound bucket."""
+def _prime_table(bound: int) -> list[int]:
+    """The cached primes up to bound's power-of-two bucket (they may pass bound)."""
     bucket = 1 << max(bound.bit_length(), 4)
     if bucket not in _SMALL_PRIME_CACHE:
         sieve = np.ones(bucket + 1, dtype=bool)
@@ -118,24 +133,27 @@ def small_primes(bound: int) -> list[int]:
             if sieve[p]:
                 sieve[p * p :: p] = False
         _SMALL_PRIME_CACHE[bucket] = [int(p) for p in np.flatnonzero(sieve)]
-    primes = _SMALL_PRIME_CACHE[bucket]
+    return _SMALL_PRIME_CACHE[bucket]
+
+
+def small_primes(bound: int) -> list[int]:
+    """All primes <= bound, cached per bound bucket."""
+    primes = _prime_table(bound)
     if primes and primes[-1] <= bound:
         return primes
-    lo, hi = 0, len(primes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if primes[mid] <= bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return primes[:lo]
+    return primes[: bisect.bisect_right(primes, bound)]
+
+
+# `factorize` divides by these first 64 primes before any primality test.
+_TRIAL_PRIMES = tuple(small_primes(311))
+_TRIAL_NEXT = 313
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (exact below 3.3e24, extremely reliable above)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -143,9 +161,14 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = len(_MR_BASES)
+    for limit, count in _MR_LEVELS:
+        if n < limit:
+            k = count
+            break
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -190,29 +213,89 @@ def _rho_brent(n: int, c: int, max_iters: int) -> int | None:
 def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInteger:
     """Complete factorization of n >= 0.
 
-    Trial division up to budget.trial_bound, then deterministic Miller-Rabin
-    plus Pollard-Brent rho with a fixed retry schedule. Raises BudgetExceeded
-    when a cofactor survives every rho round.
+    Trial division by the primes up to min(311, trial_bound), then
+    deterministic Miller-Rabin on the cofactor. A composite cofactor below
+    trial_bound^2 is split by Pollard-Brent rho, and a piece rho cannot split
+    is trial-divided instead. A larger one is trial-divided up to trial_bound
+    and then split by rho with a fixed retry schedule. Raises BudgetExceeded
+    when a cofactor survives every rho round, which only happens at or above
+    trial_bound^2: exactly the inputs on which trial division up to
+    trial_bound followed by rho raises.
     """
     if n < 0:
         raise ValueError("factorize expects n >= 0")
     if n == 0:
         return FactoredInteger(0)
     factors: dict[int, int] = {}
-    m = n
-    bound = min(budget.trial_bound, math.isqrt(m))
-    for p in small_primes(max(bound, 2)):
+    bound = max(min(budget.trial_bound, math.isqrt(n)), 2)
+    m, stop = n, _TRIAL_NEXT
+    for p in _TRIAL_PRIMES:
+        if p > bound or p * p > m:
+            stop = p
+            break
+        if m % p == 0:
+            m = _divide_out(m, p, factors)
+    # m has no prime factor below stop
+    if m < stop * stop or is_prime(m):
+        if m > 1:
+            factors[m] = 1
+    elif m < budget.trial_bound * budget.trial_bound:
+        _split_below_bound(m, factors, budget, bound)
+    else:
+        _trial_tail(m, factors, budget, bound)
+    return FactoredInteger(n, dict(sorted(factors.items())))
+
+
+def _divide_out(m: int, p: int, factors: dict[int, int]) -> int:
+    """Record every factor p of m into `factors` and return the cofactor."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    factors[p] = factors.get(p, 0) + e
+    return m
+
+
+def _split_below_bound(m: int, factors: dict[int, int], budget: FactorBudget, bound: int) -> None:
+    """Factor a composite m < trial_bound^2 with no prime factor up to 311.
+
+    Never raises BudgetExceeded: a piece rho cannot split goes through
+    `_trial_tail`, whose trial division reaches its square root.
+    """
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        d = _rho_split(m, budget)
+        if d is None:
+            _trial_tail(m, factors, budget, bound)
+            continue
+        for piece in (d, m // d):
+            if piece < _TRIAL_NEXT * _TRIAL_NEXT or is_prime(piece):
+                factors[piece] = factors.get(piece, 0) + 1
+            else:
+                stack.append(piece)
+
+
+def _trial_tail(m: int, factors: dict[int, int], budget: FactorBudget, bound: int) -> None:
+    """Trial division by the primes from 313 up to bound, then `_factor_hard`."""
+    table = _prime_table(bound)
+    end = bisect.bisect_right(table, bound)
+    for p in itertools.islice(table, len(_TRIAL_PRIMES), end):
         if p * p > m:
             break
         if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors[p] = e
+            m = _divide_out(m, p, factors)
     if m > 1:
         _factor_hard(m, factors, budget)
-    return FactoredInteger(n, dict(sorted(factors.items())))
+
+
+def _rho_split(m: int, budget: FactorBudget) -> int | None:
+    """A nontrivial factor of composite m from the fixed rho schedule, or None."""
+    for c in range(1, budget.rho_rounds + 1):
+        d = _rho_brent(m, c, budget.rho_iterations)
+        if d is not None:
+            return d
+    return None
 
 
 def _factor_hard(m: int, factors: dict[int, int], budget: FactorBudget) -> None:
@@ -229,11 +312,7 @@ def _factor_hard(m: int, factors: dict[int, int], budget: FactorBudget) -> None:
         if m < budget.trial_bound * budget.trial_bound or is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = None
-        for c in range(1, budget.rho_rounds + 1):
-            d = _rho_brent(m, c, budget.rho_iterations)
-            if d is not None:
-                break
+        d = _rho_split(m, budget)
         if d is None:
             raise BudgetExceeded(f"could not split composite {m}")
         stack.append(d)

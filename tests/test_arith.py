@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -16,10 +17,11 @@ from twosq.arith import (
     is_prime,
     is_sum_two_squares,
     represent_two_squares,
+    small_primes,
     sqrt_mod_prime_power,
     valuation,
 )
-from twosq.errors import DegenerateInput, InternalInconsistency, NonCoprimeModuli
+from twosq.errors import BudgetExceeded, DegenerateInput, InternalInconsistency, NonCoprimeModuli
 
 from .conftest import brute_representation, brute_two_square_set
 
@@ -45,6 +47,138 @@ def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     f = factorize(p * q, FactorBudget(trial_bound=1000))
     assert f.factors == {p: 1, q: 1}
+
+
+# psi_k: the smallest strong pseudoprime to the first k prime bases, for
+# k = 1..7, 9 and 12 (psi_8 = psi_7, psi_10 = psi_11 = psi_9).
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n), n
+
+
+def test_is_prime_matches_sieve():
+    primes = set(small_primes(1 << 17))
+    for n in range(1 << 17):
+        assert is_prime(n) == (n in primes), n
+
+
+def test_factorize_psi12():
+    f = factorize(318665857834031151167461)
+    assert f.factors == {399165290221: 1, 798330580441: 1}
+
+
+def _reference_factorize(n, budget):
+    """The former `factorize`, kept verbatim as the reference: trial division
+    up to min(trial_bound, isqrt(n)), then `_reference_factor_hard`."""
+    if n < 0:
+        raise ValueError("factorize expects n >= 0")
+    if n == 0:
+        return FactoredInteger(0)
+    factors = {}
+    m = n
+    bound = min(budget.trial_bound, math.isqrt(m))
+    for p in small_primes(max(bound, 2)):
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = e
+    if m > 1:
+        _reference_factor_hard(m, factors, budget)
+    return FactoredInteger(n, dict(sorted(factors.items())))
+
+
+def _reference_factor_hard(m, factors, budget):
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        root = math.isqrt(m)
+        if root * root == m and is_prime(root):
+            factors[root] = factors.get(root, 0) + 2
+            continue
+        if m < budget.trial_bound * budget.trial_bound or is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        d = None
+        for c in range(1, budget.rho_rounds + 1):
+            d = arith._rho_brent(m, c, budget.rho_iterations)
+            if d is not None:
+                break
+        if d is None:
+            raise BudgetExceeded(f"could not split composite {m}")
+        stack.append(d)
+        stack.append(m // d)
+
+
+def _outcome(factor, n, budget):
+    try:
+        return factor(n, budget).factors
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+def _primes_near(x, count):
+    """The `count` largest primes <= x (fewer for tiny x) and the `count` smallest above x."""
+    below = [p for p in range(x, max(x - 1000, 1), -1) if is_prime(p)][:count]
+    above = itertools.islice((p for p in itertools.count(x + 1) if is_prime(p)), count)
+    return below + list(above)
+
+
+def _equivalence_inputs(t):
+    near = sorted(set(_primes_near(311, 3) + _primes_near(t, 2)))
+    pairs = [a * b for a, b in itertools.combinations_with_replacement(near, 2)]
+    triples = [m * c for m in pairs for c in (311, 313)]
+    squares = [p * p for p in near + [10007, 1000003, 2**31 - 1]]
+    big = [p for p in _primes_near(max(t, 1000) * 1000, 1) if p > t]
+    semiprimes = [a * b for a, b in itertools.combinations_with_replacement(big, 2)]
+    cubes = [p**3 for p in big[:1]]
+    return pairs + triples + squares + semiprimes + cubes
+
+
+EQUIVALENCE_BUDGETS = [(t, r) for t in (2, 10, 100, 1000, 10**6) for r in (0, 24)]
+
+
+@pytest.mark.parametrize("trial_bound,rho_rounds", EQUIVALENCE_BUDGETS)
+def test_factorize_matches_reference(trial_bound, rho_rounds):
+    """Same factor map as the former trial-division-first code, or
+    BudgetExceeded from both."""
+    budget = FactorBudget(trial_bound=trial_bound, rho_rounds=rho_rounds)
+    for n in itertools.chain(range(1 << 14), _equivalence_inputs(trial_bound)):
+        assert _outcome(factorize, n, budget) == _outcome(_reference_factorize, n, budget), n
+
+
+def test_factorize_falls_back_when_rho_fails(monkeypatch):
+    """A cofactor below trial_bound^2 that rho cannot split is trial-divided."""
+    monkeypatch.setattr(arith, "_rho_brent", lambda n, c, max_iters: None)
+    budget = FactorBudget(trial_bound=10**5)
+    for n in (313 * 317, 313**2 * 9973, 2 * 3 * 9967 * 9973, 10007 * 10009, 3 * 10007**2):
+        f = _outcome(factorize, n, budget)
+        assert f == _outcome(_reference_factorize, n, budget), n
+        assert f != BudgetExceeded and math.prod(p**e for p, e in f.items()) == n
+
+
+def test_trial_primes_are_the_first_64():
+    assert arith._TRIAL_PRIMES == tuple(small_primes(arith._TRIAL_NEXT - 1))
+    assert len(arith._TRIAL_PRIMES) == 64 and arith._TRIAL_PRIMES[-1] == 311
+    assert is_prime(arith._TRIAL_NEXT)
 
 
 def test_factored_integer_validation():
@@ -118,8 +252,6 @@ def test_membership_against_bruteforce():
 
 
 def test_factorize_budget_exceeded():
-    from twosq.errors import BudgetExceeded
-
     hard = (10**9 + 7) * (10**9 + 9)
     with pytest.raises(BudgetExceeded):
         factorize(hard, FactorBudget(trial_bound=100, rho_rounds=0))
