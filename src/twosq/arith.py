@@ -20,7 +20,8 @@ from .errors import BudgetExceeded, DegenerateInput, InternalInconsistency, NonC
 # Miller-Rabin uses the first k prime bases for n below the k-th bound: each
 # bound is psi_k, the smallest strong pseudoprime to those bases (psi_7 = psi_8
 # and psi_9 = psi_11, so 8, 10 and 11 bases are never needed). At and above
-# psi_12 all 13 bases run, which is exact below psi_13 ~ 3.3e24.
+# psi_12 all 13 bases run, which is exact below psi_13 ~ 3.3e24; from psi_13
+# on a strong Lucas test follows them, which makes the test Baillie-PSW.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LEVELS = (
     (2047, 1),
@@ -33,6 +34,7 @@ _MR_LEVELS = (
     (3825123056546413051, 9),
     (318665857834031151167461, 12),
 )
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIME_CACHE: dict[int, list[int]] = {}
 
@@ -146,16 +148,18 @@ def small_primes(bound: int) -> list[int]:
 
 # `factorize` divides by these first 64 primes before any primality test.
 _TRIAL_PRIMES = tuple(small_primes(311))
+_TRIAL_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_NEXT = 313
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact below 3.3e24, extremely reliable above)."""
-    if n < 2:
-        return False
+    """Miller-Rabin with fixed bases, exact below 3.3e24; from there on
+    followed by a strong Lucas test (Baillie-PSW, no known counterexample)."""
+    if n < _TRIAL_NEXT:
+        return n in _TRIAL_SET
     for p in _MR_BASES:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -176,7 +180,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4. With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some 0 <= r < s."""
+    root = math.isqrt(n)
+    if root * root == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # gcd(D, n) > 1
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    u, v, qk = 1, 1, Q % n  # U_1, V_1 and Q^1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _rho_brent(n: int, c: int, max_iters: int) -> int | None:
@@ -528,23 +585,25 @@ def _cornacchia_prime(p: int) -> tuple[int, int]:
     return b, y
 
 
+# Above this many conjugation choices, `represent_two_squares` takes only one.
+REPRESENT_COMBO_CAP = 4096
+
+
 def _gauss_mul(r1: tuple[int, int], r2: tuple[int, int]) -> tuple[int, int]:
     a, b = r1
     c, d = r2
     return a * c - b * d, a * d + b * c
 
 
-def represent_two_squares(
-    n: FactoredInteger, combo_cap: int = 4096
-) -> tuple[int, int] | None:
+def represent_two_squares(n: FactoredInteger) -> tuple[int, int] | None:
     """A representation (x, y) with x^2 + y^2 = n and 0 <= x <= y, or None.
 
     Built multiplicatively: Cornacchia at each prime = 1 mod 4, (1, 1) for 2,
     and scalar p^(e/2) for primes = 3 mod 4, composed via the Gaussian norm
     identity. Every representation of n arises from a conjugation choice at
-    each prime = 1 mod 4; those combinations are enumerated (up to combo_cap)
-    and the lexicographically smallest pair is returned, so e.g. 25 gives
-    (0, 5) rather than (3, 4). Deterministic for fixed n.
+    each prime = 1 mod 4; up to REPRESENT_COMBO_CAP of those combinations
+    are enumerated and the lexicographically smallest pair is returned, so
+    e.g. 25 gives (0, 5) rather than (3, 4). Deterministic for fixed n.
     """
     if n.is_zero:
         return (0, 0)
@@ -566,7 +625,7 @@ def represent_two_squares(
     for _, e in split:
         total *= e + 1
     choice_space: list[range] = [range(e + 1) for _, e in split]
-    if total > combo_cap:
+    if total > REPRESENT_COMBO_CAP:
         choice_space = [range(e, e + 1) for _, e in split]
     powers = []
     for (a, b), e in split:

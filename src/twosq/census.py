@@ -21,10 +21,11 @@ import numpy as np
 from .admissibility import admissible_classes, is_admissible_value
 from .arith import FactoredInteger
 from .errors import TooManyPatterns
-from .sieve import DEFAULT_SEGMENT_LEN, iter_member_arrays
+from .sieve import iter_member_arrays
 
-DEFAULT_MAX_OCCURRENCES = 10
-DEFAULT_PATTERN_CAP = 1 << 20
+# First matches kept per pattern, and the most patterns one census counts.
+MAX_OCCURRENCES = 10
+PATTERN_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,21 +84,16 @@ class CensusReport:
 
 
 def _iter_window_blocks(
-    x: int,
-    r: int,
-    segment_len: int,
-    cache_dir: str | None = None,
+    x: int, r: int, cache_dir: str | None
 ) -> Iterator[tuple[np.ndarray, int, int]]:
     """Yield (block, n_start, starts) with block carrying r-1 values of overlap.
 
     `starts` is the number of window starts in this block whose value is <= x;
-    the generator stops once a start value exceeds x. Segments shrink to the
-    query scale so small bounds do not pay for a full default segment.
+    the generator stops once a start value exceeds x.
     """
-    segment_len = min(segment_len, max(x + 4096, 4096))
     carry = np.empty(0, dtype=np.int64)
     n_start = 1
-    for values in iter_member_arrays(segment_len, cache_dir):
+    for values in iter_member_arrays(x, cache_dir):
         block = np.concatenate([carry, values]) if carry.size else values
         if block.size < r:
             carry = block
@@ -119,10 +115,7 @@ def _occurrence(block: np.ndarray, n_start: int, pos: int, r: int) -> Occurrence
 
 
 def _iter_pattern_masks(
-    spec: PatternSpec,
-    x: int,
-    segment_len: int,
-    cache_dir: str | None,
+    spec: PatternSpec, x: int, cache_dir: str | None
 ) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
     """Yield (block, n_start, mask) with mask[i] set where the window at i matches.
 
@@ -130,7 +123,7 @@ def _iter_pattern_masks(
     which would overflow int64 once q^r exceeds 2^63.
     """
     q, r = spec.q.value, spec.r
-    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir):
+    for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
         res = block % q
         mask = res[:starts] == spec.classes[0]
         for i in range(1, r):
@@ -138,52 +131,38 @@ def _iter_pattern_masks(
         yield block, n_start, mask
 
 
-def match_pattern(
-    spec: PatternSpec,
-    x: int,
-    max_occurrences: int = DEFAULT_MAX_OCCURRENCES,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    cache_dir: str | None = None,
-) -> MatchResult:
+def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> MatchResult:
     """Count windows matching `spec` with start value <= x.
 
-    Also reports the first `max_occurrences` matches. A count of 0 is the
+    Also reports the first MAX_OCCURRENCES matches. A count of 0 is the
     legitimate output for patterns containing a non-admissible class.
     """
     count = 0
     occurrences: list[Occurrence] = []
-    for block, n_start, mask in _iter_pattern_masks(spec, x, segment_len, cache_dir):
+    for block, n_start, mask in _iter_pattern_masks(spec, x, cache_dir):
         block_count = int(np.count_nonzero(mask))
-        if block_count and len(occurrences) < max_occurrences:
-            for pos in np.flatnonzero(mask)[: max_occurrences - len(occurrences)].tolist():
+        if block_count and len(occurrences) < MAX_OCCURRENCES:
+            for pos in np.flatnonzero(mask)[: MAX_OCCURRENCES - len(occurrences)].tolist():
                 occurrences.append(_occurrence(block, n_start, pos, spec.r))
         count += block_count
     return MatchResult(count, tuple(occurrences))
 
 
 def find_first_occurrence(
-    spec: PatternSpec,
-    bound: int,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    cache_dir: str | None = None,
+    spec: PatternSpec, bound: int, cache_dir: str | None = None
 ) -> Occurrence | None:
     """Smallest n whose window matches with E_n <= bound, or None."""
-    for block, n_start, mask in _iter_pattern_masks(spec, bound, segment_len, cache_dir):
+    for block, n_start, mask in _iter_pattern_masks(spec, bound, cache_dir):
         if mask.any():
             return _occurrence(block, n_start, int(np.argmax(mask)), spec.r)
     return None
 
 
 def census_report(
-    q: FactoredInteger,
-    r: int,
-    x: int,
-    max_occurrences: int = DEFAULT_MAX_OCCURRENCES,
-    pattern_cap: int = DEFAULT_PATTERN_CAP,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    cache_dir: str | None = None,
+    q: FactoredInteger, r: int, x: int, cache_dir: str | None = None
 ) -> CensusReport:
-    """One pass computing counts for every r-tuple of classes simultaneously.
+    """One pass computing counts for every r-tuple of classes simultaneously,
+    with the first MAX_OCCURRENCES matches of each.
 
     Windows are encoded as base-q integers (first class most significant),
     so tuples sort lexicographically by code.
@@ -191,14 +170,14 @@ def census_report(
     if r < 1:
         raise ValueError("r must be >= 1")
     adm = tuple(c.value for c in admissible_classes(q))
-    if len(adm) ** r > pattern_cap:
-        raise TooManyPatterns(f"{len(adm)}^{r} admissible tuples exceed cap {pattern_cap}")
+    if len(adm) ** r > PATTERN_CAP:
+        raise TooManyPatterns(f"{len(adm)}^{r} admissible tuples exceed cap {PATTERN_CAP}")
     qv = q.value
     weights = [qv ** (r - 1 - i) for i in range(r)]
     counts: dict[int, int] = {}
     occ: dict[int, list[Occurrence]] = {}
     total = 0
-    for block, n_start, starts in _iter_window_blocks(x, r, segment_len, cache_dir):
+    for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
         res = block % qv
         codes = res[:starts] * weights[0]
         for i in range(1, r):
@@ -213,7 +192,7 @@ def census_report(
         boundaries = np.flatnonzero(np.diff(codes[order])) + 1
         for grp in np.split(order, boundaries):
             lst = occ.setdefault(int(codes[grp[0]]), [])
-            need = max_occurrences - len(lst)
+            need = MAX_OCCURRENCES - len(lst)
             for pos in grp[:need].tolist():
                 lst.append(_occurrence(block, n_start, pos, r))
 

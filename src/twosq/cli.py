@@ -21,19 +21,22 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, sieve
 from .admissibility import admissible_classes
 from .arith import FactoredInteger, factorize
 from .census import PatternSpec, census_report, match_pattern
 from .errors import HypothesisViolation, TwoSqError
 from .forcing import bin_plan, construct_two_class_tuple, delta_constant, end_to_end_triple
-from .sieve import DEFAULT_SEGMENT_LEN, MAX_HI, sieve_segment
 from .witness import TripleCertificate, build_witness_family, check_local_obstructions, scan_family
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_HYPOTHESIS = 2
 EXIT_USAGE = 64
+
+
+class _UsageError(Exception):
+    """A command-line argument fails a check of the CLI's own."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,11 +73,17 @@ def _pattern_label(classes) -> str:
     return "[" + ",".join(str(c) for c in classes) + "]"
 
 
-def _parse_classes(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad class list {text!r}") from exc
+        raise _UsageError(f"bad integer list {text!r}") from exc
+
+
+def _modulus(q: int) -> FactoredInteger:
+    if q < 1:
+        raise _UsageError(f"q must be >= 1, got {q}")
+    return factorize(q)
 
 
 def _output_flags(sub: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -84,7 +93,6 @@ def _output_flags(sub: argparse.ArgumentParser, formats: bool = True) -> None:
 
 
 def _sieve_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--segment-length", type=int, default=DEFAULT_SEGMENT_LEN)
     sub.add_argument(
         "--cache-dir",
         default=os.environ.get("TWOSQ_CACHE_DIR"),
@@ -93,20 +101,20 @@ def _sieve_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_sieve(args) -> int:
-    if args.hi > MAX_HI:
-        # fail before sieving any of the segments below the limit
-        raise ValueError(f"segment end {args.hi} exceeds the int64 sieve limit 2^62")
+    # checked whole, before sieving any segment of the range
+    if not 0 <= args.lo < args.hi <= sieve.MAX_HI:
+        raise _UsageError(f"need 0 <= lo < hi <= 2^62, got [{args.lo}, {args.hi})")
     lines = []
     if args.dump:
         # the dump format is a single segment, so build the range as one
-        seg = sieve_segment(args.lo, args.hi, cache_dir=args.cache_dir)
+        seg = sieve.sieve_segment(args.lo, args.hi, cache_dir=args.cache_dir)
         seg.save(args.dump)
         lines = [str(v) for v in seg.members().tolist()]
     else:
         lo = args.lo
         while lo < args.hi:
-            hi = min(lo + args.segment_length, args.hi)
-            seg = sieve_segment(lo, hi, cache_dir=args.cache_dir)
+            hi = min(lo + sieve.DEFAULT_SEGMENT_LEN, args.hi)
+            seg = sieve.sieve_segment(lo, hi, cache_dir=args.cache_dir)
             lines.extend(str(v) for v in seg.members().tolist())
             lo = hi
     fmt = args.format or "csv"
@@ -122,7 +130,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
-    q = factorize(args.q)
+    q = _modulus(args.q)
     classes = [str(c.value) for c in admissible_classes(q)]
     fmt = args.format or "csv"
     if fmt == "json":
@@ -133,14 +141,10 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    q = factorize(args.q)
-    report = census_report(
-        q,
-        args.r,
-        args.x,
-        segment_len=args.segment_length,
-        cache_dir=args.cache_dir,
-    )
+    q = _modulus(args.q)
+    if args.r < 1:
+        raise _UsageError(f"r must be >= 1, got {args.r}")
+    report = census_report(q, args.r, args.x, cache_dir=args.cache_dir)
     fmt = args.format or "csv"
     if fmt == "json":
         patterns = []
@@ -177,15 +181,13 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    q = factorize(args.q)
-    classes = _parse_classes(args.classes)
-    spec = PatternSpec(q, classes)
-    result = match_pattern(
-        spec,
-        args.x,
-        segment_len=args.segment_length,
-        cache_dir=args.cache_dir,
-    )
+    q = _modulus(args.q)
+    classes = _parse_ints(args.classes)
+    try:
+        spec = PatternSpec(q, classes)
+    except ValueError as exc:  # a class outside [0, q)
+        raise _UsageError(str(exc)) from exc
+    result = match_pattern(spec, args.x, cache_dir=args.cache_dir)
     fmt = args.format or "csv"
     if fmt == "json":
         _emit(
@@ -214,7 +216,7 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    q = factorize(args.q)
+    q = _modulus(args.q)
     family = build_witness_family(q, args.a, args.h, args.k)
     check_local_obstructions(family)
     _status(
@@ -230,14 +232,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_force_triple(args) -> int:
-    q = factorize(args.q)
+    q = _modulus(args.q)
     report = end_to_end_triple(
         q,
         args.a,
         args.b,
         args.c,
         x_budget=args.xbudget,
-        segment_len=args.segment_length,
         cache_dir=args.cache_dir,
     )
     _emit(
@@ -263,9 +264,9 @@ def _cmd_force_triple(args) -> int:
 
 
 def _cmd_tuple(args) -> int:
-    q = factorize(args.q)
+    q = _modulus(args.q)
     if args.sizes:
-        sizes = list(_parse_classes(args.sizes))
+        sizes = list(_parse_ints(args.sizes))
         delta = None
     else:
         sizes = bin_plan(args.M, args.theta1, args.theta2)
@@ -425,10 +426,10 @@ def _run(argv: list[str] | None) -> int:
     except HypothesisViolation as exc:
         _diagnose("hypothesis_violation", str(exc))
         return EXIT_HYPOTHESIS
-    except ValueError as exc:
+    except _UsageError as exc:
         _diagnose("bad_argument", str(exc))
         return EXIT_USAGE
-    except TwoSqError as exc:
+    except (TwoSqError, ValueError) as exc:
         _diagnose(type(exc).__name__, str(exc))
         return EXIT_INTERNAL
 

@@ -37,11 +37,15 @@ from .errors import (
     NoneFoundWithinBudget,
     SearchExhausted,
 )
-from .sieve import DEFAULT_SEGMENT_LEN
 from .witness import TripleCertificate, check_hypotheses
 
 DELTA_COEFF_NUM = math.sqrt(2.0) * (math.pi + 2.0)
 DELTA_COEFF_DEN = 32.0 * math.pi
+
+# Largest offset `construct_two_class_tuple` tries, and the census triples
+# `end_to_end_triple` certifies.
+OFFSET_CAP = 10_000_000
+MAX_CERTIFICATES = 3
 
 
 def delta_constant(theta1: float, theta2: float) -> float:
@@ -75,8 +79,6 @@ class TupleDesign:
     j: int
     bins: list[int]
     offsets: list[int]
-    theta1: float | None = None
-    theta2: float | None = None
 
     @property
     def M(self) -> int:
@@ -86,9 +88,6 @@ class TupleDesign:
     def transition_index(self) -> int:
         """Offsets up to (not including) this index are in class a, the rest in b."""
         return sum(self.bins[: self.j])
-
-    def target_class(self, index: int) -> int:
-        return self.a if index < self.transition_index else self.b
 
     def form_admissibility_witnesses(self) -> dict[int, int]:
         """For each prime p up to the tuple length, an n mod p avoiding every
@@ -118,7 +117,6 @@ def construct_two_class_tuple(
     b: int,
     j: int,
     sizes: list[int],
-    offset_cap: int = 10_000_000,
 ) -> TupleDesign:
     """Greedy ascending offsets: h_i = 1 mod 4, h_i in class a for the first j
     bins and class b afterwards, keeping the forms {q n + h_i} admissible.
@@ -153,8 +151,8 @@ def construct_two_class_tuple(
         while cand <= h:
             cand += 4 * qv
         while True:
-            if cand > offset_cap:
-                raise SearchExhausted(f"offset cap {offset_cap} hit at index {index}")
+            if cand > OFFSET_CAP:
+                raise SearchExhausted(f"offset cap {OFFSET_CAP} hit at index {index}")
             ok = True
             for p in primes:
                 if qv % p == 0:
@@ -385,26 +383,24 @@ def end_to_end_triple(
     b: int,
     c: int,
     x_budget: int = 10_000_000,
-    max_certificates: int = 3,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
     cache_dir: str | None = None,
 ) -> TripleSearchReport:
     """Build the blocking system, then find actual consecutive triples by
-    census scan up to x_budget and certify the first few.
+    census scan up to x_budget and certify the first MAX_CERTIFICATES.
 
     Raises NoneFoundWithinBudget when the census finds no occurrence (a
     budget statement, not a refutation).
     """
     blocking = build_blocking_system(q, a, b, c)
     spec = PatternSpec(q, (a % q.value, b % q.value, c % q.value))
-    result = match_pattern(spec, x_budget, segment_len=segment_len, cache_dir=cache_dir)
+    result = match_pattern(spec, x_budget, cache_dir=cache_dir)
     if result.count == 0:
         raise NoneFoundWithinBudget(
             f"pattern {spec.classes} mod {q.value} not seen below {x_budget}"
         )
     certs = [
         _consecutive_certificate(q.value, a, occ.values)
-        for occ in result.occurrences[:max_certificates]
+        for occ in result.occurrences[:MAX_CERTIFICATES]
     ]
     for cert in certs:
         if not cert.verify():

@@ -189,38 +189,30 @@ def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegmen
     return seg
 
 
-def iter_segments(
-    start: int = 0,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    cache_dir: str | None = None,
-) -> Iterator[TwoSqSegment]:
-    """Unbounded stream of consecutive segments starting at `start`."""
-    lo = start
+def iter_segments(segment_len: int, cache_dir: str | None = None) -> Iterator[TwoSqSegment]:
+    """Unbounded stream of consecutive segments of E from 0."""
+    lo = 0
     while True:
         yield sieve_segment(lo, lo + segment_len, cache_dir=cache_dir)
         lo += segment_len
 
 
-def iter_member_arrays(
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    cache_dir: str | None = None,
-) -> Iterator[np.ndarray]:
-    """Member values of E in ascending order, one array per segment."""
-    for seg in iter_segments(0, segment_len, cache_dir):
+def iter_member_arrays(x: int, cache_dir: str | None = None) -> Iterator[np.ndarray]:
+    """Member values of E in ascending order, one array per segment.
+
+    Segments shrink to the scale of a scan up to about x, so small bounds
+    do not pay for a full DEFAULT_SEGMENT_LEN segment.
+    """
+    for seg in iter_segments(min(DEFAULT_SEGMENT_LEN, max(x + 4096, 4096)), cache_dir):
         yield seg.members()
 
 
-def stream_E(
-    x_max: int,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    cache_dir: str | None = None,
-) -> Iterator[tuple[int, int]]:
+def stream_E(x_max: int, cache_dir: str | None = None) -> Iterator[tuple[int, int]]:
     """Ordered (n, E_n) pairs with 1-based n, for all members E_n <= x_max."""
     if x_max < 0:
         return
-    segment_len = min(segment_len, max(x_max + 4096, 4096))
     n = 0
-    for values in iter_member_arrays(segment_len, cache_dir):
+    for values in iter_member_arrays(x_max, cache_dir):
         for v in values:
             v = int(v)
             if v > x_max:
@@ -231,17 +223,12 @@ def stream_E(
             return
 
 
-def count_N(
-    x: int,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    cache_dir: str | None = None,
-) -> int:
+def count_N(x: int, cache_dir: str | None = None) -> int:
     """Number of members of E that are <= x."""
     if x < 0:
         return 0
-    segment_len = min(segment_len, max(x + 1, 1024))
     total = 0
-    for seg in iter_segments(0, segment_len, cache_dir):
+    for seg in iter_segments(min(DEFAULT_SEGMENT_LEN, max(x + 1, 1024)), cache_dir):
         if seg.lo > x:
             break
         if seg.hi <= x + 1:

@@ -48,7 +48,7 @@ from .errors import (
     SearchExhausted,
 )
 
-# Bounded-search knobs: residue scans per prime power, local candidates kept
+# Bounded-search limits: residue scans per prime power, local candidates kept
 # per prime, CRT combinations tried, and base points tried by the pipeline.
 LOCAL_SCAN_CAP = 1 << 20
 LOCAL_CANDIDATES = 48
@@ -308,9 +308,7 @@ def _base_target(c: int, p: int, e: int) -> int:
     return beta // 2
 
 
-def _iter_uv_local(
-    x0: int, y0: int, c: int, p: int, e: int, target: int, scan_cap: int = LOCAL_SCAN_CAP
-):
+def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
     """(u, v) mod p^e with (x0+u)^2 + (y0+v)^2 = c, min valuation exactly `target`.
 
     Scans v ascending and resolves u by modular square roots, so output is
@@ -319,7 +317,7 @@ def _iter_uv_local(
     """
     mod = p**e
     c %= mod
-    for v in range(min(mod, scan_cap)):
+    for v in range(min(mod, LOCAL_SCAN_CAP)):
         vv = _res_val(v, p, e)
         if vv < target:
             continue
@@ -333,35 +331,30 @@ def _iter_uv_local(
                 yield u, v
 
 
-def _iter_crt_pairs(q: FactoredInteger, local, missing: str, local_candidates: int, combo_cap: int):
+def _iter_crt_pairs(q: FactoredInteger, local, missing: str):
     """Pairs mod q glued by CRT from per-prime local pairs, in product order.
 
     `local(p, e)` enumerates the local pairs at each p^e || q; the first
-    `local_candidates` of each are kept and at most `combo_cap` combinations
+    LOCAL_CANDIDATES of each are kept and at most COMBO_CAP combinations
     are glued. Raises SearchExhausted naming the first prime with none.
     """
     primes = q.primes()
     locals_: list[list[tuple[int, int]]] = []
     for p in primes:
         e = q.factors[p]
-        cands = list(itertools.islice(local(p, e), local_candidates))
+        cands = list(itertools.islice(local(p, e), LOCAL_CANDIDATES))
         if not cands:
             raise SearchExhausted(f"{missing} at prime power {p}^{e}")
         locals_.append(cands)
     moduli = [p ** q.factors[p] for p in primes]
-    for combo in itertools.islice(itertools.product(*locals_), combo_cap):
+    for combo in itertools.islice(itertools.product(*locals_), COMBO_CAP):
         yield (
             crt_combine([ResidueClass(xy[0], m) for xy, m in zip(combo, moduli)]).value,
             crt_combine([ResidueClass(xy[1], m) for xy, m in zip(combo, moduli)]).value,
         )
 
 
-def iter_base_solutions(
-    a: int,
-    q: FactoredInteger,
-    local_candidates: int = LOCAL_CANDIDATES,
-    combo_cap: int = COMBO_CAP,
-):
+def iter_base_solutions(a: int, q: FactoredInteger):
     """Base solutions in deterministic order (per-prime (y, x)-lex, CRT-combined)."""
     qv = q.value
     a %= qv
@@ -373,8 +366,6 @@ def iter_base_solutions(
         q,
         lambda p, e: _iter_uv_local(0, 0, a, p, e, _base_target(a, p, e)),
         f"no base solution for a={a}",
-        local_candidates,
-        combo_cap,
     )
     for x0, y0 in pairs:
         if x0 == 0 and y0 == 0:
@@ -452,12 +443,7 @@ def _gcd_bound(q: FactoredInteger) -> int:
     return bound
 
 
-def iter_shift_pairs(
-    base: BaseSolution,
-    h: int,
-    local_candidates: int = LOCAL_CANDIDATES,
-    combo_cap: int = COMBO_CAP,
-):
+def iter_shift_pairs(base: BaseSolution, h: int):
     """Locally valid shift pairs in deterministic order.
 
     Yields integer pairs satisfying the congruence to a+h and both gcd
@@ -475,8 +461,6 @@ def iter_shift_pairs(
         q,
         lambda p, e: _iter_uv_local(base.x0, base.y0, a + h, p, e, _shift_target(a, h, p, e)),
         f"no shift solution for h={h}",
-        local_candidates,
-        combo_cap,
     )
     gbound = _gcd_bound(q)
     g0_twice = 2 * math.gcd(base.x0, base.y0)
@@ -539,24 +523,18 @@ def build_family(base: BaseSolution, shift: ShiftPair, k: int) -> WitnessFamily:
     return family
 
 
-def build_witness_family(
-    q: FactoredInteger,
-    a: int,
-    h: int,
-    k: int,
-    base_cap: int = BASE_CAP,
-) -> WitnessFamily:
+def build_witness_family(q: FactoredInteger, a: int, h: int, k: int) -> WitnessFamily:
     """End-to-end construction: hypotheses, base, shift, verified family.
 
-    Candidate (base, shift) pairs are tried in canonical order until one
-    assembles into a family passing full verification. The verification
-    step is what rules out shift pairs whose linear-equation solutions land
-    in the wrong parity class at 2.
+    Candidate (base, shift) pairs over the first BASE_CAP bases are tried in
+    canonical order until one assembles into a family passing full
+    verification. The verification step is what rules out shift pairs whose
+    linear-equation solutions land in the wrong parity class at 2.
     """
     verdict = check_hypotheses(q, a, h, k)
     if not verdict.ok:
         raise HypothesisViolation(f"{verdict.failed_clause}: {verdict.detail}")
-    for base in itertools.islice(iter_base_solutions(a, q), base_cap):
+    for base in itertools.islice(iter_base_solutions(a, q), BASE_CAP):
         for shift in iter_shift_pairs(base, h):
             try:
                 return build_family(base, shift, k)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from twosq import sieve
 from twosq.admissibility import admissible_classes, is_admissible
 from twosq.arith import FactorBudget, FactoredInteger, ResidueClass, factorize, is_sum_two_squares
 from twosq.census import PatternSpec, census_report, match_pattern
@@ -178,7 +179,7 @@ def test_criterion_08_blocking_battery():
     _report(8, systems == 180, f"{systems} blocking systems verified ({time.time() - t0:.1f}s)")
 
 
-def test_criterion_09_q5_census_fixture():
+def test_criterion_09_q5_census_fixture(monkeypatch):
     t0 = time.time()
     rep = census_report(factorize(5), 3, 10**7)
     payload = {
@@ -200,7 +201,8 @@ def test_criterion_09_q5_census_fixture():
     frozen = (DATA / "census_q5_r3_1e7.json").read_text(encoding="utf-8")
     ok = rendered == frozen and all(rep.count_for(t) > 0 for t in rep.pattern_universe())
     # reproduce byte-identically under a different sharding
-    rep2 = census_report(factorize(5), 3, 10**7, segment_len=1 << 22)
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", 1 << 22)
+    rep2 = census_report(factorize(5), 3, 10**7)
     ok = ok and rep2.counts == rep.counts and rep2.occurrences == rep.occurrences
     _report(
         9,

@@ -80,6 +80,29 @@ def test_factorize_psi12():
     assert f.factors == {399165290221: 1, 798330580441: 1}
 
 
+PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+
+
+def test_is_prime_baillie_psw_above_psi13():
+    assert 1287836182261 * 2575672364521 == PSI_13
+    assert not is_prime(PSI_13)  # passes all 13 Miller-Rabin bases
+    assert not is_prime((2**89 - 1) * (2**107 - 1))
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+
+
+# Strong Lucas pseudoprimes with Selfridge's parameters below 30000 (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199)
+
+
+def test_strong_lucas_pseudoprimes():
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert arith._strong_lucas(n), n
+    primes = set(small_primes(30000))
+    for n in range(43, 30000, 2):
+        expected = n in primes or n in STRONG_LUCAS_PSEUDOPRIMES
+        assert arith._strong_lucas(n) == expected, n
+
+
 def _reference_factorize(n, budget):
     """The former `factorize`, kept verbatim as the reference: trial division
     up to min(trial_bound, isqrt(n)), then `_reference_factor_hard`."""

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from twosq import census, sieve
 from twosq.arith import factorize
 from twosq.census import PatternSpec, census_report, find_first_occurrence, match_pattern
 from twosq.errors import TooManyPatterns
@@ -50,11 +51,12 @@ def test_zero_on_inadmissible():
             assert rep.count_for(tup) == 0
 
 
-def test_shard_determinism():
+def test_shard_determinism(monkeypatch):
     fq = factorize(5)
     baseline = census_report(fq, 3, 30_000)
     for seg_len in (1 << 12, 1 << 14, 999):
-        other = census_report(fq, 3, 30_000, segment_len=seg_len)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", seg_len)
+        other = census_report(fq, 3, 30_000)
         assert other.counts == baseline.counts
         assert other.occurrences == baseline.occurrences
         assert other.total_windows == baseline.total_windows
@@ -67,10 +69,12 @@ def test_census_matches_match_pattern():
         assert rep.count_for(tup) == match_pattern(PatternSpec(fq, tup), 10_000).count
 
 
-def test_occurrence_capping():
-    rep = census_report(factorize(4), 1, 10_000, max_occurrences=4)
+def test_occurrence_capping(monkeypatch):
+    monkeypatch.setattr(census, "MAX_OCCURRENCES", 4)
+    rep = census_report(factorize(4), 1, 10_000)
     assert all(len(v) == 4 for v in rep.occurrences.values())
-    full = census_report(factorize(4), 1, 10_000, max_occurrences=10)
+    monkeypatch.setattr(census, "MAX_OCCURRENCES", 10)
+    full = census_report(factorize(4), 1, 10_000)
     for tup, lst in rep.occurrences.items():
         assert lst == full.occurrences[tup][:4]
 
@@ -86,7 +90,7 @@ def test_first_occurrence_examples():
 
 def test_pattern_cap():
     with pytest.raises(TooManyPatterns):
-        census_report(factorize(5), 3, 100, pattern_cap=10)
+        census_report(factorize(5), 9, 100)  # 5^9 admissible tuples > PATTERN_CAP = 2^20
 
 
 def test_pattern_spec_validation():

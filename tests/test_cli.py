@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import twosq
+from twosq import sieve
 from twosq.cli import run
 
 
@@ -41,10 +42,11 @@ def test_sieve_output(capsys):
     assert out.splitlines() == ["value", "0", "1", "2", "4", "5", "8", "9", "10"]
 
 
-def test_sieve_chunked_equals_whole(capsys):
+def test_sieve_chunked_equals_whole(capsys, monkeypatch):
     code, big, _ = run_capture(capsys, ["sieve", "0", "5000"])
     assert code == 0
-    code, chunked, _ = run_capture(capsys, ["sieve", "0", "5000", "--segment-length", "700"])
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", 700)
+    code, chunked, _ = run_capture(capsys, ["sieve", "0", "5000"])
     assert code == 0
     assert big == chunked
 
@@ -117,6 +119,7 @@ def test_verify_beyond_int_str_digit_limit(capsys, tmp_path):
     "argv",
     [
         ["census", "5", "2", "100", "--format", "jsonl"],
+        ["census", "5", "2", "100", "--segment-length", "999"],
         ["witness", "4", "1", "4", "8", "--format", "json"],
         ["witness", "4", "1", "4", "8", "--segment-length", "1000"],
         ["admissible", "4", "--cache-dir", "."],
@@ -214,6 +217,36 @@ def test_sieve_beyond_int64_limit(capsys):
         code, out, err = run_capture(capsys, argv)
         assert code == 64 and out == ""
         assert json.loads(err)["error"] == "bad_argument"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pattern", "4", "1,9", "10"],
+        ["pattern", "4", "x", "10"],
+        ["sieve", "-5", "10"],
+        ["sieve", "5", "5"],
+        ["admissible", "0"],
+        ["admissible", "-3"],
+        ["census", "5", "0", "10"],
+    ],
+)
+def test_usage_errors_exit_64(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 64 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "bad_argument"
+
+
+def test_library_value_error_exits_1(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("raised inside the library")
+
+    monkeypatch.setattr(twosq.cli, "census_report", broken)
+    code, out, err = run_capture(capsys, ["census", "5", "2", "100"])
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["detail"] == "raised inside the library"
 
 
 RECORDED_STDOUT = json.loads(

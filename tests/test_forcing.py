@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from twosq import forcing
 from twosq.admissibility import admissible_classes, is_admissible_value
 from twosq.arith import FactoredInteger, factorize
 from twosq.errors import DomainError, HypothesisViolation, NoneFoundWithinBudget, SearchExhausted
@@ -78,9 +79,10 @@ def test_tuple_requires_odd_q():
         construct_two_class_tuple(factorize(4), 1, 2, 1, [2, 3])
 
 
-def test_tuple_search_exhausted():
+def test_tuple_search_exhausted(monkeypatch):
+    monkeypatch.setattr(forcing, "OFFSET_CAP", 10)
     with pytest.raises(SearchExhausted):
-        construct_two_class_tuple(factorize(5), 1, 2, 1, [2, 3], offset_cap=10)
+        construct_two_class_tuple(factorize(5), 1, 2, 1, [2, 3])
 
 
 def test_blocking_system_q1_fixture():

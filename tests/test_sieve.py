@@ -143,10 +143,11 @@ def test_count_examples():
     assert count_N(2) == 3
 
 
-def test_count_monotone_steps():
+def test_count_monotone_steps(monkeypatch):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", 128)
     prev = count_N(0)
     for x in range(1, 300):
-        cur = count_N(x, segment_len=128)
+        cur = count_N(x)
         assert cur - prev in (0, 1)
         prev = cur
 
