@@ -6,8 +6,13 @@ bound is one-sided: a window whose later members exceed x still counts,
 so the stream is extended past x far enough to complete every window.
 
 Counting is vectorized: member values arrive as numpy arrays per sieve
-segment, residues are taken in bulk, and windows are encoded as base-q
-integers so one pass serves every pattern simultaneously.
+segment, residues are taken in bulk, and `census_report` serves every
+pattern in one pass. It replaces each residue by its index among the
+admissible classes mod q (every member is x^2 + y^2, so its class is
+admissible), encodes each window as a base-len(adm) integer, and counts the
+codes with `np.bincount`. First occurrences come from prefixes of the block
+that double in length until every pattern has its hits; only windows whose
+pattern still needs hits are sorted.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .admissibility import admissible_classes, is_admissible_value
 from .arith import FactoredInteger
-from .errors import TooManyPatterns
+from .errors import InternalInconsistency, TooManyPatterns
 from .sieve import iter_member_arrays
 
 # First matches kept per pattern, and the most patterns one census counts.
@@ -164,51 +169,91 @@ def census_report(
     """One pass computing counts for every r-tuple of classes simultaneously,
     with the first MAX_OCCURRENCES matches of each.
 
-    Windows are encoded as base-q integers (first class most significant),
-    so tuples sort lexicographically by code.
+    Each member's class is replaced by its index among the sorted admissible
+    classes, and a window is encoded in base len(adm) (first class most
+    significant). Codes then lie in [0, len(adm)^r), below PATTERN_CAP, sort
+    lexicographically like their tuples, and are counted with one bincount
+    per block. A member whose class is not admissible raises
+    InternalInconsistency.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     adm = tuple(c.value for c in admissible_classes(q))
-    if len(adm) ** r > PATTERN_CAP:
-        raise TooManyPatterns(f"{len(adm)}^{r} admissible tuples exceed cap {PATTERN_CAP}")
+    k = len(adm)
+    universe = k**r
+    if universe > PATTERN_CAP:
+        raise TooManyPatterns(f"{k}^{r} admissible tuples exceed cap {PATTERN_CAP}")
     qv = q.value
-    weights = [qv ** (r - 1 - i) for i in range(r)]
-    counts: dict[int, int] = {}
+    index = np.full(qv, -1, dtype=np.int64)
+    index[list(adm)] = np.arange(k)
+    counts = np.zeros(universe, dtype=np.int64)
+    need = np.full(universe, MAX_OCCURRENCES, dtype=np.int64)
     occ: dict[int, list[Occurrence]] = {}
     total = 0
     for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
-        res = block % qv
-        codes = res[:starts] * weights[0]
+        idx = index[block % qv]
+        if idx.min() < 0:
+            raise InternalInconsistency(f"a member of E has an inadmissible class mod {qv}")
+        codes = idx[:starts]
         for i in range(1, r):
-            codes = codes + res[i : starts + i] * weights[i]
-        uniq, cnts = np.unique(codes, return_counts=True)
-        for code, c in zip(uniq.tolist(), cnts.tolist()):
-            counts[code] = counts.get(code, 0) + c
+            codes = codes * k
+            codes += idx[i : starts + i]
+        block_counts = np.bincount(codes, minlength=universe)
+        counts += block_counts
         total += starts
-        # Stable argsort groups equal codes while keeping their original
-        # (ascending-n) order, so the head of each group is its first hits.
-        order = np.argsort(codes, kind="stable")
-        boundaries = np.flatnonzero(np.diff(codes[order])) + 1
-        for grp in np.split(order, boundaries):
-            lst = occ.setdefault(int(codes[grp[0]]), [])
-            need = MAX_OCCURRENCES - len(lst)
-            for pos in grp[:need].tolist():
-                lst.append(_occurrence(block, n_start, pos, r))
+        want = np.minimum(need, block_counts)
+        need -= want
+        _collect_first_hits(codes, want, block, n_start, r, occ)
 
     def decode(code: int) -> tuple[int, ...]:
         out = []
         for _ in range(r):
-            code, c = divmod(code, qv)
-            out.append(c)
+            code, i = divmod(code, k)
+            out.append(adm[i])
         return tuple(reversed(out))
 
+    seen = np.flatnonzero(counts).tolist()
     return CensusReport(
         q=qv,
         r=r,
         x=x,
-        counts={decode(c): n for c, n in sorted(counts.items())},
-        occurrences={decode(c): lst for c, lst in sorted(occ.items())},
+        counts={decode(c): int(counts[c]) for c in seen},
+        occurrences={decode(c): occ.get(c, []) for c in seen},
         total_windows=total,
         admissible=adm,
     )
+
+
+def _collect_first_hits(
+    codes: np.ndarray,
+    want: np.ndarray,
+    block: np.ndarray,
+    n_start: int,
+    r: int,
+    occ: dict[int, list[Occurrence]],
+) -> None:
+    """Append to occ[code] the first want[code] windows of this block with that code.
+
+    Scans prefixes that double from 4096 windows and stops at the first
+    prefix that holds every wanted hit. Within each stretch only windows whose code
+    still wants hits are sorted; a stable argsort keeps them in ascending n,
+    so the head of each group is its first hits. `want` is consumed in place.
+    """
+    remaining = int(want.sum())
+    lo, hi = 0, 4096
+    while remaining > 0 and lo < codes.size:
+        sub = codes[lo:hi]
+        pos = np.flatnonzero(want[sub] > 0)
+        if pos.size:
+            c = sub[pos]
+            order = np.argsort(c, kind="stable")
+            c, pos = c[order], pos[order] + lo
+            heads = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+            sizes = np.diff(np.r_[heads, c.size])
+            take = np.arange(c.size) - np.repeat(heads, sizes) < want[c]
+            for code, p in zip(c[take].tolist(), pos[take].tolist()):
+                occ.setdefault(code, []).append(_occurrence(block, n_start, p, r))
+            taken = np.minimum(want[c[heads]], sizes)
+            want[c[heads]] -= taken
+            remaining -= int(taken.sum())
+        lo, hi = hi, 2 * hi

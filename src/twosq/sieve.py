@@ -207,22 +207,6 @@ def iter_member_arrays(x: int, cache_dir: str | None = None) -> Iterator[np.ndar
         yield seg.members()
 
 
-def stream_E(x_max: int, cache_dir: str | None = None) -> Iterator[tuple[int, int]]:
-    """Ordered (n, E_n) pairs with 1-based n, for all members E_n <= x_max."""
-    if x_max < 0:
-        return
-    n = 0
-    for values in iter_member_arrays(x_max, cache_dir):
-        for v in values:
-            v = int(v)
-            if v > x_max:
-                return
-            n += 1
-            yield n, v
-        if values.size and int(values[-1]) > x_max:
-            return
-
-
 def count_N(x: int, cache_dir: str | None = None) -> int:
     """Number of members of E that are <= x."""
     if x < 0:

@@ -1,11 +1,20 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from twosq import census, sieve
+from twosq.admissibility import admissible_classes
 from twosq.arith import factorize
-from twosq.census import PatternSpec, census_report, find_first_occurrence, match_pattern
-from twosq.errors import TooManyPatterns
+from twosq.census import (
+    CensusReport,
+    Occurrence,
+    PatternSpec,
+    census_report,
+    find_first_occurrence,
+    match_pattern,
+)
+from twosq.errors import InternalInconsistency, TooManyPatterns
 from twosq.sieve import count_N
 
 
@@ -100,3 +109,98 @@ def test_pattern_spec_validation():
         PatternSpec(factorize(4), (4,))
     assert not PatternSpec(factorize(4), (1, 3)).all_admissible()
     assert PatternSpec(factorize(4), (1, 2)).all_admissible()
+
+
+def _reference_census_report(q, r, x):
+    """The earlier kernel: base-q codes, np.unique counts, and a stable
+    argsort of every block's codes for the first occurrences."""
+    adm = tuple(c.value for c in admissible_classes(q))
+    qv = q.value
+    weights = [qv ** (r - 1 - i) for i in range(r)]
+    counts: dict[int, int] = {}
+    occ: dict[int, list[Occurrence]] = {}
+    total = 0
+    for block, n_start, starts in census._iter_window_blocks(x, r, None):
+        res = block % qv
+        codes = res[:starts] * weights[0]
+        for i in range(1, r):
+            codes = codes + res[i : starts + i] * weights[i]
+        uniq, cnts = np.unique(codes, return_counts=True)
+        for code, c in zip(uniq.tolist(), cnts.tolist()):
+            counts[code] = counts.get(code, 0) + c
+        total += starts
+        order = np.argsort(codes, kind="stable")
+        boundaries = np.flatnonzero(np.diff(codes[order])) + 1
+        for grp in np.split(order, boundaries):
+            lst = occ.setdefault(int(codes[grp[0]]), [])
+            need = census.MAX_OCCURRENCES - len(lst)
+            for pos in grp[:need].tolist():
+                lst.append(census._occurrence(block, n_start, pos, r))
+
+    def decode(code):
+        out = []
+        for _ in range(r):
+            code, c = divmod(code, qv)
+            out.append(c)
+        return tuple(reversed(out))
+
+    return CensusReport(
+        q=qv,
+        r=r,
+        x=x,
+        counts={decode(c): n for c, n in sorted(counts.items())},
+        occurrences={decode(c): lst for c, lst in sorted(occ.items())},
+        total_windows=total,
+        admissible=adm,
+    )
+
+
+def _assert_same_report(q, r, x):
+    fq = factorize(q)
+    got, ref = census_report(fq, r, x), _reference_census_report(fq, r, x)
+    assert list(got.counts.items()) == list(ref.counts.items())
+    assert list(got.occurrences.items()) == list(ref.occurrences.items())
+    assert got.total_windows == ref.total_windows
+    return got
+
+
+@pytest.mark.parametrize("q", [1, 4, 5, 12, 48])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_matches_reference_kernel(q, r):
+    _assert_same_report(q, r, 40_000)
+
+
+@pytest.mark.parametrize("cap", [1, 10, 50])
+@pytest.mark.parametrize("seg_len", [None, 1 << 12, 999])
+def test_matches_reference_kernel_across_blocks(monkeypatch, cap, seg_len):
+    monkeypatch.setattr(census, "MAX_OCCURRENCES", cap)
+    if seg_len is not None:
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", seg_len)
+    for q, r in ((5, 3), (12, 2)):
+        _assert_same_report(q, r, 60_000)
+
+
+def test_matches_reference_kernel_for_rare_patterns(monkeypatch):
+    # One block; several patterns have fewer than MAX_OCCURRENCES hits, and
+    # some of those hits lie past the first prefixes of 4096 windows, so the
+    # prefix scan has to reach them.
+    monkeypatch.setattr(census, "MAX_OCCURRENCES", 50)
+    rep = _assert_same_report(48, 3, 200_000)
+    rare = [t for t, n in rep.counts.items() if n < 50]
+    assert rare
+    assert all(len(rep.occurrences[t]) == rep.counts[t] for t in rare)
+    assert max(rep.occurrences[t][-1].n for t in rare) > 4 * 4096
+
+
+def test_matches_reference_kernel_long_windows():
+    # 3^12 admissible tuples fit PATTERN_CAP although 4^12 would not.
+    _assert_same_report(4, 12, 50_000)
+
+
+def test_inadmissible_member_raises(monkeypatch):
+    def fake_members(x, cache_dir=None):
+        yield np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
+
+    monkeypatch.setattr(census, "iter_member_arrays", fake_members)
+    with pytest.raises(InternalInconsistency):
+        census_report(factorize(4), 2, 10)

@@ -8,7 +8,7 @@ import pytest
 from twosq import sieve
 from twosq.arith import factorize, is_sum_two_squares
 from twosq.errors import SegmentTooLarge
-from twosq.sieve import MAX_HI, MAX_SEGMENT_LEN, TwoSqSegment, count_N, sieve_segment, stream_E
+from twosq.sieve import MAX_HI, MAX_SEGMENT_LEN, TwoSqSegment, count_N, sieve_segment
 
 from .conftest import brute_two_square_set
 
@@ -129,12 +129,6 @@ def test_stitching_determinism():
         whole = sieve_segment(a, c)
         left, right = sieve_segment(a, b), sieve_segment(b, c)
         assert np.array_equal(whole.bits, np.concatenate([left.bits, right.bits]))
-
-
-def test_stream_examples():
-    assert list(stream_E(10)) == [(1, 0), (2, 1), (3, 2), (4, 4), (5, 5), (6, 8), (7, 9), (8, 10)]
-    assert list(stream_E(0)) == [(1, 0)]
-    assert len(list(stream_E(500))) == count_N(500)
 
 
 def test_count_examples():
