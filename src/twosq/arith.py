@@ -296,10 +296,8 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInteger:
     if m < stop * stop or is_prime(m):
         if m > 1:
             factors[m] = 1
-    elif m < budget.trial_bound * budget.trial_bound:
-        _split_below_bound(m, factors, budget, bound)
     else:
-        _trial_tail(m, factors, budget, bound)
+        _split_composite(m, factors, budget, bound)
     return FactoredInteger(n, dict(sorted(factors.items())))
 
 
@@ -313,28 +311,51 @@ def _divide_out(m: int, p: int, factors: dict[int, int]) -> int:
     return m
 
 
-def _split_below_bound(m: int, factors: dict[int, int], budget: FactorBudget, bound: int) -> None:
-    """Factor a composite m < trial_bound^2 with no prime factor up to 311.
+def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, bound: int) -> None:
+    """Factor a composite m with no prime factor up to 311 into `factors`.
 
-    Never raises BudgetExceeded: a piece rho cannot split goes through
-    `_trial_tail`, whose trial division reaches its square root.
+    Below trial_bound^2 rho runs first, and a piece rho cannot split is
+    trial-divided, which reaches its square root there. At or above
+    trial_bound^2, trial division up to bound runs first, then rho, and a
+    composite rho cannot split raises BudgetExceeded.
     """
-    stack = [m]
+    square = budget.trial_bound * budget.trial_bound
+    stack: list[int] = []
+
+    def settle(piece: int) -> None:
+        # a piece below prime_below with no prime factor up to its root is prime
+        if piece < prime_below or is_prime(piece):
+            if piece > 1:
+                factors[piece] = factors.get(piece, 0) + 1
+        else:
+            stack.append(piece)
+
+    if m < square:
+        prime_below = _TRIAL_NEXT * _TRIAL_NEXT
+        stack.append(m)
+    else:
+        prime_below = square
+        settle(_trial_divide(m, factors, bound))
     while stack:
         m = stack.pop()
-        d = _rho_split(m, budget)
-        if d is None:
-            _trial_tail(m, factors, budget, bound)
+        root = math.isqrt(m)
+        if root * root == m and is_prime(root):
+            factors[root] = factors.get(root, 0) + 2
             continue
-        for piece in (d, m // d):
-            if piece < _TRIAL_NEXT * _TRIAL_NEXT or is_prime(piece):
-                factors[piece] = factors.get(piece, 0) + 1
-            else:
-                stack.append(piece)
+        for c in range(1, budget.rho_rounds + 1):
+            d = _rho_brent(m, c, budget.rho_iterations)
+            if d is not None:
+                settle(d)
+                settle(m // d)
+                break
+        else:
+            if m >= square:
+                raise BudgetExceeded(f"could not split composite {m}")
+            settle(_trial_divide(m, factors, bound))
 
 
-def _trial_tail(m: int, factors: dict[int, int], budget: FactorBudget, bound: int) -> None:
-    """Trial division by the primes from 313 up to bound, then `_factor_hard`."""
+def _trial_divide(m: int, factors: dict[int, int], bound: int) -> int:
+    """Divide out the primes from 313 up to bound into `factors`; return the cofactor."""
     table = _prime_table(bound)
     end = bisect.bisect_right(table, bound)
     for p in itertools.islice(table, len(_TRIAL_PRIMES), end):
@@ -342,38 +363,7 @@ def _trial_tail(m: int, factors: dict[int, int], budget: FactorBudget, bound: in
             break
         if m % p == 0:
             m = _divide_out(m, p, factors)
-    if m > 1:
-        _factor_hard(m, factors, budget)
-
-
-def _rho_split(m: int, budget: FactorBudget) -> int | None:
-    """A nontrivial factor of composite m from the fixed rho schedule, or None."""
-    for c in range(1, budget.rho_rounds + 1):
-        d = _rho_brent(m, c, budget.rho_iterations)
-        if d is not None:
-            return d
-    return None
-
-
-def _factor_hard(m: int, factors: dict[int, int], budget: FactorBudget) -> None:
-    """Factor a trial-division survivor into `factors` (recursive rho splitting)."""
-    stack = [m]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        root = math.isqrt(m)
-        if root * root == m and is_prime(root):
-            factors[root] = factors.get(root, 0) + 2
-            continue
-        if m < budget.trial_bound * budget.trial_bound or is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _rho_split(m, budget)
-        if d is None:
-            raise BudgetExceeded(f"could not split composite {m}")
-        stack.append(d)
-        stack.append(m // d)
+    return m
 
 
 def valuation(n: int, p: int) -> int:
@@ -407,26 +397,30 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def crt_combine(congruences: list[ResidueClass]) -> ResidueClass:
     """Combine congruences with pairwise coprime moduli into one class.
 
-    Raises NonCoprimeModuli naming an offending pair.
+    Raises NonCoprimeModuli naming the first earlier modulus that clashes.
     """
     x, m = 0, 1
     seen: list[int] = []
     for cls in congruences:
-        g = math.gcd(m, cls.modulus)
-        if g != 1:
-            for prev in seen:
-                if math.gcd(prev, cls.modulus) != 1:
-                    raise NonCoprimeModuli(prev, cls.modulus)
-            raise NonCoprimeModuli(m, cls.modulus)
-        _, inv_m, _ = ext_gcd(m % cls.modulus if cls.modulus > 1 else 0, cls.modulus)
-        if cls.modulus > 1:
-            t = (cls.value - x) * inv_m % cls.modulus
-        else:
-            t = 0
-        x = x + m * t
+        if math.gcd(m, cls.modulus) != 1:
+            prev = next(p for p in seen if math.gcd(p, cls.modulus) != 1)
+            raise NonCoprimeModuli(prev, cls.modulus)
+        x += m * ((cls.value - x) * pow(m, -1, cls.modulus) % cls.modulus)
         m *= cls.modulus
         seen.append(cls.modulus)
     return ResidueClass(x % m, m)
+
+
+def obstructing_prime(n: FactoredInteger) -> int | None:
+    """The least prime p = 3 mod 4 dividing n to an odd power, or None.
+
+    The scan follows the factor map, which `factorize` and `from_factors`
+    keep sorted.
+    """
+    for p, e in n.factors.items():
+        if p % 4 == 3 and e % 2:
+            return p
+    return None
 
 
 def is_sum_two_squares(n: FactoredInteger) -> bool:
@@ -434,12 +428,7 @@ def is_sum_two_squares(n: FactoredInteger) -> bool:
 
     0 counts as a member (0 = 0^2 + 0^2).
     """
-    if n.is_zero:
-        return True
-    for p, e in n.factors.items():
-        if p % 4 == 3 and e % 2 == 1:
-            return False
-    return True
+    return obstructing_prime(n) is None
 
 
 def _legendre(a: int, p: int) -> int:

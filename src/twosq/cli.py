@@ -80,6 +80,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise _UsageError(f"bad integer list {text!r}") from exc
 
 
+def _occurrence_json(occ) -> dict:
+    return {"n": str(occ.n), "values": [str(v) for v in occ.values]}
+
+
 def _modulus(q: int) -> FactoredInteger:
     if q < 1:
         raise _UsageError(f"q must be >= 1, got {q}")
@@ -88,7 +92,7 @@ def _modulus(q: int) -> FactoredInteger:
 
 def _output_flags(sub: argparse.ArgumentParser, formats: bool = True) -> None:
     if formats:
-        sub.add_argument("--format", choices=("csv", "json"), default=None)
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", metavar="PATH", default=None)
 
 
@@ -117,8 +121,7 @@ def _cmd_sieve(args) -> int:
             seg = sieve.sieve_segment(lo, hi, cache_dir=args.cache_dir)
             lines.extend(str(v) for v in seg.members().tolist())
             lo = hi
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         _emit(
             _json_dumps({"lo": str(args.lo), "hi": str(args.hi), "members": lines}) + "\n",
             args.output,
@@ -132,8 +135,7 @@ def _cmd_sieve(args) -> int:
 def _cmd_admissible(args) -> int:
     q = _modulus(args.q)
     classes = [str(c.value) for c in admissible_classes(q)]
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         _emit(_json_dumps({"q": str(args.q), "admissible": classes}) + "\n", args.output)
     else:
         _emit(",".join(classes) + "\n", args.output)
@@ -145,8 +147,7 @@ def _cmd_census(args) -> int:
     if args.r < 1:
         raise _UsageError(f"r must be >= 1, got {args.r}")
     report = census_report(q, args.r, args.x, cache_dir=args.cache_dir)
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         patterns = []
         for tup in report.pattern_universe():
             entry = {
@@ -188,8 +189,7 @@ def _cmd_pattern(args) -> int:
     except ValueError as exc:  # a class outside [0, q)
         raise _UsageError(str(exc)) from exc
     result = match_pattern(spec, args.x, cache_dir=args.cache_dir)
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         _emit(
             _json_dumps(
                 {
@@ -197,10 +197,7 @@ def _cmd_pattern(args) -> int:
                     "pattern": [str(c) for c in classes],
                     "x": str(args.x),
                     "count": str(result.count),
-                    "occurrences": [
-                        {"n": str(o.n), "values": [str(v) for v in o.values]}
-                        for o in result.occurrences
-                    ],
+                    "occurrences": [_occurrence_json(o) for o in result.occurrences],
                 }
             )
             + "\n",
@@ -248,10 +245,7 @@ def _cmd_force_triple(args) -> int:
                 "pattern": [str(v) for v in report.pattern],
                 "x_budget": str(report.x_budget),
                 "count": str(report.count),
-                "occurrences": [
-                    {"n": str(o.n), "values": [str(v) for v in o.values]}
-                    for o in report.occurrences
-                ],
+                "occurrences": [_occurrence_json(o) for o in report.occurrences],
                 "certificates": [c.to_json_dict() for c in report.certificates],
                 "blocking_system": report.blocking.to_json_dict(),
             }

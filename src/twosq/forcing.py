@@ -25,6 +25,7 @@ from .arith import (
     crt_combine,
     factorize,
     is_prime,
+    obstructing_prime,
     represent_two_squares,
     small_primes,
 )
@@ -308,9 +309,7 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     mod4q2 = four_q2.value
     h = (b3 - a3) % mod4q2 or mod4q2
     k = (c3 - a3) % mod4q2 or mod4q2
-    if h == k:
-        k += mod4q2
-    elif h > k:
+    if h >= k:
         k += mod4q2
     # Greedy smallest-unused choice in ascending i consumes one ascending
     # stream of valid primes, so a single pass suffices.
@@ -361,15 +360,10 @@ def _consecutive_certificate(q: int, a: int, values: tuple[int, ...]) -> TripleC
     for m in range(v1 + 1, v3):
         if m == v2:
             continue
-        fact = factorize(m)
-        witness = None
-        for p, e in fact.factors.items():
-            if p % 4 == 3 and e % 2 == 1:
-                witness = (m, p)
-                break
-        if witness is None:
+        p = obstructing_prime(factorize(m))
+        if p is None:
             raise InternalInconsistency(f"{m} between census members is a sum of two squares")
-        evidence.append(witness)
+        evidence.append((m, p))
     return TripleCertificate(
         n=v1, q=q, a=a % q, h=v2 - v1, k=v3 - v1, t=None,
         reps=(reps[0], reps[1], reps[2]),

@@ -57,7 +57,9 @@ class TwoSqSegment:
 
     def members(self) -> np.ndarray:
         """Member values in ascending order (int64; requires hi < 2^63)."""
-        return np.flatnonzero(self.bits).astype(np.int64) + self.lo
+        members = np.flatnonzero(self.bits).astype(np.int64, copy=False)
+        members += self.lo
+        return members
 
     def count(self) -> int:
         return int(np.count_nonzero(self.bits))

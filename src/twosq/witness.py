@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .admissibility import class_exponent, is_admissible_value
+from .admissibility import admissibility_reason, class_exponent, is_admissible_value
 from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
@@ -36,6 +36,7 @@ from .arith import (
     factorize,
     is_prime,
     is_sum_two_squares,
+    obstructing_prime,
     represent_two_squares,
     sqrt_mod_prime_power,
     valuation,
@@ -71,7 +72,6 @@ class BaseSolution:
     y0: int
     a: ResidueClass
     q: FactoredInteger
-    per_prime_valuations: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -242,15 +242,6 @@ class ScanResult:
     t_max: int
 
 
-@dataclass
-class ObstructionReport:
-    odd_prime: list[tuple[int, int, bool]] = field(default_factory=list)
-    two_adic: list[tuple[int, bool]] = field(default_factory=list)
-    nonzero_mod_small: list[tuple[int, bool]] = field(default_factory=list)
-    disc_is_neg_square: bool = False
-    clear: bool = True
-
-
 def _decimal(text) -> int:
     """An integer from its wire form, a decimal string; int() rejects other strings."""
     if not isinstance(text, str):
@@ -263,13 +254,6 @@ def _canon_pair(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x <= y else (y, x)
 
 
-def _res_val(x: int, p: int, e: int) -> int:
-    """Valuation of a residue x mod p^e, capped at e (0 counts as e)."""
-    if x % p**e == 0:
-        return e
-    return valuation(x % p**e, p)
-
-
 def check_hypotheses(q: FactoredInteger, a: int, h: int, k: int) -> HypothesisVerdict:
     """Verify the preconditions of the family construction, clause by clause.
 
@@ -279,9 +263,9 @@ def check_hypotheses(q: FactoredInteger, a: int, h: int, k: int) -> HypothesisVe
     """
     if h < 1 or k < 1:
         return HypothesisVerdict(False, "offsets_positive", f"h={h}, k={k}")
-    for p, e in sorted(q.factors.items()):
-        if p % 4 == 3 and e % 2 == 1:
-            return HypothesisVerdict(False, "odd_prime_valuation", f"nu_{p} = {e} is odd")
+    p = obstructing_prime(q)
+    if p is not None:
+        return HypothesisVerdict(False, "odd_prime_valuation", f"nu_{p} = {q.factors[p]} is odd")
     nu2 = q.exponent(2)
     if nu2 % 2 == 1 or nu2 < 2:
         return HypothesisVerdict(
@@ -318,7 +302,7 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
     mod = p**e
     c %= mod
     for v in range(min(mod, LOCAL_SCAN_CAP)):
-        vv = _res_val(v, p, e)
+        vv = class_exponent(v, p, e)
         if vv < target:
             continue
         yv = (y0 + v) % mod
@@ -326,7 +310,7 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
         if x0:  # expand() is sorted; only a nonzero shift can reorder it
             us = sorted([(x - x0) % mod for x in us])
         for u in us:
-            vu = _res_val(u, p, e)
+            vu = class_exponent(u, p, e)
             if min(vu, vv) == target:
                 yield u, v
 
@@ -359,9 +343,8 @@ def iter_base_solutions(a: int, q: FactoredInteger):
     qv = q.value
     a %= qv
     if qv == 1:
-        yield BaseSolution(0, 0, ResidueClass(0, 1), q, {})
+        yield BaseSolution(0, 0, ResidueClass(0, 1), q)
         return
-    primes = q.primes()
     pairs = _iter_crt_pairs(
         q,
         lambda p, e: _iter_uv_local(0, 0, a, p, e, _base_target(a, p, e)),
@@ -370,9 +353,7 @@ def iter_base_solutions(a: int, q: FactoredInteger):
     for x0, y0 in pairs:
         if x0 == 0 and y0 == 0:
             continue
-        g0 = math.gcd(x0, y0)
-        vals = {p: valuation(g0, p) for p in primes}
-        yield BaseSolution(x0, y0, ResidueClass(a, qv), q, vals)
+        yield BaseSolution(x0, y0, ResidueClass(a, qv), q)
 
 
 def solve_base(a: int, q: FactoredInteger) -> BaseSolution:
@@ -543,46 +524,32 @@ def build_witness_family(q: FactoredInteger, a: int, h: int, k: int) -> WitnessF
     raise SearchExhausted(f"no verified family for (q, a, h, k) = ({q.value}, {a}, {h}, {k})")
 
 
-def check_local_obstructions(family: WitnessFamily) -> ObstructionReport:
-    """Confirm F(t) has no local obstruction to representing sums of two squares.
+def check_local_obstructions(family: WitnessFamily) -> None:
+    """Raise ObstructionFound when F(t) has a local obstruction to being a
+    sum of two squares.
 
     At each prime power p^e || q with p = 3 mod 4 the values sit in the class
     k + a, which must be admissible. At powers of 2 the only obstruction shape
     is F(t) constantly 3 * 2^(alpha-2) mod 2^alpha; powers up to 2^(v2+2) are
-    checked exhaustively. Also reports whether disc(F) = -eta^2, in which
-    case every single value is a sum of two squares.
+    checked exhaustively. F must also not vanish identically modulo the small
+    primes 3 mod 4 that do not divide q.
     """
-    report = ObstructionReport()
     q = family.q
-    for p in q.primes():
-        if p % 4 != 3:
-            continue
-        e = q.factors[p]
-        ok = is_admissible_value((family.a + family.k) % p**e, FactoredInteger.from_factors({p: e}))
-        report.odd_prime.append((p, e, ok))
-        if not ok:
-            report.clear = False
-    nu2 = q.exponent(2)
-    for alpha in range(2, nu2 + 3):
-        mod = 1 << alpha
-        shape = 3 << (alpha - 2)
-        obstructed = all(family.F(t) % mod == shape for t in range(mod))
-        report.two_adic.append((alpha, obstructed))
-        if obstructed:
-            report.clear = False
-    for p in (3, 7, 11, 19, 23, 31, 43, 47):
-        if q.value % p == 0:
-            continue
-        nonzero = any(c % p != 0 for c in (family.A, family.B, family.C + family.k))
-        report.nonzero_mod_small.append((p, nonzero))
-        if not nonzero:
-            report.clear = False
-    d = family.disc()
-    root = math.isqrt(-d) if d <= 0 else 0
-    report.disc_is_neg_square = d <= 0 and root * root == -d
-    if not report.clear:
+    value = family.a + family.k
+    obstructed = any(
+        admissibility_reason(value % p**e, {p: e}) is not None
+        for p, e in q.factors.items()
+        if p % 4 == 3
+    ) or any(
+        all(family.F(t) % (1 << alpha) == 3 << (alpha - 2) for t in range(1 << alpha))
+        for alpha in range(2, q.exponent(2) + 3)
+    ) or any(
+        all(c % p == 0 for c in (family.A, family.B, family.C + family.k))
+        for p in (3, 7, 11, 19, 23, 31, 43, 47)
+        if q.value % p
+    )
+    if obstructed:
         raise ObstructionFound(f"local obstruction for family {family}")
-    return report
 
 
 def scan_family(

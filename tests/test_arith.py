@@ -253,6 +253,19 @@ def test_crt_noncoprime_reports_pair():
     assert set(err.value.moduli) == {4, 6}
 
 
+def test_crt_modulus_one_between_classes():
+    classes = [ResidueClass(2, 3), ResidueClass(0, 1), ResidueClass(3, 5)]
+    assert crt_combine(classes) == ResidueClass(8, 15)
+    assert crt_combine([ResidueClass(0, 1), ResidueClass(0, 1)]) == ResidueClass(0, 1)
+
+
+def test_crt_noncoprime_names_earlier_modulus():
+    # 6 clashes with 4 and with 9; the first earlier modulus is named
+    with pytest.raises(NonCoprimeModuli) as err:
+        crt_combine([ResidueClass(1, 4), ResidueClass(2, 9), ResidueClass(1, 6)])
+    assert err.value.moduli == (4, 6)
+
+
 @given(st.lists(st.sampled_from([(3, 5), (1, 4), (6, 7), (10, 11), (8, 9)]), unique=True, max_size=4))
 def test_crt_reduces_to_inputs(pairs):
     classes = [ResidueClass(v, m) for v, m in pairs]

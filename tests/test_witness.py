@@ -1,14 +1,15 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from twosq.arith import FactorBudget, factorize, sqrt_mod_prime_power, valuation
-from twosq.errors import HypothesisViolation, InternalInconsistency
+from twosq.errors import HypothesisViolation, InternalInconsistency, ObstructionFound
 from twosq.witness import (
     TripleCertificate,
+    _base_target,
     _iter_uv_local,
-    _res_val,
     build_family,
     build_witness_family,
     check_hypotheses,
@@ -34,16 +35,24 @@ def test_hypotheses_clause_order():
     assert check_hypotheses(factorize(16), 1, 2, 8).failed_clause == "admissible_a+h"
 
 
+def _assert_base_targets(base):
+    """gcd(x0, y0) has the prescribed valuation, capped at e, at every p^e || q."""
+    g0 = math.gcd(base.x0, base.y0)
+    for p, e in base.q.factors.items():
+        assert min(valuation(g0, p), e) == _base_target(base.a.value, p, e), (base, p)
+
+
 def test_solve_base_examples():
     base = solve_base(1, factorize(4))
     assert (base.x0, base.y0) == (1, 0)
-    assert base.per_prime_valuations == {2: 0}
+    _assert_base_targets(base)
     base = solve_base(0, factorize(9))
     assert (base.x0, base.y0) == (3, 0)
-    assert base.per_prime_valuations == {3: 1}
+    assert _base_target(0, 3, 2) == 1
+    _assert_base_targets(base)
     base = solve_base(2, factorize(8))
     assert (base.x0, base.y0) == (1, 1)
-    assert base.per_prime_valuations == {2: 0}
+    _assert_base_targets(base)
 
 
 def test_solve_base_rejects_inadmissible():
@@ -79,11 +88,24 @@ def test_build_family_fixture():
 
 def test_local_obstructions_fixture():
     fam = build_witness_family(factorize(4), 1, 4, 8)
-    report = check_local_obstructions(fam)
-    assert report.clear
-    assert not report.disc_is_neg_square  # 272 is not a perfect square
-    assert all(ok for _, ok in report.nonzero_mod_small)
-    assert all(not obstructed for _, obstructed in report.two_adic)
+    assert check_local_obstructions(fam) is None
+
+
+@pytest.mark.parametrize(
+    "q,a,h,k,changes",
+    [
+        # a + k = 6 mod 9: odd valuation short of e at p = 3
+        (36, 1, 4, 8, {"k": 5}),
+        # F(t) = 8t^2 + 4t + 3 is constantly 3 mod 4
+        (4, 1, 4, 8, {"k": 2}),
+        # F(t) = 56t^2 + 28t + 14 vanishes identically mod 7
+        (4, 1, 4, 8, {"A": 56, "B": 28, "k": 13}),
+    ],
+)
+def test_local_obstructions_raise(q, a, h, k, changes):
+    fam = dataclasses.replace(build_witness_family(factorize(q), a, h, k), **changes)
+    with pytest.raises(ObstructionFound):
+        check_local_obstructions(fam)
 
 
 def test_scan_fixture():
@@ -126,8 +148,7 @@ def test_base_and_shift_valuation_invariants(witness_inputs, witness_families):
         fq = factorize(q)
         base = solve_base(a, fq)
         assert (base.x0**2 + base.y0**2 - a) % q == 0
-        g0 = math.gcd(base.x0, base.y0)
-        assert base.per_prime_valuations == {p: valuation(g0, p) for p in fq.primes()}
+        _assert_base_targets(base)
         shift = mk_shift(base, h)
         assert ((base.x0 + shift.u) ** 2 + (base.y0 + shift.v) ** 2 - a - h) % q == 0
 
@@ -183,6 +204,13 @@ def test_scan_budget_skips():
     result = scan_family(fam, 4, budget=tiny)
     assert [c.t for c in result.certificates] == [0, 2]
     assert result.skipped_t == [1, 3, 4]
+
+
+def _res_val(x, p, e):
+    """Valuation of a residue x mod p^e, capped at e (0 counts as e)."""
+    if x % p**e == 0:
+        return e
+    return valuation(x % p**e, p)
 
 
 def _reference_xy_local(c, p, e, target):
