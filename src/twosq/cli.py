@@ -223,7 +223,8 @@ def _cmd_witness(args) -> int:
     lines = [json.dumps(c.to_json_dict(), sort_keys=True) for c in result.certificates]
     _emit("".join(line + "\n" for line in lines), args.output)
     _status(
-        f"{len(result.certificates)} certificates, {len(result.skipped_t)} skipped, t <= {args.tmax}"
+        f"{len(result.certificates)} certificates, {len(result.skipped_t)} skipped,"
+        f" {result.sieved} sieved, t <= {args.tmax}"
     )
     return EXIT_OK
 

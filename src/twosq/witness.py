@@ -25,8 +25,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .admissibility import admissibility_reason, class_exponent, is_admissible_value
 from .arith import (
+    _TRIAL_PRIMES,
     DEFAULT_BUDGET,
     FactorBudget,
     FactoredInteger,
@@ -38,6 +41,7 @@ from .arith import (
     is_sum_two_squares,
     obstructing_prime,
     represent_two_squares,
+    sqrt_mod_prime,
     sqrt_mod_prime_power,
     valuation,
 )
@@ -55,6 +59,8 @@ LOCAL_SCAN_CAP = 1 << 20
 LOCAL_CANDIDATES = 48
 COMBO_CAP = 20000
 BASE_CAP = 12
+# t values `scan_family` sieves at a time before factoring the survivors.
+SIEVE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -240,6 +246,7 @@ class ScanResult:
     certificates: list[TripleCertificate]
     skipped_t: list[int]
     t_max: int
+    sieved: int
 
 
 def _decimal(text) -> int:
@@ -524,6 +531,76 @@ def build_witness_family(q: FactoredInteger, a: int, h: int, k: int) -> WitnessF
     raise SearchExhausted(f"no verified family for (q, a, h, k) = ({q.value}, {a}, {h}, {k})")
 
 
+def _roots_mod_p(A: int, B: int, C: int, p: int) -> list[int] | None:
+    """Sorted roots of A t^2 + B t + C mod an odd prime p, or None when the
+    polynomial vanishes identically mod p."""
+    a, b, c = A % p, B % p, C % p
+    if a == 0:
+        if b == 0:
+            return None if c == 0 else []
+        return [-c * pow(b, -1, p) % p]
+    s = sqrt_mod_prime(b * b - 4 * a * c, p)
+    if s is None:
+        return []
+    inv = pow(2 * a, -1, p)
+    return sorted({(-b + s) * inv % p, (-b - s) * inv % p})
+
+
+def _odd_valuation_classes(A: int, B: int, C: int, p: int) -> list[tuple[int, int, int]]:
+    """Progressions (r, m, sign), t = r mod m, whose signed indicators sum to 1
+    where p divides F(t) = A t^2 + B t + C exactly once, and to 0 elsewhere.
+
+    A simple root r mod p Hensel-lifts to the one class r2 mod p^2 with
+    p^2 | F(r2), which is taken back out. At a double root F(t) = F(r) mod p^2
+    across the whole class. When p divides F identically, v_p(F(t)) = 1 off
+    the roots of F / p.
+    """
+    roots = _roots_mod_p(A, B, C, p)
+    if roots is None:
+        cofactor_roots = _roots_mod_p(A // p, B // p, C // p, p)
+        if cofactor_roots is None:
+            return []
+        return [(0, 1, 1)] + [(r, p, -1) for r in cofactor_roots]
+    pp = p * p
+    A, B, C = A % pp, B % pp, C % pp
+    classes = []
+    for r in roots:
+        f_r = A * r * r + B * r + C
+        slope = (2 * A * r + B) % p
+        if slope:
+            lift = r + p * (-(f_r // p) * pow(slope, -1, p) % p)
+            classes += [(r, p, 1), (lift, pp, -1)]
+        elif f_r % pp:
+            classes.append((r, p, 1))
+    return classes
+
+
+def _sieve_classes(family: WitnessFamily, budget: FactorBudget) -> list[tuple[int, int, int]]:
+    """`_odd_valuation_classes` of F at the trial primes 3 mod 4 up to trial_bound."""
+    C = family.C + family.k
+    return [
+        cls
+        for p in _TRIAL_PRIMES
+        if p % 4 == 3 and p <= budget.trial_bound
+        for cls in _odd_valuation_classes(family.A, family.B, C, p)
+    ]
+
+
+def _struck(classes: list[tuple[int, int, int]], lo: int, hi: int) -> np.ndarray:
+    """Mask over t in [lo, hi): True where some class's prime divides F(t) exactly once."""
+    count = np.zeros(hi - lo, dtype=np.int8)  # each of the 34 primes adds at most 1
+    for r, m, sign in classes:
+        count[(r - lo) % m :: m] += sign
+    return count > 0
+
+
+def _unstruck_t(classes: list[tuple[int, int, int]], t_max: int):
+    """The t in [0, t_max] that no class strikes, ascending, sieved SIEVE_BLOCK at a time."""
+    for lo in range(0, t_max + 1, SIEVE_BLOCK):
+        struck = _struck(classes, lo, min(lo + SIEVE_BLOCK, t_max + 1))
+        yield from (lo + np.flatnonzero(~struck)).tolist()
+
+
 def check_local_obstructions(family: WitnessFamily) -> None:
     """Raise ObstructionFound when F(t) has a local obstruction to being a
     sum of two squares.
@@ -531,11 +608,13 @@ def check_local_obstructions(family: WitnessFamily) -> None:
     At each prime power p^e || q with p = 3 mod 4 the values sit in the class
     k + a, which must be admissible. At powers of 2 the only obstruction shape
     is F(t) constantly 3 * 2^(alpha-2) mod 2^alpha; powers up to 2^(v2+2) are
-    checked exhaustively. F must also not vanish identically modulo the small
-    primes 3 mod 4 that do not divide q.
+    checked exhaustively. At the small primes p = 3 mod 4 that do not divide
+    q, F must not be p times a polynomial with no root mod p, which would put
+    p exactly once into every F(t).
     """
     q = family.q
     value = family.a + family.k
+    coeffs = (family.A, family.B, family.C + family.k)
     obstructed = any(
         admissibility_reason(value % p**e, {p: e}) is not None
         for p, e in q.factors.items()
@@ -544,7 +623,7 @@ def check_local_obstructions(family: WitnessFamily) -> None:
         all(family.F(t) % (1 << alpha) == 3 << (alpha - 2) for t in range(1 << alpha))
         for alpha in range(2, q.exponent(2) + 3)
     ) or any(
-        all(c % p == 0 for c in (family.A, family.B, family.C + family.k))
+        _roots_mod_p(*coeffs, p) is None and _roots_mod_p(*(c // p for c in coeffs), p) == []
         for p in (3, 7, 11, 19, 23, 31, 43, 47)
         if q.value % p
     )
@@ -560,13 +639,18 @@ def scan_family(
 ) -> ScanResult:
     """Scan t = 0..t_max and certify every t with F(t) a sum of two squares.
 
-    Values whose factorization exceeds the budget are skipped and recorded,
-    never errors. With stop_after set, the scan ends early once that many
-    certificates have been collected.
+    Blocks of SIEVE_BLOCK values of t are first sieved: a t at which a trial
+    prime p = 3 mod 4 (p <= trial_bound) divides F(t) exactly once gives no
+    certificate, is counted in `sieved` and is never factored. skipped_t
+    lists the t the budget left undecided: factoring F(t) exceeded it. With
+    stop_after set, the scan ends early once that many certificates have
+    been collected.
     """
     certs: list[TripleCertificate] = []
     skipped: list[int] = []
-    for t in range(t_max + 1):
+    tested, end = 0, t_max + 1
+    for t in _unstruck_t(_sieve_classes(family, budget), t_max):
+        tested += 1
         value = family.F(t)
         try:
             fact = factorize(value, budget)
@@ -590,5 +674,6 @@ def scan_family(
             )
         )
         if stop_after is not None and len(certs) >= stop_after:
+            end = t + 1
             break
-    return ScanResult(certs, skipped, t_max)
+    return ScanResult(certs, skipped, t_max, sieved=end - tested)

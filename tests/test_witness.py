@@ -3,13 +3,28 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twosq.arith import FactorBudget, factorize, sqrt_mod_prime_power, valuation
-from twosq.errors import HypothesisViolation, InternalInconsistency, ObstructionFound
+import twosq.witness as witness
+from twosq.arith import (
+    DEFAULT_BUDGET,
+    FactorBudget,
+    factorize,
+    is_sum_two_squares,
+    represent_two_squares,
+    small_primes,
+    sqrt_mod_prime_power,
+    valuation,
+)
+from twosq.errors import BudgetExceeded, HypothesisViolation, InternalInconsistency, ObstructionFound
 from twosq.witness import (
+    ScanResult,
     TripleCertificate,
     _base_target,
     _iter_uv_local,
+    _sieve_classes,
+    _struck,
     build_family,
     build_witness_family,
     check_hypotheses,
@@ -98,14 +113,22 @@ def test_local_obstructions_fixture():
         (36, 1, 4, 8, {"k": 5}),
         # F(t) = 8t^2 + 4t + 3 is constantly 3 mod 4
         (4, 1, 4, 8, {"k": 2}),
-        # F(t) = 56t^2 + 28t + 14 vanishes identically mod 7
-        (4, 1, 4, 8, {"A": 56, "B": 28, "k": 13}),
+        # F(t) = 7(8t^2 + 4t + 12), and the cofactor has no root mod 7
+        (4, 1, 4, 8, {"A": 56, "B": 28, "k": 83}),
     ],
 )
 def test_local_obstructions_raise(q, a, h, k, changes):
     fam = dataclasses.replace(build_witness_family(factorize(q), a, h, k), **changes)
     with pytest.raises(ObstructionFound):
         check_local_obstructions(fam)
+
+
+def test_local_obstructions_allow_square_of_small_prime():
+    # F(t) = 56t^2 + 28t + 14 vanishes identically mod 7, yet
+    # F(1) = 98 = 7^2 + 7^2 and F(9) = 4802 = 2 * 7^4
+    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=56, B=28, k=13)
+    assert (fam.F(1), fam.F(9)) == (98, 4802)
+    assert check_local_obstructions(fam) is None
 
 
 def test_scan_fixture():
@@ -204,6 +227,130 @@ def test_scan_budget_skips():
     result = scan_family(fam, 4, budget=tiny)
     assert [c.t for c in result.certificates] == [0, 2]
     assert result.skipped_t == [1, 3, 4]
+
+
+def test_scan_skips_only_undecided():
+    fam = build_witness_family(factorize(4), 1, 4, 8)
+    # F(7) = 429 = 3 * 11 * 13 exceeds this budget, but 3 divides it once
+    tiny = FactorBudget(trial_bound=4, rho_rounds=0, rho_iterations=1)
+    result = scan_family(fam, 7, budget=tiny)
+    assert fam.F(7) == 429
+    assert [c.t for c in result.certificates] == [0, 2, 4, 5]
+    assert result.skipped_t == []
+    assert result.sieved == 4  # F = 21, 93, 321, 429 at t = 1, 3, 6, 7
+    assert _reference_scan(fam, 7, tiny).skipped_t == [7]
+
+
+def _reference_scan(family, t_max, budget=DEFAULT_BUDGET, stop_after=None):
+    """The former unsieved scan, kept verbatim as the reference: it factors
+    F(t) at every t."""
+    certs = []
+    skipped = []
+    for t in range(t_max + 1):
+        value = family.F(t)
+        try:
+            fact = factorize(value, budget)
+        except BudgetExceeded:
+            skipped.append(t)
+            continue
+        if not is_sum_two_squares(fact):
+            continue
+        rep_k = represent_two_squares(fact)
+        certs.append(
+            TripleCertificate(
+                n=family.n_value(t),
+                q=family.q.value,
+                a=family.a,
+                h=family.h,
+                k=family.k,
+                t=t,
+                reps=(family.rep_n(t), family.rep_n_plus_h(t), rep_k),
+            )
+        )
+        if stop_after is not None and len(certs) >= stop_after:
+            break
+    return ScanResult(certs, skipped, t_max, 0)
+
+
+_SIEVE_PRIMES = [p for p in small_primes(311) if p % 4 == 3]
+
+
+def _once_divided(value):
+    """Whether some prime p = 3 mod 4 up to 311 divides value exactly once."""
+    return any(valuation(value, p) == 1 for p in _SIEVE_PRIMES)
+
+
+# The (q, a, h, k) families and scan bounds of the benchmark's witness pool.
+_POOL = (
+    ((4, 1, 4, 8), 4000),
+    ((4, 1, 8, 16), 4000),
+    ((20, 1, 4, 8), 1500),
+    ((52, 1, 4, 8), 2500),
+    ((80, 42, 191, 392), 250),
+)
+
+
+@pytest.mark.parametrize("params,t_max", _POOL)
+def test_sieved_scan_matches_reference(params, t_max):
+    q, a, h, k = params
+    fam = build_witness_family(factorize(q), a, h, k)
+    result = scan_family(fam, t_max)
+    reference = _reference_scan(fam, t_max)
+    assert result.certificates == reference.certificates
+    assert result.skipped_t == reference.skipped_t
+    assert result.sieved == sum(_once_divided(fam.F(t)) for t in range(t_max + 1))
+
+
+def test_sieved_scan_stop_after_crosses_blocks(monkeypatch):
+    monkeypatch.setattr(witness, "SIEVE_BLOCK", 64)
+    fam = build_witness_family(factorize(4), 1, 4, 8)
+    result = scan_family(fam, 1000, stop_after=40)
+    reference = _reference_scan(fam, 1000, stop_after=40)
+    assert result.certificates == reference.certificates
+    last = result.certificates[-1].t
+    assert last > 2 * 64 and last % 64  # stops inside its third block
+    assert result.sieved == sum(_once_divided(fam.F(t)) for t in range(last + 1))
+
+
+def test_sieved_scan_matches_reference_under_budget():
+    fam = build_witness_family(factorize(20), 1, 4, 8)
+    budget = FactorBudget(trial_bound=20, rho_rounds=0, rho_iterations=1)
+    result = scan_family(fam, 300, budget=budget)
+    reference = _reference_scan(fam, 300, budget=budget)
+    assert result.certificates == reference.certificates
+    # the sieve decides some budget skips, and only those
+    sieve_primes = [p for p in _SIEVE_PRIMES if p <= 20]
+    struck = [t for t in reference.skipped_t if any(valuation(fam.F(t), p) == 1 for p in sieve_primes)]
+    assert struck
+    assert result.skipped_t == [t for t in reference.skipped_t if t not in struck]
+
+
+@st.composite
+def _positive_quadratics(draw):
+    """(A, B, C) with A t^2 + B t + C > 0 for t >= 0, biased to the
+    degenerate shapes at one small prime p = 3 mod 4."""
+    p = draw(st.sampled_from([3, 7, 11, 19, 23]))
+    a, b, c = (draw(st.integers(1, 10**6)) for _ in range(3))
+    shape = draw(st.sampled_from(["generic", "p|A", "p|A,B", "double", "p|F", "p^2|F"]))
+    if shape == "double":
+        # a (t - r)^2 + p (x t + y) has the double root r mod p
+        r, x, y = draw(st.integers(0, p - 1)), draw(st.integers(0, 50)), draw(st.integers(1, 50))
+        if a % p == 0:
+            a += 1
+        return a, -2 * a * r + p * x, a * r * r + p * y
+    scale = {"p|A": (p, 1, 1), "p|A,B": (p, p, 1), "p|F": (p, p, p), "p^2|F": (p * p,) * 3}
+    sa, sb, sc = scale.get(shape, (1, 1, 1))
+    return a * sa, b * sb, c * sc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_positive_quadratics(), st.integers(1, 300))
+def test_sieve_strikes_exactly_single_valuations(coeffs, split):
+    A, B, C = coeffs
+    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=A, B=B, C=C, k=0)
+    classes = _sieve_classes(fam, DEFAULT_BUDGET)
+    struck = list(_struck(classes, 0, split)) + list(_struck(classes, split, 301))
+    assert struck == [_once_divided(fam.F(t)) for t in range(301)]
 
 
 def _res_val(x, p, e):
