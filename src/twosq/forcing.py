@@ -246,11 +246,17 @@ class BlockingSystem:
             )
 
     def _shifted_admissible(self, residues: dict[int, int], i: int) -> bool:
-        for p, e in self.T_blk.factors.items():
-            pe = p**e
-            if admissibility_reason((residues[p] + i) % pe, {p: e}) is not None:
-                return False
-        return True
+        """Whether a_T + i is admissible mod T_blk. Offset i's own blocking
+        prime is tried first; the sweep over every prime power of T_blk runs
+        for 0, h, k and for any i that prime does not block."""
+        blocker = self.blocking_primes.get(i)
+        if blocker in residues and self._blocked_at(residues, blocker, i):
+            return False
+        return not any(self._blocked_at(residues, p, i) for p in self.T_blk.factors)
+
+    def _blocked_at(self, residues: dict[int, int], p: int, i: int) -> bool:
+        e = self.T_blk.factors[p]
+        return admissibility_reason((residues[p] + i) % p**e, {p: e}) is not None
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,10 +13,12 @@ scanning t for F(t) itself a sum of two squares yields certificate triples.
 
 The base and shift must satisfy prime-by-prime valuation patterns (four
 cases: primes away from q, primes 1 mod 4, primes 3 mod 4, and 2). Local
-solutions are enumerated in a fixed order and combined by CRT; a candidate
-is accepted only after the assembled family verifies exactly, which absorbs
-the parity subtleties at 2 where the divisibility bookkeeping alone is not
-sufficient. First verified candidate wins, so families are reproducible.
+solutions are enumerated in a fixed order and combined by CRT, drawing each
+prime's next local solution only when the product order reaches it. At 2
+the divisibility bookkeeping alone is not sufficient: shift pairs whose B
+or C would miss their class mod 2^v2(q) are dropped before the CRT step. A
+candidate is accepted only after the assembled family verifies exactly.
+First verified candidate wins, so families are reproducible.
 """
 
 from __future__ import annotations
@@ -326,23 +328,43 @@ def _iter_crt_pairs(q: FactoredInteger, local, missing: str):
     """Pairs mod q glued by CRT from per-prime local pairs, in product order.
 
     `local(p, e)` enumerates the local pairs at each p^e || q; the first
-    LOCAL_CANDIDATES of each are kept and at most COMBO_CAP combinations
+    LOCAL_CANDIDATES of each are used and at most COMBO_CAP combinations
     are glued. Raises SearchExhausted naming the first prime with none.
+
+    The product is walked as an odometer whose last prime turns fastest, and
+    a prime's next local pair is drawn only when the odometer first reaches
+    it: the first combinations move only the last one or two primes, so the
+    other enumerators stop after their first pair.
     """
     primes = q.primes()
-    locals_: list[list[tuple[int, int]]] = []
-    for p in primes:
-        e = q.factors[p]
-        cands = list(itertools.islice(local(p, e), LOCAL_CANDIDATES))
-        if not cands:
-            raise SearchExhausted(f"{missing} at prime power {p}^{e}")
-        locals_.append(cands)
     moduli = [p ** q.factors[p] for p in primes]
-    for combo in itertools.islice(itertools.product(*locals_), COMBO_CAP):
+    sources = [itertools.islice(local(p, q.factors[p]), LOCAL_CANDIDATES) for p in primes]
+    drawn: list[list[tuple[int, int]]] = []
+    for p, source in zip(primes, sources):
+        first = next(source, None)
+        if first is None:
+            raise SearchExhausted(f"{missing} at prime power {p}^{q.factors[p]}")
+        drawn.append([first])
+    index = [0] * len(primes)
+    for _ in range(COMBO_CAP):
+        combo = [pairs[i] for pairs, i in zip(drawn, index)]
         yield (
             crt_combine([ResidueClass(xy[0], m) for xy, m in zip(combo, moduli)]).value,
             crt_combine([ResidueClass(xy[1], m) for xy, m in zip(combo, moduli)]).value,
         )
+        j = len(primes) - 1
+        while j >= 0:
+            index[j] += 1
+            if index[j] == len(drawn[j]):
+                pair = next(sources[j], None)
+                if pair is not None:
+                    drawn[j].append(pair)
+            if index[j] < len(drawn[j]):
+                break
+            index[j] = 0
+            j -= 1
+        else:  # every prime wrapped round: the product is exhausted
+            return
 
 
 def iter_base_solutions(a: int, q: FactoredInteger):
@@ -431,12 +453,34 @@ def _gcd_bound(q: FactoredInteger) -> int:
     return bound
 
 
+def _two_adic_feasible(x0: int, y0: int, h: int, e: int, gamma: int, u: int, v: int) -> bool:
+    """Whether the shift pair (u, v) mod 2^e can give a family at 2.
+
+    gamma is the exact v_2 of gcd(u, v) and e = v_2(q). With g = gcd(u, v),
+    B = 0 mod q needs x0 (v/g) - y0 (u/g) = 0 mod 2^gamma. When gamma = 1 and
+    x0, y0 are not both even, that forces x0 r0 + y0 s0 = R mod 2, so
+    C = a mod q also needs R, the right-hand side of `build_family`'s linear
+    equation, even. Both tests read u and v mod 2^e only (2 gamma <= e), so
+    adding multiples of q to u or v leaves them unchanged; when 2 gamma > e
+    the pair is kept.
+    """
+    if gamma == 0 or 2 * gamma > e:
+        return True
+    mask = (1 << gamma) - 1
+    if (x0 * (v >> gamma) - y0 * (u >> gamma)) & mask:
+        return False
+    if gamma == 1 and (x0 | y0) & 1:
+        return not ((h - u * u - v * v - 2 * (u * x0 + v * y0)) >> e) & 1
+    return True
+
+
 def iter_shift_pairs(base: BaseSolution, h: int):
     """Locally valid shift pairs in deterministic order.
 
     Yields integer pairs satisfying the congruence to a+h and both gcd
-    divisibility constraints; global family compatibility is checked by the
-    caller on assembly.
+    divisibility constraints, skipping local pairs at 2 that
+    `_two_adic_feasible` rules out; the remaining global family conditions
+    are checked by the caller on assembly.
     """
     q = base.q
     qv = q.value
@@ -445,11 +489,15 @@ def iter_shift_pairs(base: BaseSolution, h: int):
     if not is_admissible_value(target_cls, q):
         raise HypothesisViolation(f"a+h = {target_cls} mod {qv} is not admissible")
     primes = q.primes()
-    pairs = _iter_crt_pairs(
-        q,
-        lambda p, e: _iter_uv_local(base.x0, base.y0, a + h, p, e, _shift_target(a, h, p, e)),
-        f"no shift solution for h={h}",
-    )
+
+    def local(p: int, e: int):
+        target = _shift_target(a, h, p, e)
+        found = _iter_uv_local(base.x0, base.y0, a + h, p, e, target)
+        if p != 2:
+            return found
+        return (uv for uv in found if _two_adic_feasible(base.x0, base.y0, h, e, target, *uv))
+
+    pairs = _iter_crt_pairs(q, local, f"no shift solution for h={h}")
     gbound = _gcd_bound(q)
     g0_twice = 2 * math.gcd(base.x0, base.y0)
     for u0, v0 in pairs:
@@ -516,18 +564,22 @@ def build_witness_family(q: FactoredInteger, a: int, h: int, k: int) -> WitnessF
 
     Candidate (base, shift) pairs over the first BASE_CAP bases are tried in
     canonical order until one assembles into a family passing full
-    verification. The verification step is what rules out shift pairs whose
-    linear-equation solutions land in the wrong parity class at 2.
+    verification. `iter_shift_pairs` has already dropped the shift pairs that
+    fail at 2 whatever the other primes give; verification rules out the
+    rest. A base left with no shift pair at some prime is passed over.
     """
     verdict = check_hypotheses(q, a, h, k)
     if not verdict.ok:
         raise HypothesisViolation(f"{verdict.failed_clause}: {verdict.detail}")
     for base in itertools.islice(iter_base_solutions(a, q), BASE_CAP):
-        for shift in iter_shift_pairs(base, h):
-            try:
-                return build_family(base, shift, k)
-            except InternalInconsistency:
-                continue
+        try:
+            for shift in iter_shift_pairs(base, h):
+                try:
+                    return build_family(base, shift, k)
+                except InternalInconsistency:
+                    continue
+        except SearchExhausted:
+            continue
     raise SearchExhausted(f"no verified family for (q, a, h, k) = ({q.value}, {a}, {h}, {k})")
 
 

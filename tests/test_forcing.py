@@ -1,12 +1,22 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from twosq import forcing
 from twosq.admissibility import admissible_classes, is_admissible_value
-from twosq.arith import FactoredInteger, factorize
-from twosq.errors import DomainError, HypothesisViolation, NoneFoundWithinBudget, SearchExhausted
+from twosq.arith import FactoredInteger, ResidueClass, crt_combine, factorize
+from twosq.errors import (
+    DomainError,
+    HypothesisViolation,
+    InternalInconsistency,
+    NoneFoundWithinBudget,
+    SearchExhausted,
+)
 from twosq.forcing import (
     bin_plan,
     build_blocking_system,
@@ -14,7 +24,7 @@ from twosq.forcing import (
     delta_constant,
     end_to_end_triple,
 )
-from twosq.witness import check_hypotheses
+from twosq.witness import build_witness_family, check_hypotheses
 
 
 def test_delta_examples():
@@ -111,12 +121,87 @@ def test_blocking_rejects_inadmissible():
         build_blocking_system(factorize(4), 3, 0, 0)
 
 
+# sha256 of each pattern's blocking system and the witness family over it.
+# The 176 digests other than q = 4 [2, 2, 0], [2, 2, 1] and [2, 2, 2] were
+# recorded before the shift search filtered its pairs at 2 and before the
+# CRT walk became lazy; those three patterns built no family until then.
+FAMILY_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "blocking_families_sha256.json").read_text(encoding="utf-8")
+)
+
+
+def _family_digest(system, family) -> str:
+    fields = {f.name: getattr(family, f.name) for f in dataclasses.fields(family)}
+    fields["q"] = family.q.value
+    payload = {
+        "blocking_system": system.to_json_dict(),
+        "family": {name: hex(value) for name, value in fields.items()},
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _check_family_battery(qv):
+    """Build every pattern's blocking system and the family over it, verify
+    both, and compare them with the recorded digest."""
+    fq = factorize(qv)
+    adm = [c.value for c in admissible_classes(fq)]
+    for a, b, c in itertools.product(adm, repeat=3):
+        system = build_blocking_system(fq, a, b, c)  # verify() runs inside
+        family = build_witness_family(system.T_blk, system.a_T.value, system.h, system.k)
+        family.verify()
+        assert _family_digest(system, family) == FAMILY_DIGESTS[f"{qv}:{a},{b},{c}"], (a, b, c)
+
+
 def test_blocking_battery_q3_q4():
+    assert len(FAMILY_DIGESTS) == 27 + 27 + 125
     for qv in (3, 4):
-        fq = factorize(qv)
-        adm = [c.value for c in admissible_classes(fq)]
-        for a, b, c in itertools.product(adm, repeat=3):
-            build_blocking_system(fq, a, b, c)  # verify() runs inside
+        _check_family_battery(qv)
+
+
+def test_blocking_family_digests_q5():
+    _check_family_battery(5)
+
+
+def _retarget(system, i, residue):
+    """The system with a_T moved to a_T + i = residue mod p_i^2, and kept
+    mod every other prime power of T_blk."""
+    p2 = system.blocking_primes[i] ** 2
+    rest = system.T_blk.value // p2
+    a_T = crt_combine([ResidueClass(system.a_T.value, rest), ResidueClass(residue - i, p2)])
+    return dataclasses.replace(system, a_T=a_T)
+
+
+def test_blocker_first_verdicts_and_tampering():
+    system = build_blocking_system(factorize(4), 2, 2, 0)
+    four_q2 = factorize(4 * 4**2)
+    intermediate = [i for i in range(1, system.k) if i != system.h]
+    free = [i for i in intermediate if not is_admissible_value(system.a3 + i, four_q2)]
+    held = [i for i in intermediate if i not in free]
+    assert free and held
+
+    def verdicts(tampered):
+        residues = {p: tampered.a_T.value % p**e for p, e in tampered.T_blk.factors.items()}
+        return [tampered._shifted_admissible(residues, i) for i in range(system.k + 1)]
+
+    def swept(tampered):
+        return [is_admissible_value(tampered.a_T.value + i, tampered.T_blk) for i in range(system.k + 1)]
+
+    assert verdicts(system) == swept(system)
+    assert [i for i, ok in enumerate(verdicts(system)) if ok] == [0, system.h, system.k]
+    # p_i no longer blocks i: the sweep decides, and finds a_T + i admissible
+    # exactly when 4q^2 does not block it either.
+    for i in (free[0], held[0]):
+        tampered = _retarget(system, i, 1)
+        assert verdicts(tampered) == swept(tampered)
+        assert verdicts(tampered)[i] == (i in held)
+        with pytest.raises(InternalInconsistency, match=f"a_T wrong mod p_{i}"):
+            tampered.verify()
+    # p_i still divides a_T + i once, but a_T is off its class mod p_i^2.
+    i = held[-1]
+    tampered = _retarget(system, i, 2 * system.blocking_primes[i])
+    assert not verdicts(tampered)[i]
+    with pytest.raises(InternalInconsistency, match=f"a_T wrong mod p_{i}"):
+        tampered.verify()
 
 
 def test_end_to_end_example():

@@ -1,15 +1,21 @@
 import dataclasses
+import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twosq.witness as witness
+from twosq.admissibility import admissible_classes, is_admissible_value
 from twosq.arith import (
     DEFAULT_BUDGET,
     FactorBudget,
+    FactoredInteger,
+    ResidueClass,
+    crt_combine,
     factorize,
     is_sum_two_squares,
     represent_two_squares,
@@ -17,14 +23,26 @@ from twosq.arith import (
     sqrt_mod_prime_power,
     valuation,
 )
-from twosq.errors import BudgetExceeded, HypothesisViolation, InternalInconsistency, ObstructionFound
+from twosq.errors import (
+    BudgetExceeded,
+    HypothesisViolation,
+    InternalInconsistency,
+    ObstructionFound,
+    SearchExhausted,
+)
 from twosq.witness import (
     ScanResult,
+    ShiftPair,
     TripleCertificate,
     _base_target,
+    _gcd_bound,
+    _iter_crt_pairs,
     _iter_uv_local,
+    _shift_target,
     _sieve_classes,
+    _strip_stray_primes,
     _struck,
+    _two_adic_feasible,
     build_family,
     build_witness_family,
     check_hypotheses,
@@ -386,6 +404,178 @@ def test_base_enumerator_matches_reference(p, e):
             )
 
 
+def _reference_crt_pairs(q: FactoredInteger, local, missing: str):
+    """The former eager CRT enumerator, kept verbatim as the reference for the
+    odometer: it lists the first LOCAL_CANDIDATES local pairs at every prime
+    before it glues the first combination."""
+    primes = q.primes()
+    locals_: list[list[tuple[int, int]]] = []
+    for p in primes:
+        e = q.factors[p]
+        cands = list(itertools.islice(local(p, e), witness.LOCAL_CANDIDATES))
+        if not cands:
+            raise SearchExhausted(f"{missing} at prime power {p}^{e}")
+        locals_.append(cands)
+    moduli = [p ** q.factors[p] for p in primes]
+    for combo in itertools.islice(itertools.product(*locals_), witness.COMBO_CAP):
+        yield (
+            crt_combine([ResidueClass(xy[0], m) for xy, m in zip(combo, moduli)]).value,
+            crt_combine([ResidueClass(xy[1], m) for xy, m in zip(combo, moduli)]).value,
+        )
+
+
+def _crt_outcome(enumerate_pairs, q, local):
+    """Every pair the enumerator glues, or the SearchExhausted message it raises."""
+    try:
+        return list(enumerate_pairs(q, local, "nothing"))
+    except SearchExhausted as exc:
+        return str(exc)
+
+
+def _base_local(a):
+    return lambda p, e: _iter_uv_local(0, 0, a, p, e, _base_target(a, p, e))
+
+
+def _shift_local(base, h):
+    a = base.a.value
+    return lambda p, e: _iter_uv_local(base.x0, base.y0, a + h, p, e, _shift_target(a, h, p, e))
+
+
+@pytest.mark.parametrize(
+    "qv,blocked",
+    [
+        # blocked (p, e, r): the class r mod p^e has no base point
+        (4 * 9 * 5**2, (3, 2, 3)),
+        (16 * 3**2 * 7**2 * 13, (7, 2, 7)),
+        (64 * 11**2 * 19**2, (19, 2, 19)),
+    ],
+)
+@pytest.mark.parametrize("local_candidates,combo_cap", [(3, 40), (2, 1000), (6, 150)])
+def test_crt_odometer_matches_eager_reference(monkeypatch, qv, blocked, local_candidates, combo_cap):
+    monkeypatch.setattr(witness, "LOCAL_CANDIDATES", local_candidates)
+    monkeypatch.setattr(witness, "COMBO_CAP", combo_cap)
+    q = factorize(qv)
+    p, e, r = blocked
+    bad = crt_combine([ResidueClass(r, p**e), ResidueClass(1, qv // p**e)]).value
+    base = solve_base(1, q)
+    locals_ = [_base_local(a) for a in (1, 2, 5, bad)]
+    locals_ += [_shift_local(base, h) for h in (4, 8, 20, bad - 1)]
+    outcomes = []
+    for local in locals_:
+        outcome = _crt_outcome(_iter_crt_pairs, q, local)
+        assert outcome == _crt_outcome(_reference_crt_pairs, q, local)
+        outcomes.append(outcome)
+    messages = [o for o in outcomes if isinstance(o, str)]
+    assert f"nothing at prime power {p}^{e}" in messages
+    capped = [o for o in outcomes if isinstance(o, list) and len(o) == combo_cap]
+    assert bool(capped) == (local_candidates ** len(q.factors) > combo_cap)
+
+
+def test_crt_odometer_draws_lazily():
+    q = factorize(16 * 3**2 * 7**2 * 13)
+    drawn = dict.fromkeys(q.primes(), 0)
+
+    def local(p, e):
+        for pair in _base_local(1)(p, e):
+            drawn[p] += 1
+            yield pair
+
+    pairs = _iter_crt_pairs(q, local, "nothing")
+    next(pairs)
+    assert drawn == {2: 1, 3: 1, 7: 1, 13: 1}
+    list(itertools.islice(pairs, 2))  # the next two combinations turn only the last prime
+    assert drawn == {2: 1, 3: 1, 7: 1, 13: 3}
+
+
+_TWO_ADIC_MODULI = (16, 64, 256, 16 * 5, 64 * 9)
+# Cases drawn per modulus; None runs every case (about 220k over the five
+# moduli, minutes rather than seconds).
+_TWO_ADIC_SAMPLE: int | None = 300
+
+
+def _two_adic_cases(qv):
+    """(q, base, h) with a admissible mod q, a's first base point, and
+    h <= 3q with a + h admissible: a seeded sample of _TWO_ADIC_SAMPLE of
+    them, or all."""
+    q = factorize(qv)
+    cases = [
+        (cls.value, h)
+        for cls in admissible_classes(q)
+        for h in range(1, 3 * qv + 1)
+        if is_admissible_value(cls.value + h, q)
+    ]
+    if _TWO_ADIC_SAMPLE is not None and len(cases) > _TWO_ADIC_SAMPLE:
+        cases = sorted(random.Random(qv).sample(cases, _TWO_ADIC_SAMPLE))
+    bases = {}
+    for a, h in cases:
+        if a not in bases:
+            bases[a] = solve_base(a, q)
+        yield q, bases[a], h
+
+
+def _assembles(base, h, local_pairs):
+    """Whether the CRT glue of one local pair per prime of q, in any of the
+    four (du, dv) variants of `iter_shift_pairs`, meets the gcd bounds and
+    builds a verified family."""
+    q = base.q
+    qv = q.value
+    moduli = [p ** q.factors[p] for p in q.primes()]
+    u0, v0 = (
+        crt_combine([ResidueClass(pair[i], m) for pair, m in zip(local_pairs, moduli)]).value
+        for i in (0, 1)
+    )
+    for du, dv in itertools.product((0, -1), repeat=2):
+        stripped = _strip_stray_primes(u0 + du * qv, v0 + dv * qv, qv, q.primes())
+        if stripped is None:
+            continue
+        u, v = stripped
+        g = math.gcd(u, v)
+        if _gcd_bound(q) % g or 2 * math.gcd(base.x0, base.y0) % g:
+            continue
+        try:
+            build_family(base, ShiftPair(u, v, g, h), h + 1)
+        except InternalInconsistency:
+            continue
+        return True
+    return False
+
+
+@pytest.mark.parametrize("qv", _TWO_ADIC_MODULI)
+def test_two_adic_filter_drops_only_failing_pairs(qv):
+    dropped = 0
+    for q, base, h in _two_adic_cases(qv):
+        a, e = base.a.value, q.exponent(2)
+        gamma = _shift_target(a, h, 2, e)
+        odd_parts = [next(_shift_local(base, h)(p, q.factors[p]), None) for p in q.primes()[1:]]
+        if None in odd_parts:
+            continue
+        for pair in _iter_uv_local(base.x0, base.y0, a + h, 2, e, gamma):
+            if not _two_adic_feasible(base.x0, base.y0, h, e, gamma, *pair):
+                dropped += 1
+                assert not _assembles(base, h, [pair] + odd_parts), (qv, a, h, pair)
+    assert dropped
+
+
+@pytest.mark.parametrize("qv", _TWO_ADIC_MODULI)
+def test_two_adic_filter_keeps_families(monkeypatch, qv):
+    monkeypatch.setattr(witness, "COMBO_CAP", 200)
+    compared = 0
+    for q, base, h in _two_adic_cases(qv):
+        a = base.a.value
+        k = next((k for k in range(h + 1, h + qv + 1) if check_hypotheses(q, a, h, k).ok), None)
+        if k is None:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(witness, "_two_adic_feasible", lambda *args: True)
+            try:
+                unfiltered = build_witness_family(q, a, h, k)
+            except SearchExhausted:
+                continue
+        assert build_witness_family(q, a, h, k) == unfiltered
+        compared += 1
+    assert compared
+
+
 def _consecutive_cert(n, h, k, reps, evidence):
     return TripleCertificate(
         n=n, q=1, a=0, h=h, k=k, t=None, reps=reps, consecutive=True, evidence=evidence
@@ -436,3 +626,16 @@ def test_scan_rejects_missing_representation(monkeypatch):
     monkeypatch.setattr(witness, "represent_two_squares", lambda fact: None)
     with pytest.raises(InternalInconsistency):
         scan_family(fam, 4)
+
+
+def test_base_without_shift_pairs_is_passed_over(monkeypatch):
+    q = factorize(16)
+    first, second = itertools.islice(witness.iter_base_solutions(1, q), 2)
+    monkeypatch.setattr(
+        witness, "_two_adic_feasible", lambda x0, y0, *rest: (x0, y0) != (first.x0, first.y0)
+    )
+    with pytest.raises(SearchExhausted, match="no shift solution for h=4 at prime power 2"):
+        construct_shift(first, 4)
+    fam = build_witness_family(q, 1, 4, 8)
+    assert (fam.x0, fam.y0) == (second.x0, second.y0)
+    fam.verify()
