@@ -36,6 +36,12 @@ _MR_LEVELS = (
 )
 _PSI_13 = 3317044064679887385961981
 
+# The package's one table of primes: every prime up to _prime_limit as a
+# read-only int32 array, sieved in segments of _PRIME_SEGMENT integers when a
+# caller first asks past its end. `_prime_table` lists come from it.
+_PRIME_SEGMENT = 1 << 18
+_primes = np.zeros(0, dtype=np.int32)
+_prime_limit = 1
 _SMALL_PRIME_CACHE: dict[int, list[int]] = {}
 
 
@@ -125,16 +131,45 @@ class FactoredInteger:
         return self.value
 
 
+def _extend_primes(limit: int) -> None:
+    """Extend the prime table to every prime <= limit by a segmented sieve of
+    Eratosthenes, taking the base primes up to isqrt(limit) from the table."""
+    global _primes, _prime_limit
+    if limit <= _prime_limit:
+        return
+    root = math.isqrt(limit)
+    _extend_primes(root)
+    base = _primes[: np.searchsorted(_primes, np.int32(root), "right")].tolist()
+    parts = [_primes]
+    for lo in range(_prime_limit + 1, limit + 1, _PRIME_SEGMENT):
+        hi = min(lo + _PRIME_SEGMENT, limit + 1)
+        seg = np.ones(hi - lo, dtype=bool)
+        for p in base:
+            if p * p >= hi:
+                break
+            seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        parts.append((np.flatnonzero(seg) + lo).astype(np.int32))
+    _primes = np.concatenate(parts)
+    _primes.flags.writeable = False
+    _prime_limit = limit
+
+
+def prime_array(bound: int) -> np.ndarray:
+    """All primes <= bound as a read-only int32 array (bound < 2^31).
+
+    The table grows to the power of two at or above bound (at least 16), so
+    nearby bounds share one extension.
+    """
+    _extend_primes(1 << max((bound - 1).bit_length(), 4))
+    # an int32 key, so that numpy does not convert the whole table to search it
+    return _primes[: np.searchsorted(_primes, np.int32(bound), "right")]
+
+
 def _prime_table(bound: int) -> list[int]:
     """The cached primes up to bound's power-of-two bucket (they may pass bound)."""
     bucket = 1 << max(bound.bit_length(), 4)
     if bucket not in _SMALL_PRIME_CACHE:
-        sieve = np.ones(bucket + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(bucket) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _SMALL_PRIME_CACHE[bucket] = [int(p) for p in np.flatnonzero(sieve)]
+        _SMALL_PRIME_CACHE[bucket] = prime_array(bucket).tolist()
     return _SMALL_PRIME_CACHE[bucket]
 
 
@@ -335,7 +370,11 @@ def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, boun
         stack.append(m)
     else:
         prime_below = square
-        settle(_trial_divide(m, factors, bound))
+        rest = _trial_divide(m, factors, bound)
+        if rest == m:  # no factor found: m is still the known composite
+            stack.append(m)
+        else:
+            settle(rest)
     while stack:
         m = stack.pop()
         root = math.isqrt(m)

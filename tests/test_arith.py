@@ -2,6 +2,7 @@ import itertools
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +203,69 @@ def test_trial_primes_are_the_first_64():
     assert arith._TRIAL_PRIMES == tuple(small_primes(arith._TRIAL_NEXT - 1))
     assert len(arith._TRIAL_PRIMES) == 64 and arith._TRIAL_PRIMES[-1] == 311
     assert is_prime(arith._TRIAL_NEXT)
+
+
+def _reference_primes(bound: int) -> np.ndarray:
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+@pytest.mark.parametrize("segment,top", [(4099, 16), (None, 22)], ids=["small_segments", "default"])
+def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
+    """Grown from empty, bucket edge by bucket edge, the table holds exactly
+    the primes of a plain sieve at 2^k - 1, 2^k and 2^k + 1."""
+    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_prime_limit", 1)
+    monkeypatch.setattr(arith, "_SMALL_PRIME_CACHE", {})
+    if segment is not None:
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", segment)
+    reference = _reference_primes((1 << top) + 1)
+    for k in range(4, top + 1):
+        for bound in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            got = arith.prime_array(bound)
+            assert got.dtype == np.int32 and not got.flags.writeable
+            assert np.array_equal(got, reference[reference <= bound]), bound
+            if k <= 16:
+                assert small_primes(bound) == reference[reference <= bound].tolist(), bound
+
+
+def test_prime_table_built_in_one_jump(monkeypatch):
+    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_prime_limit", 1)
+    bound = (1 << 22) + 1
+    assert np.array_equal(arith.prime_array(bound), _reference_primes(bound))
+    assert arith._prime_limit == 1 << 23
+
+
+def test_shared_prime_table_keeps_python_lists():
+    reference = _reference_primes(10**6)
+    assert arith._TRIAL_PRIMES == tuple(reference[reference <= 311].tolist())
+    primes = small_primes(10**6)
+    assert primes == reference.tolist() and len(primes) == 78498
+    assert all(type(p) is int for p in (*arith._TRIAL_PRIMES, primes[0], primes[-1]))
+
+
+def test_known_composite_tested_once(monkeypatch):
+    """A composite cofactor at or above trial_bound^2 that trial division
+    leaves whole goes to rho without a second primality test."""
+    p = next(n for n in range((1 << 200) + 1, (1 << 200) + 10**5, 2) if is_prime(n))
+    q = next(n for n in range(p + 2, p + 10**5, 2) if is_prime(n))
+    m = p * q
+    assert m.bit_length() == 401
+    tested = []
+
+    def counting(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    with pytest.raises(BudgetExceeded):
+        factorize(m, FactorBudget(trial_bound=10**4, rho_rounds=0))
+    assert tested.count(m) == 1
 
 
 def test_factored_integer_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twosq import sieve
-from twosq.arith import factorize, is_sum_two_squares
+from twosq.arith import factorize, is_prime, is_sum_two_squares
 from twosq.errors import SegmentTooLarge
 from twosq.sieve import MAX_HI, MAX_SEGMENT_LEN, TwoSqSegment, count_N, sieve_segment
 
@@ -83,10 +83,119 @@ def test_segment_against_factorization_criterion():
     ids=["mixed", "all_dense", "all_short", "small_blocks"],
 )
 def test_kernel_matches_reference_loop(monkeypatch, constants):
+    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", LATTICE_ONLY)
     for name, value in constants.items():
         monkeypatch.setattr(sieve, name, value)
     for lo, hi in reference_windows():
         assert np.array_equal(sieve_segment(lo, hi).bits, reference_bits(lo, hi)), (lo, hi)
+
+
+# Crossover ratios that send every window (up to PRIME_CAP) to one kernel.
+LATTICE_ONLY = 1 << 62
+DIVISOR_ONLY = 0
+
+
+def _primes_3_mod_4_below(n: int, count: int) -> list[int]:
+    out = []
+    while len(out) < count:
+        n -= 1
+        if n % 4 == 3 and is_prime(n):
+            out.append(n)
+    return out
+
+
+def _largest_divisor_width(lo: int) -> int:
+    """The widest [lo, lo + w) that still goes to the divisor sieve."""
+    w = math.isqrt(lo) // sieve._DIVISOR_RATIO
+    while sieve._DIVISOR_RATIO * (w + 1) <= math.isqrt(lo + w):
+        w += 1
+    while sieve._DIVISOR_RATIO * w > math.isqrt(lo + w - 1):
+        w -= 1
+    return w
+
+
+def kernel_windows() -> list[tuple[int, int]]:
+    """Windows at lo = 0 and 1; windows straddling the crossover from 1e9
+    to 1e13; windows holding p^2, p^3, p^4, 2 p^2 and 21 p^2 for primes
+    p = 3 mod 4; windows holding p^2 for the largest such p below 10^6,
+    some with p = isqrt(hi - 1); and windows at the prime table's cap."""
+    out = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 10), (0, 1000), (1, 4097), (0, 1 << 16)]
+    for e in range(9, 14):
+        lo = 10**e + 777
+        w = _largest_divisor_width(lo)
+        out += [(lo, lo + w - 1), (lo, lo + w), (lo, lo + w + 1)]
+    for p in [3, 7, 11, *_primes_3_mod_4_below(1000, 2), *_primes_3_mod_4_below(4100, 1)]:
+        for n in (p**2, p**3, p**4, 2 * p**2, 3 * 7 * p**2):
+            if n <= 1 << 48:
+                out.append((max(n - 150, 0), n + 150))
+    for p in _primes_3_mod_4_below(10**6, 2):
+        out += [(p * p - 300, p * p + 1), (p * p - 1, p * p + 300), (p * p - 2 * p, p * p + 2 * p)]
+    cap = sieve.PRIME_CAP
+    out += [(cap * cap - 100, cap * cap + 100), (cap * cap - 1000, cap * cap + 1)]
+    return out
+
+
+def factorization_bits(lo: int, hi: int) -> np.ndarray:
+    return np.array([is_sum_two_squares(factorize(n)) for n in range(lo, hi)])
+
+
+def test_divisor_kernel_matches_reference_loop(monkeypatch):
+    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
+    for lo, hi in reference_windows():
+        assert np.array_equal(sieve_segment(lo, hi).bits, reference_bits(lo, hi)), (lo, hi)
+
+
+def test_kernels_match_each_other_and_references(monkeypatch):
+    for lo, hi in kernel_windows():
+        monkeypatch.setattr(sieve, "_DIVISOR_RATIO", LATTICE_ONLY)
+        lattice = sieve_segment(lo, hi).bits
+        monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
+        divisor = sieve_segment(lo, hi).bits
+        assert np.array_equal(lattice, divisor), (lo, hi)
+        if hi <= 10**10:
+            assert np.array_equal(divisor, reference_bits(lo, hi)), (lo, hi)
+        elif hi - lo <= 1000:
+            assert np.array_equal(divisor, factorization_bits(lo, hi)), (lo, hi)
+        else:  # the wide windows far out: sample the factorization criterion
+            for n in range(lo, hi, 997):
+                assert divisor[n - lo] == is_sum_two_squares(factorize(n)), n
+
+
+def test_crossover_picks_kernel(monkeypatch):
+    ran = []
+
+    def spy(name, kernel):
+        def run(*args):
+            ran.append(name)
+            return kernel(*args)
+
+        return run
+
+    for name in ("_lattice_bits", "_divisor_bits"):
+        monkeypatch.setattr(sieve, name, spy(name, getattr(sieve, name)))
+    cap = 1 << 24  # the prime table's documented cap
+    cases = [
+        ((0, 1000), "_lattice_bits"),
+        ((10**11, 10**11 + 1000), "_divisor_bits"),
+        ((10**11, 10**11 + (1 << 20)), "_lattice_bits"),
+        ((cap * cap, cap * cap + 1000), "_divisor_bits"),  # isqrt(hi - 1) = cap
+        (((cap + 1) ** 2, (cap + 1) ** 2 + 1000), "_lattice_bits"),  # just above it
+    ]
+    for e in range(9, 14):
+        lo = 10**e + 777
+        w = _largest_divisor_width(lo)
+        cases += [((lo, lo + w), "_divisor_bits"), ((lo, lo + w + 1), "_lattice_bits")]
+    for (lo, hi), name in cases:
+        ran.clear()
+        sieve_segment(lo, hi)
+        assert ran == [name], (lo, hi)
+    # Above the cap the lattice runs whatever the crossover says.
+    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
+    lo = (cap + 1) ** 2 - 50
+    ran.clear()
+    above = sieve_segment(lo, lo + 100).bits
+    assert ran == ["_lattice_bits"]
+    assert np.array_equal(above, factorization_bits(lo, lo + 100))
 
 
 def test_isqrt_exact_up_to_limit():
