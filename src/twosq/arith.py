@@ -8,7 +8,6 @@ outputs across runs.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,11 +37,10 @@ _PSI_13 = 3317044064679887385961981
 
 # The package's one table of primes: every prime up to _prime_limit as a
 # read-only int32 array, sieved in segments of _PRIME_SEGMENT integers when a
-# caller first asks past its end. `_prime_table` lists come from it.
+# caller first asks past its end.
 _PRIME_SEGMENT = 1 << 18
 _primes = np.zeros(0, dtype=np.int32)
 _prime_limit = 1
-_SMALL_PRIME_CACHE: dict[int, list[int]] = {}
 
 
 @dataclass
@@ -165,20 +163,9 @@ def prime_array(bound: int) -> np.ndarray:
     return _primes[: np.searchsorted(_primes, np.int32(bound), "right")]
 
 
-def _prime_table(bound: int) -> list[int]:
-    """The cached primes up to bound's power-of-two bucket (they may pass bound)."""
-    bucket = 1 << max(bound.bit_length(), 4)
-    if bucket not in _SMALL_PRIME_CACHE:
-        _SMALL_PRIME_CACHE[bucket] = prime_array(bucket).tolist()
-    return _SMALL_PRIME_CACHE[bucket]
-
-
 def small_primes(bound: int) -> list[int]:
-    """All primes <= bound, cached per bound bucket."""
-    primes = _prime_table(bound)
-    if primes and primes[-1] <= bound:
-        return primes
-    return primes[: bisect.bisect_right(primes, bound)]
+    """All primes <= bound as a list of Python ints."""
+    return prime_array(bound).tolist()
 
 
 # `factorize` divides by these first 64 primes before any primality test.
@@ -306,13 +293,11 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInteger:
     """Complete factorization of n >= 0.
 
     Trial division by the primes up to min(311, trial_bound), then
-    deterministic Miller-Rabin on the cofactor. A composite cofactor below
-    trial_bound^2 is split by Pollard-Brent rho, and a piece rho cannot split
-    is trial-divided instead. A larger one is trial-divided up to trial_bound
-    and then split by rho with a fixed retry schedule. Raises BudgetExceeded
-    when a cofactor survives every rho round, which only happens at or above
-    trial_bound^2: exactly the inputs on which trial division up to
-    trial_bound followed by rho raises.
+    deterministic Miller-Rabin on the cofactor. A composite cofactor is split
+    by Pollard-Brent rho with a fixed retry schedule, and only a piece rho
+    cannot split is trial-divided up to trial_bound. Raises BudgetExceeded
+    when that trial division leaves the piece whole, which only happens at or
+    above trial_bound^2, where trial division cannot reach its square root.
     """
     if n < 0:
         raise ValueError("factorize expects n >= 0")
@@ -332,7 +317,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInteger:
         if m > 1:
             factors[m] = 1
     else:
-        _split_composite(m, factors, budget, bound)
+        _split_composite(m, factors, budget, bound, stop)
     return FactoredInteger(n, dict(sorted(factors.items())))
 
 
@@ -346,35 +331,25 @@ def _divide_out(m: int, p: int, factors: dict[int, int]) -> int:
     return m
 
 
-def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, bound: int) -> None:
-    """Factor a composite m with no prime factor up to 311 into `factors`.
+def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, bound: int, stop: int) -> None:
+    """Factor a composite m with no prime factor below stop into `factors`.
 
-    Below trial_bound^2 rho runs first, and a piece rho cannot split is
-    trial-divided, which reaches its square root there. At or above
-    trial_bound^2, trial division up to bound runs first, then rho, and a
-    composite rho cannot split raises BudgetExceeded.
+    Each piece gets the perfect-square check, then the budget's rho rounds.
+    A piece rho cannot split is trial-divided up to bound, which reaches its
+    square root below trial_bound^2; a piece that trial division leaves
+    whole raises BudgetExceeded.
     """
-    square = budget.trial_bound * budget.trial_bound
-    stack: list[int] = []
+    prime_below = stop * stop
+    stack = [m]
 
     def settle(piece: int) -> None:
-        # a piece below prime_below with no prime factor up to its root is prime
+        # a piece below stop^2 with no prime factor below stop is prime
         if piece < prime_below or is_prime(piece):
             if piece > 1:
                 factors[piece] = factors.get(piece, 0) + 1
         else:
             stack.append(piece)
 
-    if m < square:
-        prime_below = _TRIAL_NEXT * _TRIAL_NEXT
-        stack.append(m)
-    else:
-        prime_below = square
-        rest = _trial_divide(m, factors, bound)
-        if rest == m:  # no factor found: m is still the known composite
-            stack.append(m)
-        else:
-            settle(rest)
     while stack:
         m = stack.pop()
         root = math.isqrt(m)
@@ -388,16 +363,16 @@ def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, boun
                 settle(m // d)
                 break
         else:
-            if m >= square:
+            rest = _trial_divide(m, factors, bound)
+            if rest == m:
                 raise BudgetExceeded(f"could not split composite {m}")
-            settle(_trial_divide(m, factors, bound))
+            settle(rest)
 
 
 def _trial_divide(m: int, factors: dict[int, int], bound: int) -> int:
-    """Divide out the primes from 313 up to bound into `factors`; return the cofactor."""
-    table = _prime_table(bound)
-    end = bisect.bisect_right(table, bound)
-    for p in itertools.islice(table, len(_TRIAL_PRIMES), end):
+    """Divide out the primes from 313 up to bound into `factors`; return the
+    cofactor, which is prime or 1 when bound reaches its square root."""
+    for p in prime_array(min(bound, math.isqrt(m)))[len(_TRIAL_PRIMES) :].tolist():
         if p * p > m:
             break
         if m % p == 0:

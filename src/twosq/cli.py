@@ -424,7 +424,7 @@ def _run(argv: list[str] | None) -> int:
     except _UsageError as exc:
         _diagnose("bad_argument", str(exc))
         return EXIT_USAGE
-    except (TwoSqError, ValueError) as exc:
+    except (TwoSqError, ValueError, OSError) as exc:
         _diagnose(type(exc).__name__, str(exc))
         return EXIT_INTERNAL
 

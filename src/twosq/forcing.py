@@ -131,6 +131,8 @@ def construct_two_class_tuple(
         raise HypothesisViolation("tuple construction needs odd q")
     if not 1 <= j <= len(sizes):
         raise DomainError(f"transition bin j={j} outside 1..{len(sizes)}")
+    if min(sizes) < 1:
+        raise DomainError(f"bin sizes must be >= 1, got {sizes}")
     for cls, label in ((a, "a"), (b, "b")):
         if not is_admissible_value(cls % qv, q):
             raise HypothesisViolation(f"class {label} = {cls} is not admissible mod {qv}")

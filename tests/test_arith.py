@@ -199,6 +199,54 @@ def test_factorize_falls_back_when_rho_fails(monkeypatch):
         assert f != BudgetExceeded and math.prod(p**e for p, e in f.items()) == n
 
 
+def _next_prime(n):
+    return next(p for p in itertools.count(n) if is_prime(p))
+
+
+def test_rho_splits_large_composites_without_trial_division(monkeypatch):
+    """At or above trial_bound^2, rho splits these composites on its own:
+    trial division never runs, and the factor maps match the reference."""
+    calls = []
+    trial_divide = arith._trial_divide
+
+    def counting(m, factors, bound):
+        calls.append(m)
+        return trial_divide(m, factors, bound)
+
+    monkeypatch.setattr(arith, "_trial_divide", counting)
+    budget = FactorBudget()
+    a, b = _next_prime(1 << 30), _next_prime(3 << 28)
+    composites = (
+        a * b,
+        1009 * _next_prime(1 << 63),
+        _next_prime(10**5) * _next_prime(5 * 10**5) * _next_prime(999_000),
+    )
+    assert (a * b).bit_length() == 60
+    for n in composites:
+        assert n >= budget.trial_bound**2
+        assert factorize(n, budget).factors == _reference_factorize(n, budget).factors, n
+    assert calls == []
+
+
+def test_trial_division_backs_up_rho_above_the_square(monkeypatch):
+    """With rho failing at or above trial_bound^2, trial division recovers a
+    small factor there, and two primes above the bound raise BudgetExceeded,
+    as in the reference."""
+    budget = FactorBudget(trial_bound=10**4)
+    square = budget.trial_bound**2
+    rho = arith._rho_brent
+    monkeypatch.setattr(arith, "_rho_brent", lambda n, c, it: None if n >= square else rho(n, c, it))
+    big = _next_prime(square)
+    recovered = (1009 * big, 1009**2 * 9973 * big, 1009 * 9967 * 9973, 313 * 9973 * 10007)
+    for n in recovered:
+        f = _outcome(factorize, n, budget)
+        assert f == _outcome(_reference_factorize, n, budget), n
+        assert f != BudgetExceeded and math.prod(p**e for p, e in f.items()) == n
+    for n in (10007 * 10009, 1009 * 10007 * 10009, big * _next_prime(big + 1)):
+        assert _outcome(factorize, n, budget) == BudgetExceeded, n
+        assert _outcome(_reference_factorize, n, budget) == BudgetExceeded, n
+
+
 def test_trial_primes_are_the_first_64():
     assert arith._TRIAL_PRIMES == tuple(small_primes(arith._TRIAL_NEXT - 1))
     assert len(arith._TRIAL_PRIMES) == 64 and arith._TRIAL_PRIMES[-1] == 311
@@ -220,7 +268,6 @@ def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
     the primes of a plain sieve at 2^k - 1, 2^k and 2^k + 1."""
     monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
     monkeypatch.setattr(arith, "_prime_limit", 1)
-    monkeypatch.setattr(arith, "_SMALL_PRIME_CACHE", {})
     if segment is not None:
         monkeypatch.setattr(arith, "_PRIME_SEGMENT", segment)
     reference = _reference_primes((1 << top) + 1)

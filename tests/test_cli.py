@@ -249,6 +249,26 @@ def test_library_value_error_exits_1(capsys, monkeypatch):
     assert json.loads(line)["detail"] == "raised inside the library"
 
 
+FILE_ERRORS = {
+    "verify_missing_file": lambda tmp: ["verify", str(tmp / "missing.jsonl")],
+    "verify_directory": lambda tmp: ["verify", str(tmp)],
+    "output_into_missing_dir": lambda tmp: ["admissible", "5", "--output", str(tmp / "missing" / "out.csv")],
+    "dump_into_missing_dir": lambda tmp: ["sieve", "0", "10", "--dump", str(tmp / "missing" / "d.seg")],
+    "cache_dir_is_a_file": lambda tmp: ["sieve", "0", "10", "--cache-dir", str(tmp / "file.txt")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_file_errors_exit_1_with_one_diagnostic(capsys, tmp_path, case):
+    (tmp_path / "file.txt").write_text("not a directory\n", encoding="utf-8")
+    code, out, err = run_capture(capsys, FILE_ERRORS[case](tmp_path))
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    diagnostic = json.loads(line)
+    assert set(diagnostic) == {"error", "detail"}
+    assert diagnostic["error"].endswith("Error"), diagnostic
+
+
 RECORDED_STDOUT = json.loads(
     (Path(__file__).parent / "data" / "cli_stdout_sha256.json").read_text(encoding="utf-8")
 )

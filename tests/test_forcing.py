@@ -10,6 +10,7 @@ import pytest
 from twosq import forcing
 from twosq.admissibility import admissible_classes, is_admissible_value
 from twosq.arith import FactoredInteger, ResidueClass, crt_combine, factorize
+from twosq.cli import run
 from twosq.errors import (
     DomainError,
     HypothesisViolation,
@@ -82,6 +83,17 @@ def test_tuple_degenerate_transition():
     design = construct_two_class_tuple(factorize(5), 1, 2, 2, [2, 3])
     assert [h % 5 for h in design.offsets] == [1] * 5
     assert design.transition_index == 5
+
+
+@pytest.mark.parametrize("sizes", [[-1, 3], [3, 0], [0]])
+def test_tuple_rejects_bin_sizes_below_one(capsys, sizes):
+    with pytest.raises(DomainError):
+        construct_two_class_tuple(factorize(5), 1, 2, 1, sizes)
+    argv = ["tuple", "5", "1", "2", "1", "2", "0.025", "0.025", "--sizes=" + ",".join(map(str, sizes))]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line)["error"] == "DomainError"
 
 
 def test_tuple_requires_odd_q():
