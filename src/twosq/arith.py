@@ -8,8 +8,10 @@ outputs across runs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,6 +174,8 @@ def small_primes(bound: int) -> list[int]:
 _TRIAL_PRIMES = tuple(small_primes(311))
 _TRIAL_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_NEXT = 313
+# _TRIAL_STOPS[i] is the least prime above the first i trial primes.
+_TRIAL_STOPS = _TRIAL_PRIMES + (_TRIAL_NEXT,)
 
 
 def is_prime(n: int) -> bool:
@@ -289,15 +293,23 @@ def _rho_brent(n: int, c: int, max_iters: int) -> int | None:
     return None
 
 
-def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInteger:
+def factorize(
+    n: int, budget: FactorBudget = DEFAULT_BUDGET, trial_primes: Sequence[int] = _TRIAL_PRIMES
+) -> FactoredInteger:
     """Complete factorization of n >= 0.
 
     Trial division by the primes up to min(311, trial_bound), then
     deterministic Miller-Rabin on the cofactor. A composite cofactor is split
     by Pollard-Brent rho with a fixed retry schedule, and only a piece rho
     cannot split is trial-divided up to trial_bound. Raises BudgetExceeded
-    when that trial division leaves the piece whole, which only happens at or
-    above trial_bound^2, where trial division cannot reach its square root.
+    when a piece that trial division left composite cannot be split by rho
+    either, which only happens at or above trial_bound^2, where trial
+    division cannot reach its square root.
+
+    trial_primes lists, ascending, the primes up to 311 to divide by; a
+    caller that knows which of them divide n (a sieve over the values of a
+    polynomial) passes only those. A list that misses a divisor cannot give
+    a wrong map: `FactoredInteger` re-tests every prime.
     """
     if n < 0:
         raise ValueError("factorize expects n >= 0")
@@ -305,14 +317,15 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInteger:
         return FactoredInteger(0)
     factors: dict[int, int] = {}
     bound = max(min(budget.trial_bound, math.isqrt(n)), 2)
-    m, stop = n, _TRIAL_NEXT
-    for p in _TRIAL_PRIMES:
+    m = n
+    for p in trial_primes:
         if p > bound or p * p > m:
-            stop = p
             break
         if m % p == 0:
             m = _divide_out(m, p, factors)
-    # m has no prime factor below stop
+    # m has no prime factor below stop, the least trial prime above bound;
+    # an early stop at p * p > m left m < p^2 <= stop^2
+    stop = _TRIAL_STOPS[bisect.bisect_right(_TRIAL_PRIMES, bound)]
     if m < stop * stop or is_prime(m):
         if m > 1:
             factors[m] = 1
@@ -336,22 +349,23 @@ def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, boun
 
     Each piece gets the perfect-square check, then the budget's rho rounds.
     A piece rho cannot split is trial-divided up to bound, which reaches its
-    square root below trial_bound^2; a piece that trial division leaves
-    whole raises BudgetExceeded.
+    square root below trial_bound^2. A piece that trial division leaves
+    whole, or that rho cannot split after one trial pass, raises
+    BudgetExceeded: a second pass would find nothing.
     """
     prime_below = stop * stop
-    stack = [m]
+    stack = [(m, False)]  # (piece, whether a trial pass up to bound left it)
 
-    def settle(piece: int) -> None:
+    def settle(piece: int, divided: bool) -> None:
         # a piece below stop^2 with no prime factor below stop is prime
         if piece < prime_below or is_prime(piece):
             if piece > 1:
                 factors[piece] = factors.get(piece, 0) + 1
         else:
-            stack.append(piece)
+            stack.append((piece, divided))
 
     while stack:
-        m = stack.pop()
+        m, divided = stack.pop()
         root = math.isqrt(m)
         if root * root == m and is_prime(root):
             factors[root] = factors.get(root, 0) + 2
@@ -359,14 +373,15 @@ def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, boun
         for c in range(1, budget.rho_rounds + 1):
             d = _rho_brent(m, c, budget.rho_iterations)
             if d is not None:
-                settle(d)
-                settle(m // d)
+                settle(d, divided)
+                settle(m // d, divided)
                 break
         else:
-            rest = _trial_divide(m, factors, bound)
+            # a second pass over what one pass left composite finds nothing
+            rest = m if divided else _trial_divide(m, factors, bound)
             if rest == m:
                 raise BudgetExceeded(f"could not split composite {m}")
-            settle(rest)
+            settle(rest, True)
 
 
 def _trial_divide(m: int, factors: dict[int, int], bound: int) -> int:
@@ -445,35 +460,50 @@ def is_sum_two_squares(n: FactoredInteger) -> bool:
     return obstructing_prime(n) is None
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """One square root of a mod an odd prime p (Tonelli-Shanks), or None."""
+    """One square root of a mod an odd prime p, or None when a is a nonresidue.
+
+    One modular power for p = 3 mod 4 and, by Atkin's formula, for
+    p = 5 mod 8; Tonelli-Shanks for p = 1 mod 8. Which of the two roots
+    comes back depends on the method, so callers pick their own.
+    """
     a %= p
     if a == 0:
         return 0
     if p % 4 == 3:
         # a^((p+1)/4) squares to a exactly when a is a residue.
         r = pow(a, (p + 1) // 4, p)
-        return r if r * r % p == a else None
-    if _legendre(a, p) != 1:
+    elif p % 8 == 5:
+        # Atkin: with b = (2a)^((p-5)/8), i = 2ab^2 squares to -1 when a is a
+        # residue, and then ab(i - 1) squares to a.
+        b = pow(2 * a, (p - 5) // 8, p)
+        r = a * b * (2 * a * b * b - 1) % p
+    else:
+        return _tonelli_shanks(a, p)
+    return r if r * r % p == a else None
+
+
+def _tonelli_shanks(a: int, p: int) -> int | None:
+    """A square root of a unit a mod a prime p = 1 mod 8, or None.
+
+    With p - 1 = q 2^s, q odd, one power w = a^((q-1)/2) gives the first
+    guess r = a^((q+1)/2) and t = a^q, and s - 1 squarings of t give
+    Euler's criterion.
+    """
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    w = pow(a, (q - 1) // 2, p)
+    r = a * w % p
+    t = r * w % p
+    x = t
+    for _ in range(s - 1):
+        x = x * x % p
+    if x != 1:
         return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _legendre(z, p) != -1:
+    z = 3  # 2 is a residue mod p = 1 mod 8
+    while _jacobi(z, p) != -1:
         z += 1
     c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
     m = s
     while t != 1:
         i, x = 0, t
@@ -588,6 +618,9 @@ def _cornacchia_prime(p: int) -> tuple[int, int]:
     return b, y
 
 
+# The Cornacchia pairs of the trial primes = 1 mod 4, built once at import.
+_TRIAL_CORNACCHIA = {p: _cornacchia_prime(p) for p in _TRIAL_PRIMES if p % 4 == 1}
+
 # Above this many conjugation choices, `represent_two_squares` takes only one.
 REPRESENT_COMBO_CAP = 4096
 
@@ -604,48 +637,42 @@ def represent_two_squares(n: FactoredInteger) -> tuple[int, int] | None:
     Built multiplicatively: Cornacchia at each prime = 1 mod 4, (1, 1) for 2,
     and scalar p^(e/2) for primes = 3 mod 4, composed via the Gaussian norm
     identity. Every representation of n arises from a conjugation choice at
-    each prime = 1 mod 4; up to REPRESENT_COMBO_CAP of those combinations
-    are enumerated and the lexicographically smallest pair is returned, so
-    e.g. 25 gives (0, 5) rather than (3, 4). Deterministic for fixed n.
+    each prime p = g conj(g) = 1 mod 4, the factor g^j conj(g)^(e-j) of p^e
+    for some 0 <= j <= e. Up to REPRESENT_COMBO_CAP of those combinations
+    are enumerated, prime by prime as a list of partial products, and the
+    lexicographically smallest pair is returned, so e.g. 25 gives (0, 5)
+    rather than (3, 4). Conjugating every choice at once gives the same |x|
+    and |y| (with the factor 1 + i too, which conjugation turns into
+    -i (1 + i)), so the first prime = 1 mod 4 takes only j <= e/2. Above the
+    cap only j = e is taken at every prime. Deterministic for fixed n.
     """
     if n.is_zero:
         return (0, 0)
     if not is_sum_two_squares(n):
         return None
     scalar = 1
-    two_odd = False
-    split: list[tuple[tuple[int, int], int]] = []
-    for p in n.primes():
-        e = n.factors[p]
+    reps = [(1, 0)]
+    split: list[tuple[int, int]] = []
+    for p, e in n.factors.items():
         if p == 2:
             scalar <<= e // 2
-            two_odd = e % 2 == 1
+            if e % 2:
+                reps = [(1, 1)]
         elif p % 4 == 3:
             scalar *= p ** (e // 2)
         else:
-            split.append((_cornacchia_prime(p), e))
-    total = 1
-    for _, e in split:
-        total *= e + 1
-    choice_space: list[range] = [range(e + 1) for _, e in split]
-    if total > REPRESENT_COMBO_CAP:
-        choice_space = [range(e, e + 1) for _, e in split]
-    powers = []
-    for (a, b), e in split:
+            split.append((p, e))
+    capped = math.prod(e + 1 for _, e in split) > REPRESENT_COMBO_CAP
+    for index, (p, e) in enumerate(split):
+        g = _TRIAL_CORNACCHIA.get(p) or _cornacchia_prime(p)
         pw = [(1, 0)]
         for _ in range(e):
-            pw.append(_gauss_mul(pw[-1], (a, b)))
-        conj = [(x, -y) for x, y in pw]
-        powers.append((pw, conj, e))
-    best: tuple[int, int] | None = None
-    for choice in itertools.product(*choice_space):
-        rep = (1, 0)
-        for (pw, conj, e), j in zip(powers, choice):
-            rep = _gauss_mul(rep, _gauss_mul(pw[j], conj[e - j]))
-        if two_odd:
-            rep = _gauss_mul(rep, (1, 1))
-        x, y = abs(rep[0]) * scalar, abs(rep[1]) * scalar
-        cand = (x, y) if x <= y else (y, x)
-        if best is None or cand < best:
-            best = cand
-    return best
+            pw.append(_gauss_mul(pw[-1], g))
+        if capped:
+            choices = range(e, e + 1)
+        else:
+            choices = range(e // 2 + 1 if index == 0 else e + 1)
+        options = [_gauss_mul(pw[j], (pw[e - j][0], -pw[e - j][1])) for j in choices]
+        reps = [_gauss_mul(rep, option) for rep in reps for option in options]
+    x, y = min((abs(x), abs(y)) if abs(x) <= abs(y) else (abs(y), abs(x)) for x, y in reps)
+    return x * scalar, y * scalar

@@ -214,6 +214,8 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_witness(args) -> int:
     q = _modulus(args.q)
+    if args.tmax < 0:
+        raise _UsageError(f"--tmax must be >= 0, got {args.tmax}")
     family = build_witness_family(q, args.a, args.h, args.k)
     check_local_obstructions(family)
     _status(
@@ -231,6 +233,8 @@ def _cmd_witness(args) -> int:
 
 def _cmd_force_triple(args) -> int:
     q = _modulus(args.q)
+    if args.xbudget < 0:
+        raise _UsageError(f"--xbudget must be >= 0, got {args.xbudget}")
     report = end_to_end_triple(
         q,
         args.a,

@@ -584,8 +584,12 @@ def build_witness_family(q: FactoredInteger, a: int, h: int, k: int) -> WitnessF
 
 
 def _roots_mod_p(A: int, B: int, C: int, p: int) -> list[int] | None:
-    """Sorted roots of A t^2 + B t + C mod an odd prime p, or None when the
-    polynomial vanishes identically mod p."""
+    """Sorted roots of A t^2 + B t + C mod a prime p, or None when it
+    vanishes at every t mod p. For p = 2 the roots are read off the values
+    at t = 0 and t = 1; for odd p, None means every coefficient is 0 mod p."""
+    if p == 2:
+        roots = [t for t, value in ((0, C), (1, A + B + C)) if value % 2 == 0]
+        return None if len(roots) == 2 else roots
     a, b, c = A % p, B % p, C % p
     if a == 0:
         if b == 0:
@@ -598,32 +602,47 @@ def _roots_mod_p(A: int, B: int, C: int, p: int) -> list[int] | None:
     return sorted({(-b + s) * inv % p, (-b - s) * inv % p})
 
 
-def _odd_valuation_classes(A: int, B: int, C: int, p: int) -> list[tuple[int, int, int]]:
+def _odd_valuation_classes(
+    A: int, B: int, C: int, p: int, valuations: tuple[int, ...] = (1, 3)
+) -> list[tuple[int, int, int]]:
     """Progressions (r, m, sign), t = r mod m, whose signed indicators sum to 1
-    where p divides F(t) = A t^2 + B t + C exactly once, and to 0 elsewhere.
+    where v_p(F(t)) is one of `valuations`, for F(t) = A t^2 + B t + C and an
+    odd prime p, and to 0 elsewhere.
 
-    A simple root r mod p Hensel-lifts to the one class r2 mod p^2 with
-    p^2 | F(r2), which is taken back out. At a double root F(t) = F(r) mod p^2
-    across the whole class. When p divides F identically, v_p(F(t)) = 1 off
-    the roots of F / p.
+    The default is the odd valuations 1 and 3: a simple root r mod p lifts
+    by Newton steps to one class mod p^2, p^3 and p^4 each, with signs +1
+    mod p, -1 mod p^2, +1 mod p^3 and -1 mod p^4. The recursion covers every
+    other shape too: F is divided by the p-power of its content, and t = r +
+    p x at each root r mod p substitutes a polynomial in x whose content is
+    at least p. At every t, the running sum over the list in order stays 0
+    or 1.
     """
+    if not valuations:
+        return []
+    top = p ** (max(valuations) + 1)  # F mod top decides every valuation asked for
+    A, B, C = A % top, B % top, C % top
+    if A == B == C == 0:
+        return []
+    if A % p == B % p == C % p == 0:
+        return _odd_valuation_classes(A // p, B // p, C // p, p, tuple(v - 1 for v in valuations if v))
     roots = _roots_mod_p(A, B, C, p)
-    if roots is None:
-        cofactor_roots = _roots_mod_p(A // p, B // p, C // p, p)
-        if cofactor_roots is None:
-            return []
-        return [(0, 1, 1)] + [(r, p, -1) for r in cofactor_roots]
-    pp = p * p
-    A, B, C = A % pp, B % pp, C % pp
-    classes = []
+    classes = [(0, 1, 1)] + [(r, p, -1) for r in roots] if 0 in valuations else []
     for r in roots:
-        f_r = A * r * r + B * r + C
         slope = (2 * A * r + B) % p
         if slope:
-            lift = r + p * (-(f_r // p) * pow(slope, -1, p) % p)
-            classes += [(r, p, 1), (lift, pp, -1)]
-        elif f_r % pp:
-            classes.append((r, p, 1))
+            # a simple root: v_p(F(t)) >= j on just the Newton lift of r mod p^j
+            inv, x, pk, lifts = pow(slope, -1, p), r, p, []
+            for _ in range(max(valuations) + 1):
+                lifts.append((x, pk))
+                x += pk * (-((A * x + B) * x + C) // pk * inv % p)
+                pk *= p
+            for j in valuations:
+                if j:
+                    classes += [(*lifts[j - 1], 1), (*lifts[j], -1)]
+            continue
+        # F(r + p x) = A p^2 x^2 + (2 A r + B) p x + F(r)
+        lifted = _odd_valuation_classes(A * p * p, (2 * A * r + B) * p, (A * r + B) * r + C, p, valuations)
+        classes += [(r + p * s, p * m, sign) for s, m, sign in lifted]
     return classes
 
 
@@ -638,19 +657,60 @@ def _sieve_classes(family: WitnessFamily, budget: FactorBudget) -> list[tuple[in
     ]
 
 
+def _trial_roots(family: WitnessFamily, budget: FactorBudget) -> list[list[int] | None]:
+    """`_roots_mod_p` of F at the trial primes up to max(trial_bound, 2), in
+    order, as `factorize` takes them."""
+    C = family.C + family.k
+    bound = max(budget.trial_bound, 2)
+    return [_roots_mod_p(family.A, family.B, C, p) for p in _TRIAL_PRIMES if p <= bound]
+
+
 def _struck(classes: list[tuple[int, int, int]], lo: int, hi: int) -> np.ndarray:
-    """Mask over t in [lo, hi): True where some class's prime divides F(t) exactly once."""
-    count = np.zeros(hi - lo, dtype=np.int8)  # each of the 34 primes adds at most 1
+    """Mask over t in [lo, hi): True where the classes strike t."""
+    # each prime's running sum stays 0 or 1, so the count stays within the
+    # 34 trial primes 3 mod 4
+    count = np.zeros(hi - lo, dtype=np.int8)
     for r, m, sign in classes:
-        count[(r - lo) % m :: m] += sign
+        start = (r - lo) % m
+        if start < hi - lo:  # most classes mod p^3 and p^4 miss a block
+            count[start::m] += sign
     return count > 0
 
 
-def _unstruck_t(classes: list[tuple[int, int, int]], t_max: int):
-    """The t in [0, t_max] that no class strikes, ascending, sieved SIEVE_BLOCK at a time."""
+def _divisor_words(roots: list[list[int] | None], lo: int, hi: int) -> np.ndarray:
+    """One word per t in [lo, hi): bit i is set where the i-th trial prime
+    divides F(t), given the roots of F mod each trial prime."""
+    words = np.zeros(hi - lo, dtype=np.uint64)
+    for i, (p, rs) in enumerate(zip(_TRIAL_PRIMES, roots)):
+        bit = np.uint64(1 << i)
+        if rs is None:
+            words |= bit
+            continue
+        for r in rs:
+            words[(r - lo) % p :: p] |= bit
+    return words
+
+
+def _word_primes(word: int) -> list[int]:
+    """The trial primes whose bits are set in a divisor word, ascending."""
+    primes = []
+    while word:
+        low = word & -word
+        primes.append(_TRIAL_PRIMES[low.bit_length() - 1])
+        word ^= low
+    return primes
+
+
+def _sieved_t(family: WitnessFamily, budget: FactorBudget, t_max: int):
+    """(t, trial primes dividing F(t)) for the t in [0, t_max] that no sieve
+    class strikes, ascending, sieved SIEVE_BLOCK values of t at a time."""
+    classes = _sieve_classes(family, budget)
+    roots = _trial_roots(family, budget)
     for lo in range(0, t_max + 1, SIEVE_BLOCK):
-        struck = _struck(classes, lo, min(lo + SIEVE_BLOCK, t_max + 1))
-        yield from (lo + np.flatnonzero(~struck)).tolist()
+        hi = min(lo + SIEVE_BLOCK, t_max + 1)
+        kept = np.flatnonzero(~_struck(classes, lo, hi))
+        words = _divisor_words(roots, lo, hi)[kept].tolist()
+        yield from zip((lo + kept).tolist(), map(_word_primes, words))
 
 
 def check_local_obstructions(family: WitnessFamily) -> None:
@@ -692,20 +752,24 @@ def scan_family(
     """Scan t = 0..t_max and certify every t with F(t) a sum of two squares.
 
     Blocks of SIEVE_BLOCK values of t are first sieved: a t at which a trial
-    prime p = 3 mod 4 (p <= trial_bound) divides F(t) exactly once gives no
-    certificate, is counted in `sieved` and is never factored. skipped_t
-    lists the t the budget left undecided: factoring F(t) exceeded it. With
+    prime p = 3 mod 4 (p <= trial_bound) divides F(t) to the power 1 or 3
+    gives no certificate, is counted in `sieved` and is never factored. The
+    same roots of F mod each trial prime tell which trial primes divide
+    each F(t) left, and `factorize` divides by those only. skipped_t lists
+    the t the budget left undecided: factoring F(t) exceeded it. With
     stop_after set, the scan ends early once that many certificates have
     been collected.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     certs: list[TripleCertificate] = []
     skipped: list[int] = []
     tested, end = 0, t_max + 1
-    for t in _unstruck_t(_sieve_classes(family, budget), t_max):
+    for t, divisors in _sieved_t(family, budget, t_max):
         tested += 1
         value = family.F(t)
         try:
-            fact = factorize(value, budget)
+            fact = factorize(value, budget, divisors)
         except BudgetExceeded:
             skipped.append(t)
             continue

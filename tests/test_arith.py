@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -481,3 +482,138 @@ def test_cornacchia_non_square_remainder_raises(monkeypatch):
     monkeypatch.setattr(arith, "math", SimpleNamespace(isqrt=lambda n: max(math.isqrt(n) - 1, 0)))
     with pytest.raises(InternalInconsistency):
         arith._cornacchia_prime(13)
+
+
+def test_sqrt_mod_prime_every_residue_below_2000():
+    for p in small_primes(2000)[1:]:
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            r = arith.sqrt_mod_prime(a, p)
+            assert (r is None) == (a not in squares), (a, p)
+            assert r is None or (0 <= r < p and r * r % p == a), (a, p)
+
+
+def test_sqrt_mod_prime_large_primes_in_every_class():
+    rng = random.Random(2024)
+    for bits in (40, 64, 127, 200):
+        for cls in (1, 3, 5, 7):
+            p = next(n for n in itertools.count((1 << bits) + cls, 8) if is_prime(n))
+            # p - 1 and -1 cover the Atkin and Tonelli-Shanks edge cases
+            for a in [1, 2, p - 1, *(rng.randrange(p) for _ in range(40))]:
+                r = arith.sqrt_mod_prime(a, p)
+                residue = pow(a, (p - 1) // 2, p) == 1
+                assert (r is not None) == residue, (a, p)
+                assert r is None or r * r % p == a, (a, p)
+
+
+def test_cornacchia_table_holds_the_trial_primes():
+    assert sorted(arith._TRIAL_CORNACCHIA) == [p for p in arith._TRIAL_PRIMES if p % 4 == 1]
+    assert len(arith._TRIAL_CORNACCHIA) == 29
+    for p, (x, y) in arith._TRIAL_CORNACCHIA.items():
+        assert (x, y) == arith._cornacchia_prime(p) and x * x + y * y == p
+
+
+def _reference_represent(n):
+    """The former `represent_two_squares`, kept verbatim as the reference: it
+    tries every conjugation choice at every prime = 1 mod 4."""
+    if n.is_zero:
+        return (0, 0)
+    if not is_sum_two_squares(n):
+        return None
+    scalar = 1
+    two_odd = False
+    split = []
+    for p in n.primes():
+        e = n.factors[p]
+        if p == 2:
+            scalar <<= e // 2
+            two_odd = e % 2 == 1
+        elif p % 4 == 3:
+            scalar *= p ** (e // 2)
+        else:
+            split.append((arith._cornacchia_prime(p), e))
+    total = 1
+    for _, e in split:
+        total *= e + 1
+    choice_space = [range(e + 1) for _, e in split]
+    if total > arith.REPRESENT_COMBO_CAP:
+        choice_space = [range(e, e + 1) for _, e in split]
+    powers = []
+    for (a, b), e in split:
+        pw = [(1, 0)]
+        for _ in range(e):
+            pw.append(arith._gauss_mul(pw[-1], (a, b)))
+        conj = [(x, -y) for x, y in pw]
+        powers.append((pw, conj, e))
+    best = None
+    for choice in itertools.product(*choice_space):
+        rep = (1, 0)
+        for (pw, conj, e), j in zip(powers, choice):
+            rep = arith._gauss_mul(rep, arith._gauss_mul(pw[j], conj[e - j]))
+        if two_odd:
+            rep = arith._gauss_mul(rep, (1, 1))
+        x, y = abs(rep[0]) * scalar, abs(rep[1]) * scalar
+        cand = (x, y) if x <= y else (y, x)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _split_products():
+    """Products of up to eight primes = 1 mod 4, with exponents, times 2^e
+    and a square of a prime = 3 mod 4; the last two are at and above the
+    cap."""
+    rng = random.Random(7)
+    split = [5, 13, 17, 29, 37, 41, 313, 317, next(n for n in itertools.count((1 << 61) + 1, 4) if is_prime(n))]
+    out = []
+    for size in range(1, 9):
+        for _ in range(3):
+            primes = rng.sample(split, min(size, len(split)))
+            factors = {p: rng.randint(1, 3) for p in primes}
+            factors[2] = rng.randint(0, 3)
+            factors[3] = rng.choice((0, 2))
+            out.append(FactoredInteger.from_factors({p: e for p, e in factors.items() if e}))
+    at_cap = {5: 3, 13: 3, 17: 3, 29: 3, 37: 3, 41: 3, 2: 1}
+    capped = FactoredInteger.from_factors({**at_cap, 53: 1})
+    assert math.prod(e + 1 for p, e in at_cap.items() if p % 4 == 1) == arith.REPRESENT_COMBO_CAP
+    assert math.prod(e + 1 for p, e in capped.factors.items() if p % 4 == 1) > arith.REPRESENT_COMBO_CAP
+    return out + [FactoredInteger.from_factors(at_cap), capped]
+
+
+def test_representation_matches_former_implementation():
+    rng = random.Random(11)
+    inputs = [factorize(n) for n in range(20000)]
+    inputs += [factorize(rng.randrange(10**12)) for _ in range(300)]
+    inputs += _split_products()
+    for n in inputs:
+        assert represent_two_squares(n) == _reference_represent(n), n.value
+
+
+def test_second_trial_pass_is_skipped(monkeypatch):
+    """A piece that one trial pass up to the bound left composite, and that
+    rho cannot split, raises without a second pass."""
+    calls = []
+    trial_divide = arith._trial_divide
+
+    def counting(m, factors, bound):
+        calls.append(m)
+        return trial_divide(m, factors, bound)
+
+    monkeypatch.setattr(arith, "_trial_divide", counting)
+    with pytest.raises(BudgetExceeded):
+        factorize(1009 * 10007 * 10009, FactorBudget(trial_bound=10**4, rho_rounds=0))
+    assert calls == [1009 * 10007 * 10009]
+
+
+def test_factorize_with_known_trial_divisors():
+    """Given exactly the trial primes that divide n, the factor map is the
+    one the full trial stage gives; a list that misses one cannot pass a
+    composite off as prime."""
+    big = [10**12 + 39, 2**61 - 1, 600851475143, 3**40 * 311, 2 * 313**2 * 10007]
+    for bound in (1, 2, 20, 311, 10**6):
+        budget = FactorBudget(trial_bound=bound)
+        for n in itertools.chain(range(1, 5000), big):
+            divisors = [p for p in arith._TRIAL_PRIMES if n % p == 0]
+            assert factorize(n, budget, divisors).factors == factorize(n, budget).factors, (n, bound)
+    with pytest.raises(ValueError):
+        factorize(9, FactorBudget(), ())

@@ -229,6 +229,8 @@ def test_sieve_beyond_int64_limit(capsys):
         ["admissible", "0"],
         ["admissible", "-3"],
         ["census", "5", "0", "10"],
+        ["witness", "4", "1", "4", "8", "--tmax", "-5"],
+        ["force-triple", "5", "1", "2", "3", "--xbudget", "-5"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import twosq.witness as witness
 from twosq.admissibility import admissible_classes, is_admissible_value
 from twosq.arith import (
+    _TRIAL_PRIMES,
     DEFAULT_BUDGET,
     FactorBudget,
     FactoredInteger,
@@ -293,9 +294,10 @@ def _reference_scan(family, t_max, budget=DEFAULT_BUDGET, stop_after=None):
 _SIEVE_PRIMES = [p for p in small_primes(311) if p % 4 == 3]
 
 
-def _once_divided(value):
-    """Whether some prime p = 3 mod 4 up to 311 divides value exactly once."""
-    return any(valuation(value, p) == 1 for p in _SIEVE_PRIMES)
+def _once_divided(value, bound=311):
+    """Whether some prime p = 3 mod 4 up to bound divides value to the power
+    1 or 3, the odd valuations the sieve strikes."""
+    return any(valuation(value, p) in (1, 3) for p in _SIEVE_PRIMES if p <= bound)
 
 
 # The (q, a, h, k) families and scan bounds of the benchmark's witness pool.
@@ -337,8 +339,7 @@ def test_sieved_scan_matches_reference_under_budget():
     reference = _reference_scan(fam, 300, budget=budget)
     assert result.certificates == reference.certificates
     # the sieve decides some budget skips, and only those
-    sieve_primes = [p for p in _SIEVE_PRIMES if p <= 20]
-    struck = [t for t in reference.skipped_t if any(valuation(fam.F(t), p) == 1 for p in sieve_primes)]
+    struck = [t for t in reference.skipped_t if _once_divided(fam.F(t), 20)]
     assert struck
     assert result.skipped_t == [t for t in reference.skipped_t if t not in struck]
 
@@ -369,6 +370,43 @@ def test_sieve_strikes_exactly_single_valuations(coeffs, split):
     classes = _sieve_classes(fam, DEFAULT_BUDGET)
     struck = list(_struck(classes, 0, split)) + list(_struck(classes, split, 301))
     assert struck == [_once_divided(fam.F(t)) for t in range(301)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_positive_quadratics(), st.integers(1, 300))
+def test_divisor_words_mark_exactly_the_dividing_trial_primes(coeffs, split):
+    A, B, C = coeffs
+    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=A, B=B, C=C, k=0)
+    roots = witness._trial_roots(fam, DEFAULT_BUDGET)
+    words = [*witness._divisor_words(roots, 0, split).tolist(), *witness._divisor_words(roots, split, 301).tolist()]
+    for t, word in enumerate(words):
+        value = fam.F(t)
+        assert word == sum(1 << i for i, p in enumerate(_TRIAL_PRIMES) if value % p == 0), t
+        assert witness._word_primes(word) == [p for p in _TRIAL_PRIMES if value % p == 0], t
+
+
+@pytest.mark.parametrize("trial_bound", [1, 2, 4, 20, 311, 10**6])
+@pytest.mark.parametrize("params,t_max", [((20, 1, 4, 8), 400), ((80, 42, 191, 392), 40)])
+def test_sieved_scan_matches_reference_at_every_trial_bound(params, t_max, trial_bound):
+    """The trial primes the sieve names stand in for the full trial stage:
+    the same certificates, and the same budget skips but for those the
+    sieve strikes. One short rho round leaves some values undecided."""
+    q, a, h, k = params
+    fam = build_witness_family(factorize(q), a, h, k)
+    budget = FactorBudget(trial_bound=trial_bound, rho_rounds=1, rho_iterations=64)
+    result = scan_family(fam, t_max, budget=budget)
+    reference = _reference_scan(fam, t_max, budget=budget)
+    assert result.certificates == reference.certificates
+    struck = [_once_divided(fam.F(t), trial_bound) for t in range(t_max + 1)]
+    assert result.skipped_t == [t for t in reference.skipped_t if not struck[t]]
+    assert result.sieved == sum(struck)
+
+
+def test_scan_rejects_negative_t_max():
+    fam = build_witness_family(factorize(4), 1, 4, 8)
+    with pytest.raises(ValueError):
+        scan_family(fam, -1)
+    assert scan_family(fam, 0).certificates[0].t == 0
 
 
 def _res_val(x, p, e):
