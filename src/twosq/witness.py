@@ -168,10 +168,11 @@ class WitnessFamily:
 class TripleCertificate:
     """Self-verifying record of a triple of sums of two squares.
 
-    reps carry explicit (x, y) with x^2+y^2 equal to n, n+h, n+k in order.
-    When `consecutive` is set, evidence lists one witness (m, p) per integer
-    m strictly between n and n+k (other than n+h): a prime p = 3 mod 4
-    divides m to an odd power, so m is not a sum of two squares.
+    reps carry explicit (x, y) with x^2+y^2 equal to n, n+h, n+k in order,
+    for distinct offsets h, k >= 1. When `consecutive` is set, 0 < h < k and
+    evidence lists one witness (m, p) per integer m strictly between n and
+    n+k (other than n+h): a prime p = 3 mod 4 divides m to an odd power, so
+    m is not a sum of two squares.
     """
 
     n: int
@@ -185,6 +186,8 @@ class TripleCertificate:
     evidence: tuple[tuple[int, int], ...] = ()
 
     def verify(self) -> bool:
+        if self.h < 1 or self.k < 1 or self.h == self.k:
+            return False
         targets = (self.n, self.n + self.h, self.n + self.k)
         for (x, y), m in zip(self.reps, targets):
             if x * x + y * y != m:
@@ -192,9 +195,9 @@ class TripleCertificate:
         if self.q < 1 or self.n % self.q != self.a % self.q:
             return False
         if self.consecutive:
-            # Count first, so the cost stays bounded by the evidence itself.
-            needed = max(self.k - 1, 0) - (1 if 0 < self.h < self.k else 0)
-            if len(self.evidence) != needed:
+            # Count first, so the cost stays bounded by the evidence itself:
+            # n+h is the one member strictly between n and n+k.
+            if self.h > self.k or len(self.evidence) != self.k - 2:
                 return False
             covered = set()
             for m, p in self.evidence:
@@ -230,6 +233,9 @@ class TripleCertificate:
         reps = tuple((_decimal(x), _decimal(y)) for x, y in data["reps"])
         if len(reps) != 3:
             raise ValueError("certificate needs exactly three representations")
+        consecutive = data.get("consecutive")
+        if consecutive is not None and not isinstance(consecutive, bool):
+            raise ValueError(f"consecutive must be true, false or null, got {consecutive!r:.40}")
         return cls(
             n=_decimal(data["n"]),
             q=_decimal(data["q"]),
@@ -238,7 +244,7 @@ class TripleCertificate:
             k=_decimal(data["k"]),
             t=None if data.get("t") is None else _decimal(data["t"]),
             reps=reps,
-            consecutive=data.get("consecutive"),
+            consecutive=consecutive,
             evidence=tuple((_decimal(m), _decimal(p)) for m, p in data.get("evidence", [])),
         )
 
@@ -266,12 +272,14 @@ def _canon_pair(x: int, y: int) -> tuple[int, int]:
 def check_hypotheses(q: FactoredInteger, a: int, h: int, k: int) -> HypothesisVerdict:
     """Verify the preconditions of the family construction, clause by clause.
 
-    Requires: h, k >= 1; even valuation at every prime 3 mod 4; valuation of
-    2 even and at least 2; a, a+h, a+k admissible mod q and not 0 mod
-    2^(v2 - 1). Returns the first violated clause.
+    Requires: h, k >= 1 and h != k; even valuation at every prime 3 mod 4;
+    valuation of 2 even and at least 2; a, a+h, a+k admissible mod q and not
+    0 mod 2^(v2 - 1). Returns the first violated clause.
     """
     if h < 1 or k < 1:
         return HypothesisVerdict(False, "offsets_positive", f"h={h}, k={k}")
+    if h == k:
+        return HypothesisVerdict(False, "offsets_distinct", f"h = k = {h}")
     p = obstructing_prime(q)
     if p is not None:
         return HypothesisVerdict(False, "odd_prime_valuation", f"nu_{p} = {q.factors[p]} is odd")
@@ -603,11 +611,11 @@ def _roots_mod_p(A: int, B: int, C: int, p: int) -> list[int] | None:
 
 
 def _odd_valuation_classes(
-    A: int, B: int, C: int, p: int, valuations: tuple[int, ...] = (1, 3)
+    A: int, B: int, C: int, p: int, roots: list[int] | None, valuations: tuple[int, ...] = (1, 3)
 ) -> list[tuple[int, int, int]]:
     """Progressions (r, m, sign), t = r mod m, whose signed indicators sum to 1
     where v_p(F(t)) is one of `valuations`, for F(t) = A t^2 + B t + C and an
-    odd prime p, and to 0 elsewhere.
+    odd prime p, and to 0 elsewhere. `roots` is `_roots_mod_p(A, B, C, p)`.
 
     The default is the odd valuations 1 and 3: a simple root r mod p lifts
     by Newton steps to one class mod p^2, p^3 and p^4 each, with signs +1
@@ -623,9 +631,9 @@ def _odd_valuation_classes(
     A, B, C = A % top, B % top, C % top
     if A == B == C == 0:
         return []
-    if A % p == B % p == C % p == 0:
-        return _odd_valuation_classes(A // p, B // p, C // p, p, tuple(v - 1 for v in valuations if v))
-    roots = _roots_mod_p(A, B, C, p)
+    if roots is None:  # every coefficient is 0 mod p
+        A, B, C, valuations = A // p, B // p, C // p, tuple(v - 1 for v in valuations if v)
+        return _odd_valuation_classes(A, B, C, p, _roots_mod_p(A, B, C, p), valuations)
     classes = [(0, 1, 1)] + [(r, p, -1) for r in roots] if 0 in valuations else []
     for r in roots:
         slope = (2 * A * r + B) % p
@@ -640,55 +648,12 @@ def _odd_valuation_classes(
                 if j:
                     classes += [(*lifts[j - 1], 1), (*lifts[j], -1)]
             continue
-        # F(r + p x) = A p^2 x^2 + (2 A r + B) p x + F(r)
-        lifted = _odd_valuation_classes(A * p * p, (2 * A * r + B) * p, (A * r + B) * r + C, p, valuations)
+        # F(r + p x) = A p^2 x^2 + (2 A r + B) p x + F(r), every coefficient 0 mod p
+        lifted = _odd_valuation_classes(
+            A * p * p, (2 * A * r + B) * p, (A * r + B) * r + C, p, None, valuations
+        )
         classes += [(r + p * s, p * m, sign) for s, m, sign in lifted]
     return classes
-
-
-def _sieve_classes(family: WitnessFamily, budget: FactorBudget) -> list[tuple[int, int, int]]:
-    """`_odd_valuation_classes` of F at the trial primes 3 mod 4 up to trial_bound."""
-    C = family.C + family.k
-    return [
-        cls
-        for p in _TRIAL_PRIMES
-        if p % 4 == 3 and p <= budget.trial_bound
-        for cls in _odd_valuation_classes(family.A, family.B, C, p)
-    ]
-
-
-def _trial_roots(family: WitnessFamily, budget: FactorBudget) -> list[list[int] | None]:
-    """`_roots_mod_p` of F at the trial primes up to max(trial_bound, 2), in
-    order, as `factorize` takes them."""
-    C = family.C + family.k
-    bound = max(budget.trial_bound, 2)
-    return [_roots_mod_p(family.A, family.B, C, p) for p in _TRIAL_PRIMES if p <= bound]
-
-
-def _struck(classes: list[tuple[int, int, int]], lo: int, hi: int) -> np.ndarray:
-    """Mask over t in [lo, hi): True where the classes strike t."""
-    # each prime's running sum stays 0 or 1, so the count stays within the
-    # 34 trial primes 3 mod 4
-    count = np.zeros(hi - lo, dtype=np.int8)
-    for r, m, sign in classes:
-        start = (r - lo) % m
-        if start < hi - lo:  # most classes mod p^3 and p^4 miss a block
-            count[start::m] += sign
-    return count > 0
-
-
-def _divisor_words(roots: list[list[int] | None], lo: int, hi: int) -> np.ndarray:
-    """One word per t in [lo, hi): bit i is set where the i-th trial prime
-    divides F(t), given the roots of F mod each trial prime."""
-    words = np.zeros(hi - lo, dtype=np.uint64)
-    for i, (p, rs) in enumerate(zip(_TRIAL_PRIMES, roots)):
-        bit = np.uint64(1 << i)
-        if rs is None:
-            words |= bit
-            continue
-        for r in rs:
-            words[(r - lo) % p :: p] |= bit
-    return words
 
 
 def _word_primes(word: int) -> list[int]:
@@ -702,15 +667,33 @@ def _word_primes(word: int) -> list[int]:
 
 
 def _sieved_t(family: WitnessFamily, budget: FactorBudget, t_max: int):
-    """(t, trial primes dividing F(t)) for the t in [0, t_max] that no sieve
-    class strikes, ascending, sieved SIEVE_BLOCK values of t at a time."""
-    classes = _sieve_classes(family, budget)
-    roots = _trial_roots(family, budget)
+    """(t, trial primes dividing F(t)) for the t in [0, t_max] that no strike
+    class strikes, ascending. F's roots mod each trial prime up to
+    max(trial_bound, 2) are found once and also seed the strike classes of
+    the primes 3 mod 4. Each block of SIEVE_BLOCK values of t then fills the
+    strike count and the divisor words in one pass over the primes."""
+    A, B, C = family.A, family.B, family.C + family.k
+    sieve = []  # (p, its divisor-word bit, the t mod p where p | F(t), strike classes)
+    for i, p in enumerate(_TRIAL_PRIMES):
+        if p > max(budget.trial_bound, 2):
+            break
+        roots = _roots_mod_p(A, B, C, p)
+        classes = _odd_valuation_classes(A, B, C, p, roots) if p % 4 == 3 else []
+        sieve.append((p, np.uint64(1 << i), range(p) if roots is None else roots, classes))
     for lo in range(0, t_max + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, t_max + 1)
-        kept = np.flatnonzero(~_struck(classes, lo, hi))
-        words = _divisor_words(roots, lo, hi)[kept].tolist()
-        yield from zip((lo + kept).tolist(), map(_word_primes, words))
+        # each prime's running sum stays 0 or 1: int8 holds the 34 primes 3 mod 4
+        count = np.zeros(hi - lo, dtype=np.int8)
+        words = np.zeros(hi - lo, dtype=np.uint64)
+        for p, bit, roots, classes in sieve:
+            for r in roots:
+                words[(r - lo) % p :: p] |= bit
+            for r, m, sign in classes:
+                start = (r - lo) % m
+                if start < hi - lo:  # most classes mod p^3 and p^4 miss a block
+                    count[start::m] += sign
+        kept = np.flatnonzero(count <= 0)
+        yield from zip((lo + kept).tolist(), map(_word_primes, words[kept].tolist()))
 
 
 def check_local_obstructions(family: WitnessFamily) -> None:

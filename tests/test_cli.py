@@ -71,6 +71,12 @@ def _without_k(data):
     return json.dumps(data)
 
 
+def _forged_offsets(n, h, k, reps):
+    """A consecutive certificate whose squares hold but whose offsets make no ordered triple."""
+    cert = {"n": n, "q": "1", "a": "0", "h": h, "k": k, "t": None, "reps": reps}
+    return lambda data: json.dumps(dict(cert, consecutive=True, evidence=[]))
+
+
 BAD_CERTIFICATE_LINES = {
     "tampered": lambda data: json.dumps(dict(data, n="7")),  # fails verification
     "missing_key": _without_k,
@@ -78,6 +84,10 @@ BAD_CERTIFICATE_LINES = {
     "non_decimal": lambda data: json.dumps(dict(data, n="0x29")),
     "int_field": lambda data: json.dumps(dict(data, h=4)),
     "invalid_json": lambda data: json.dumps(data)[:-7],
+    "consecutive_string": lambda data: json.dumps(dict(data, consecutive="no")),
+    "equal_offsets": _forged_offsets("1", "1", "1", [["0", "1"], ["1", "1"], ["1", "1"]]),
+    "zero_offsets": _forged_offsets("1", "0", "0", [["0", "1"], ["0", "1"], ["0", "1"]]),
+    "negative_offsets": _forged_offsets("5", "-1", "-4", [["1", "2"], ["0", "2"], ["0", "1"]]),
 }
 
 
@@ -91,6 +101,14 @@ def test_verify_rejects_bad_certificate(capsys, tmp_path):
         assert code == 1, case
         (line,) = err.splitlines()  # one JSON diagnostic, naming the bad line
         assert json.loads(line)["line"] == "3", case
+
+
+def test_witness_rejects_equal_offsets(capsys):
+    code, out, err = run_capture(capsys, ["witness", "4", "1", "4", "4", "--tmax", "5"])
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "hypothesis_violation"
+    assert "offsets_distinct" in json.loads(line)["detail"]
 
 
 def test_verify_beyond_int_str_digit_limit(capsys, tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +41,8 @@ from twosq.witness import (
     _iter_crt_pairs,
     _iter_uv_local,
     _shift_target,
-    _sieve_classes,
+    _sieved_t,
     _strip_stray_primes,
-    _struck,
     _two_adic_feasible,
     build_family,
     build_witness_family,
@@ -60,6 +60,8 @@ def test_hypotheses_examples():
     assert not v.ok and v.failed_clause == "two_adic_nonvanishing"
     v = check_hypotheses(factorize(9), 1, 3, 6)
     assert not v.ok and v.failed_clause == "two_adic_valuation"
+    v = check_hypotheses(factorize(4), 1, 4, 4)
+    assert not v.ok and v.failed_clause == "offsets_distinct"
 
 
 def test_hypotheses_clause_order():
@@ -362,27 +364,37 @@ def _positive_quadratics(draw):
     return a * sa, b * sb, c * sc
 
 
+def _sieved_in_blocks(coeffs, block):
+    """`_sieved_t` over t <= 300 for F = A t^2 + B t + C, SIEVE_BLOCK = block."""
+    A, B, C = coeffs
+    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=A, B=B, C=C, k=0)
+    with mock.patch.object(witness, "SIEVE_BLOCK", block):
+        return fam, list(_sieved_t(fam, DEFAULT_BUDGET, 300))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_positive_quadratics(), st.integers(1, 300))
 def test_sieve_strikes_exactly_single_valuations(coeffs, split):
-    A, B, C = coeffs
-    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=A, B=B, C=C, k=0)
-    classes = _sieve_classes(fam, DEFAULT_BUDGET)
-    struck = list(_struck(classes, 0, split)) + list(_struck(classes, split, 301))
-    assert struck == [_once_divided(fam.F(t)) for t in range(301)]
+    fam, kept = _sieved_in_blocks(coeffs, split)
+    assert [t for t, _ in kept] == [t for t in range(301) if not _once_divided(fam.F(t))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_positive_quadratics(), st.integers(1, 300))
 def test_divisor_words_mark_exactly_the_dividing_trial_primes(coeffs, split):
-    A, B, C = coeffs
-    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=A, B=B, C=C, k=0)
-    roots = witness._trial_roots(fam, DEFAULT_BUDGET)
-    words = [*witness._divisor_words(roots, 0, split).tolist(), *witness._divisor_words(roots, split, 301).tolist()]
-    for t, word in enumerate(words):
-        value = fam.F(t)
-        assert word == sum(1 << i for i, p in enumerate(_TRIAL_PRIMES) if value % p == 0), t
-        assert witness._word_primes(word) == [p for p in _TRIAL_PRIMES if value % p == 0], t
+    fam, kept = _sieved_in_blocks(coeffs, split)
+    for t, divisors in kept:
+        assert divisors == [p for p in _TRIAL_PRIMES if fam.F(t) % p == 0], t
+
+
+@pytest.mark.parametrize("budget,calls", [(DEFAULT_BUDGET, 64), (FactorBudget(trial_bound=20), 8)])
+def test_scan_finds_roots_once_per_trial_prime(budget, calls):
+    """One `_roots_mod_p` per trial prime up to max(trial_bound, 2): the
+    strike classes of the primes 3 mod 4 reuse the divisor-word roots."""
+    fam = build_witness_family(factorize(4), 1, 4, 8)
+    with mock.patch.object(witness, "_roots_mod_p", wraps=witness._roots_mod_p) as roots:
+        scan_family(fam, 100, budget=budget)
+    assert roots.call_count == calls
 
 
 @pytest.mark.parametrize("trial_bound", [1, 2, 4, 20, 311, 10**6])
@@ -647,6 +659,34 @@ def test_forged_composite_evidence():
     reps = ((4, 5), (0, 7), (1, 7))
     evidence = ((42, 3), (43, 43), (44, 11), (45, 15), (46, 23), (47, 47), (48, 3))
     assert not _consecutive_cert(41, 8, 9, reps, evidence).verify()
+
+
+@pytest.mark.parametrize("consecutive", [True, False, None])
+@pytest.mark.parametrize(
+    "n,h,k,reps",
+    [
+        (1, 1, 1, ((0, 1), (1, 1), (1, 1))),  # h = k
+        (1, 0, 0, ((0, 1), (0, 1), (0, 1))),  # h = k = 0
+        (5, -1, -4, ((1, 2), (0, 2), (0, 1))),  # n + k < n + h < n
+    ],
+)
+def test_forged_offsets_are_rejected(n, h, k, reps, consecutive):
+    cert = TripleCertificate(n=n, q=1, a=0, h=h, k=k, t=None, reps=reps, consecutive=consecutive)
+    assert not cert.verify()
+
+
+def test_consecutive_needs_h_below_k():
+    reps = ((0, 2), (2, 2), (1, 2))  # 4, 8, 5: a triple, but not in order
+    assert TripleCertificate(n=4, q=1, a=0, h=4, k=1, t=None, reps=reps).verify()
+    assert not _consecutive_cert(4, 4, 1, reps, ()).verify()
+
+
+@pytest.mark.parametrize("flag", ["no", "true", 1, 0, []])
+def test_certificate_consecutive_must_be_a_json_flag(flag):
+    data = _consecutive_cert(4, 1, 4, ((0, 2), (1, 2), (2, 2)), ((6, 3), (7, 7))).to_json_dict()
+    assert TripleCertificate.from_json_dict(data).verify()
+    with pytest.raises(ValueError, match="consecutive"):
+        TripleCertificate.from_json_dict(dict(data, consecutive=flag))
 
 
 def test_forged_gap_is_rejected_at_once():
