@@ -42,13 +42,16 @@ def admissibility_reason(a_value: int, factors: dict[int, int]) -> Reason | None
     """None when a mod q is admissible, else the first violated condition.
 
     Int-level core shared by the verdict API and the bulk verification loops.
+    A prime 1 mod 4 never fails, nor does a prime 3 mod 4 not dividing a
+    (f_p = 0), so only the other primes need f_p.
     """
     for p, e in factors.items():
-        f = class_exponent(a_value, p, e)
         if p == 2:
+            f = class_exponent(a_value, p, e)
             if e - f >= 2 and (a_value >> f) % 4 == 3:
                 return ("two_adic", e, f, 3)
-        elif p % 4 == 3:
+        elif p % 4 == 3 and a_value % p == 0:
+            f = class_exponent(a_value, p, e)
             if f % 2 == 1 and f != e:
                 return ("odd_prime", p, f, e)
     return None

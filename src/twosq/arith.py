@@ -407,9 +407,21 @@ def valuation(n: int, p: int) -> int:
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) > 0."""
+    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) > 0.
+
+    When a != 0 and |b|/g > 2, Euclid's x is the inverse of a/g mod |b|/g
+    taken in (-|b|/2g, |b|/2g], so one modular inverse gives the same triple;
+    the loop runs only for the remaining degenerate inputs.
+    """
     if a == 0 and b == 0:
         raise DegenerateInput("ext_gcd(0, 0) is undefined")
+    g = math.gcd(a, b)
+    m = abs(b) // g
+    if a and m > 2:
+        x = pow(a // g, -1, m)
+        if 2 * x > m:
+            x -= m
+        return g, x, (g - a * x) // b
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1

@@ -36,7 +36,7 @@ from .arith import (
     FactorBudget,
     FactoredInteger,
     ResidueClass,
-    crt_combine,
+    crt_combine,  # no longer called here, but perfbench/tracing.py wraps witness.crt_combine
     ext_gcd,
     factorize,
     is_prime,
@@ -115,8 +115,10 @@ class WitnessFamily:
 
     @property
     def eta(self) -> int:
-        d = self.B * self.B - 4 * self.A * self.C
-        return math.isqrt(-d)
+        """sqrt(4AC - B^2). Lagrange's identity gives B^2 - 4AC =
+        -4T^2 (X0 u/g + Y0 v/g)^2 with (X0, Y0) = (x_of(0), y_of(0))."""
+        g = self.g
+        return 2 * self.T * abs(self.x_of(0) * (self.u // g) + self.y_of(0) * (self.v // g))
 
     def x_of(self, t: int) -> int:
         return self.x0 + self.T * (self.r0 + (self.v // self.g) * t)
@@ -137,27 +139,37 @@ class WitnessFamily:
         return _canon_pair(self.x_of(t) + self.u, self.y_of(t) + self.v)
 
     def verify(self) -> None:
-        """Exact verification of every family invariant; raises on failure."""
-        q = self.q.value
+        """Exact verification of every family invariant; raises on failure.
+
+        Each big quantity is formed once: x(t) and y(t) step from
+        (X0, Y0) = (x_of(0), y_of(0)), and B^2 - 4AC is checked against eta^2.
+        """
+        q, T, A, B, C = self.q.value, self.T, self.A, self.B, self.C
+        u, v = self.u, self.v
         g = self.g
-        if g == 0 or q % (2 * g) != 0 or self.T != q // (2 * g):
+        if g == 0 or q % (2 * g) != 0 or T != q // (2 * g):
             raise InternalInconsistency("T != q / (2 gcd(u, v))")
-        if (self.T * self.T) % q != 0:
+        if (T * T) % q != 0:
             raise InternalInconsistency("q does not divide T^2")
-        if self.A <= 0:
+        if A <= 0:
             raise InternalInconsistency("leading coefficient not positive")
-        if self.A % q != 0 or self.B % q != 0 or self.C % q != self.a % q:
+        if A % q != 0 or B % q != 0 or C % q != self.a % q:
             raise InternalInconsistency("F(t) - k is not constantly a mod q")
+        ub, vb = u // g, v // g
+        X0, Y0 = self.x0 + T * self.r0, self.y0 + T * self.s0
+        dx, dy = T * vb, T * ub
         for t in (0, 1, 2):
-            n = self.n_value(t)
-            if n != self.x_of(t) ** 2 + self.y_of(t) ** 2:
+            n = A * t * t + B * t + C
+            x, y = X0 + dx * t, Y0 - dy * t
+            if n != x * x + y * y:
                 raise InternalInconsistency(f"n(t) identity fails at t={t}")
-            if n + self.h != (self.x_of(t) + self.u) ** 2 + (self.y_of(t) + self.v) ** 2:
+            if n + self.h != (x + u) ** 2 + (y + v) ** 2:
                 raise InternalInconsistency(f"n(t)+h identity fails at t={t}")
-        d0 = self.B * self.B - 4 * self.A * self.C
-        if d0 > 0 or self.eta * self.eta != -d0:
+        d0 = B * B - 4 * A * C
+        eta = 2 * T * abs(X0 * ub + Y0 * vb)
+        if d0 > 0 or eta * eta != -d0:
             raise InternalInconsistency("B^2 - 4AC is not minus a perfect square")
-        if self.disc() > 0:
+        if d0 - 4 * A * self.k > 0:
             raise InternalInconsistency("positive discriminant")
 
     def disc(self) -> int:
@@ -345,7 +357,6 @@ def _iter_crt_pairs(q: FactoredInteger, local, missing: str):
     other enumerators stop after their first pair.
     """
     primes = q.primes()
-    moduli = [p ** q.factors[p] for p in primes]
     sources = [itertools.islice(local(p, q.factors[p]), LOCAL_CANDIDATES) for p in primes]
     drawn: list[list[tuple[int, int]]] = []
     for p, source in zip(primes, sources):
@@ -353,13 +364,21 @@ def _iter_crt_pairs(q: FactoredInteger, local, missing: str):
         if first is None:
             raise SearchExhausted(f"{missing} at prime power {p}^{q.factors[p]}")
         drawn.append([first])
+    # Garner's mixed radix: each p^e with the product M of the moduli before
+    # it and M^-1 mod p^e, shared by both coordinates of every combination.
+    radix, prod = [], 1
+    for p in primes:
+        m = p ** q.factors[p]
+        radix.append((m, prod, pow(prod % m, -1, m)))
+        prod *= m
     index = [0] * len(primes)
     for _ in range(COMBO_CAP):
-        combo = [pairs[i] for pairs, i in zip(drawn, index)]
-        yield (
-            crt_combine([ResidueClass(xy[0], m) for xy, m in zip(combo, moduli)]).value,
-            crt_combine([ResidueClass(xy[1], m) for xy, m in zip(combo, moduli)]).value,
-        )
+        x = y = 0
+        for pairs, i, (m, prefix, inv) in zip(drawn, index, radix):
+            r, s = pairs[i]
+            x += prefix * ((r - x % m) * inv % m)
+            y += prefix * ((s - y % m) * inv % m)
+        yield x, y
         j = len(primes) - 1
         while j >= 0:
             index[j] += 1

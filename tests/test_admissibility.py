@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from twosq.admissibility import admissible_classes, is_admissible, lift_admissible
+from twosq.admissibility import (
+    admissible_classes,
+    class_exponent,
+    is_admissible,
+    lift_admissible,
+)
 from twosq.arith import FactoredInteger, ResidueClass, factorize
 from twosq.errors import ModulusMismatch, NoAdmissibleLift
 
@@ -29,10 +34,35 @@ def test_modulus_mismatch():
 
 
 def test_exhaustive_equivalence_small():
-    for q in range(1, 151):
+    # every q up to 150, then moduli mixing larger prime powers
+    for q in [*range(1, 151), 243, 343, 441, 468, 520, 540]:
         fq = factorize(q)
         mine = {c.value for c in admissible_classes(fq)}
         assert mine == brute_admissible_set(q), q
+
+
+def _reference_reason(a, factors):
+    """The failure reason with f_p computed at every prime, none skipped."""
+    for p, e in factors.items():
+        f = class_exponent(a, p, e)
+        if p == 2:
+            if e - f >= 2 and (a >> f) % 4 == 3:
+                return ("two_adic", e, f, 3)
+        elif p % 4 == 3:
+            if f % 2 == 1 and f != e:
+                return ("odd_prime", p, f, e)
+    return None
+
+
+def test_reasons_match_full_exponent_scan():
+    fq = factorize(4 * 27 * 49)
+    kinds = set()
+    for a in range(fq.value):
+        verdict = is_admissible(ResidueClass(a, fq.value), fq)
+        assert verdict.reason == _reference_reason(a, fq.factors), a
+        if verdict.reason is not None:
+            kinds.add(verdict.reason[:2])
+    assert kinds == {("two_adic", 2), ("odd_prime", 3), ("odd_prime", 7)}
 
 
 def test_multiplicativity():

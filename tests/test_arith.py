@@ -350,6 +350,62 @@ def test_ext_gcd_identity(a, b):
     assert a % g == 0 and b % g == 0
 
 
+def _euclid_ext_gcd(a, b):
+    """Reference: the extended Euclid loop, run to the end on every input."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def test_ext_gcd_matches_euclid_on_small_grid():
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a or b:
+                assert ext_gcd(a, b) == _euclid_ext_gcd(a, b), (a, b)
+
+
+@settings(max_examples=300)
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12), st.integers(1, 10**4))
+def test_ext_gcd_matches_euclid(a, b, scale):
+    for x, y in ((a, b), (a * scale, b * scale), (0, b * scale), (a * scale, 0)):
+        if x or y:
+            assert ext_gcd(x, y) == _euclid_ext_gcd(x, y), (x, y)
+
+
+@given(
+    st.integers(1, 10**9),
+    st.integers(-10**9, 10**9),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, -1]),
+)
+def test_ext_gcd_matches_euclid_when_b_over_g_is_small(g, c, ratio, sign):
+    # a = g c and b = +-ratio g, so |b| / gcd(a, b) is 1 or 2 once c is odd
+    c = 2 * c + 1 if ratio == 2 else c
+    a, b = g * c, sign * ratio * g
+    assert math.gcd(a, b) == g and abs(b) // g == ratio
+    assert ext_gcd(a, b) == _euclid_ext_gcd(a, b)
+    assert ext_gcd(b, a) == _euclid_ext_gcd(b, a)
+
+
+_4000_BITS = st.integers(2**3999, 2**4000 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_4000_BITS, _4000_BITS, st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.integers(1, 2**64))
+def test_ext_gcd_matches_euclid_on_4000_bit_pairs(a, b, sign_a, sign_b, scale):
+    a, b = sign_a * a, sign_b * b
+    for x, y in ((a, b), (a * scale, b * scale)):
+        assert ext_gcd(x, y) == _euclid_ext_gcd(x, y)
+
+
 def test_crt_examples():
     assert crt_combine([ResidueClass(2, 3), ResidueClass(3, 5)]) == ResidueClass(8, 15)
     assert crt_combine([ResidueClass(0, 1)]) == ResidueClass(0, 1)

@@ -77,30 +77,44 @@ def _forged_offsets(n, h, k, reps):
     return lambda data: json.dumps(dict(cert, consecutive=True, evidence=[]))
 
 
+# case -> (the diagnostic's error, the bad third line made from a good certificate)
 BAD_CERTIFICATE_LINES = {
-    "tampered": lambda data: json.dumps(dict(data, n="7")),  # fails verification
-    "missing_key": _without_k,
-    "array": lambda data: json.dumps([data]),
-    "non_decimal": lambda data: json.dumps(dict(data, n="0x29")),
-    "int_field": lambda data: json.dumps(dict(data, h=4)),
-    "invalid_json": lambda data: json.dumps(data)[:-7],
-    "consecutive_string": lambda data: json.dumps(dict(data, consecutive="no")),
-    "equal_offsets": _forged_offsets("1", "1", "1", [["0", "1"], ["1", "1"], ["1", "1"]]),
-    "zero_offsets": _forged_offsets("1", "0", "0", [["0", "1"], ["0", "1"], ["0", "1"]]),
-    "negative_offsets": _forged_offsets("5", "-1", "-4", [["1", "2"], ["0", "2"], ["0", "1"]]),
+    "tampered": ("verification_failed", lambda data: json.dumps(dict(data, n="7"))),
+    "missing_key": ("malformed_certificate", _without_k),
+    "array": ("malformed_certificate", lambda data: json.dumps([data])),
+    "non_decimal": ("malformed_certificate", lambda data: json.dumps(dict(data, n="0x29"))),
+    "int_field": ("malformed_certificate", lambda data: json.dumps(dict(data, h=4))),
+    "invalid_json": ("malformed_certificate", lambda data: json.dumps(data)[:-7]),
+    "consecutive_string": (
+        "malformed_certificate",
+        lambda data: json.dumps(dict(data, consecutive="no")),
+    ),
+    "equal_offsets": (
+        "verification_failed",
+        _forged_offsets("1", "1", "1", [["0", "1"], ["1", "1"], ["1", "1"]]),
+    ),
+    "zero_offsets": (
+        "verification_failed",
+        _forged_offsets("1", "0", "0", [["0", "1"], ["0", "1"], ["0", "1"]]),
+    ),
+    "negative_offsets": (
+        "verification_failed",
+        _forged_offsets("5", "-1", "-4", [["1", "2"], ["0", "2"], ["0", "1"]]),
+    ),
 }
 
 
 def test_verify_rejects_bad_certificate(capsys, tmp_path):
     code, out, _ = run_capture(capsys, ["witness", "4", "1", "4", "8", "--tmax", "4"])
     first = out.splitlines()[0]
-    for case, make_line in BAD_CERTIFICATE_LINES.items():
+    for case, (error, make_line) in BAD_CERTIFICATE_LINES.items():
         path = tmp_path / f"{case}.jsonl"
         path.write_text(first + "\n\n" + make_line(json.loads(first)) + "\n", encoding="utf-8")
         code, _, err = run_capture(capsys, ["verify", str(path)])
         assert code == 1, case
         (line,) = err.splitlines()  # one JSON diagnostic, naming the bad line
-        assert json.loads(line)["line"] == "3", case
+        diagnostic = json.loads(line)
+        assert (diagnostic["error"], diagnostic["line"]) == (error, "3"), case
 
 
 def test_witness_rejects_equal_offsets(capsys):

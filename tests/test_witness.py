@@ -32,6 +32,7 @@ from twosq.errors import (
     ObstructionFound,
     SearchExhausted,
 )
+from twosq.forcing import build_blocking_system
 from twosq.witness import (
     ScanResult,
     ShiftPair,
@@ -321,6 +322,41 @@ def test_sieved_scan_matches_reference(params, t_max):
     assert result.certificates == reference.certificates
     assert result.skipped_t == reference.skipped_t
     assert result.sieved == sum(_once_divided(fam.F(t)) for t in range(t_max + 1))
+
+
+@pytest.fixture(scope="module")
+def tamper_sources():
+    """A pool family and the family over the q = 5 [1, 2, 3] blocking system."""
+    system = build_blocking_system(factorize(5), 1, 2, 3)
+    return {
+        "pool": build_witness_family(factorize(80), 42, 191, 392),
+        "blocking": build_witness_family(system.T_blk, system.a_T.value, system.h, system.k),
+    }
+
+
+@pytest.mark.parametrize("source", ["pool", "blocking"])
+@pytest.mark.parametrize(
+    "change",
+    [lambda f: {"r0": f.r0 + 1}, lambda f: {"C": f.C + f.q.value}, lambda f: {"B": -f.B}],
+    ids=["r0+1", "C+q", "-B"],
+)
+def test_family_verify_rejects_tampering(tamper_sources, source, change):
+    family = tamper_sources[source]
+    family.verify()
+    assert family.B != 0
+    with pytest.raises(InternalInconsistency):
+        dataclasses.replace(family, **change(family)).verify()
+
+
+@pytest.mark.parametrize("params", [params for params, _ in _POOL] + ["blocking"])
+def test_eta_is_the_root_of_minus_b2_minus_4ac(tamper_sources, params):
+    if params == "blocking":
+        family = tamper_sources["blocking"]
+    else:
+        q, a, h, k = params
+        family = build_witness_family(factorize(q), a, h, k)
+    A, B, C = family.A, family.B, family.C
+    assert family.eta == math.isqrt(-(B * B - 4 * A * C))
 
 
 def test_sieved_scan_stop_after_crosses_blocks(monkeypatch):
