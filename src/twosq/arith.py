@@ -531,17 +531,29 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
 
 
 def _sqrt_unit_odd(a: int, p: int, e: int) -> tuple[int, ...]:
-    """Sorted roots of x^2 = a mod p^e for odd p and a a unit; () when a is a nonresidue."""
-    r = sqrt_mod_prime(a, p)
-    if r is None:
-        return ()
-    pk, mod = p, p**e
-    while pk < mod:
-        # Hensel step doubles the precision: r <- r - (r^2 - a) / (2r).
-        pk_next = min(pk * pk, mod)
-        inv = pow(2 * r % pk_next, -1, pk_next)
-        r = (r - (r * r - a) * inv) % pk_next
-        pk = pk_next
+    """Sorted roots of x^2 = a mod p^e for odd p and a a unit; () when a is a nonresidue.
+
+    For p = 3 mod 4 the units form a cyclic group of order 2m, m = phi(p^e)/2
+    odd, so a residue a has a^m = 1 and r = a^((m+1)/2) squares to a: one
+    power, checked by squaring. Other p take a root mod p and Hensel-lift it.
+    """
+    mod = p**e
+    a %= mod
+    if p % 4 == 3:
+        r = pow(a, (mod // p * (p - 1) // 2 + 1) // 2, mod)
+        if r * r % mod != a:
+            return ()
+    else:
+        r = sqrt_mod_prime(a, p)
+        if r is None:
+            return ()
+        pk = p
+        while pk < mod:
+            # Hensel step doubles the precision: r <- r - (r^2 - a) / (2r).
+            pk_next = min(pk * pk, mod)
+            inv = pow(2 * r % pk_next, -1, pk_next)
+            r = (r - (r * r - a) * inv) % pk_next
+            pk = pk_next
     # r is a unit, so r and mod - r are the two distinct roots.
     return (r, mod - r) if 2 * r < mod else (mod - r, r)
 

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .admissibility import admissible_classes, is_admissible_value
+from .admissibility import admissible_classes
 from .arith import FactoredInteger
 from .errors import InternalInconsistency, TooManyPatterns
 from .sieve import iter_member_arrays
@@ -49,9 +49,6 @@ class PatternSpec:
     @property
     def r(self) -> int:
         return len(self.classes)
-
-    def all_admissible(self) -> bool:
-        return all(is_admissible_value(c, self.q) for c in self.classes)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from .arith import (
     ResidueClass,
     crt_combine,
     factorize,
-    is_prime,
+    is_prime,  # no longer called here, but perfbench/tracing.py wraps forcing.is_prime
     obstructing_prime,
+    prime_array,
     represent_two_squares,
     small_primes,
 )
@@ -181,13 +182,19 @@ def construct_two_class_tuple(
 
 
 def _primes_3mod4_above(bound: int, avoid_divisors_of: int):
-    """Ascending primes p = 3 mod 4 with p > bound not dividing the given integer."""
-    n = bound + 1
-    n += (3 - n) % 4
+    """Ascending primes p = 3 mod 4 with p > bound not dividing the given integer.
+
+    Read from `arith`'s prime table over (lo, 2 lo], lo doubling each time
+    the range runs out.
+    """
+    lo = bound
     while True:
-        if is_prime(n) and avoid_divisors_of % n != 0:
-            yield n
-        n += 4
+        hi = max(2 * lo, 16)
+        fresh = prime_array(hi)[len(prime_array(lo)) :]
+        for p in fresh[fresh % 4 == 3].tolist():
+            if avoid_divisors_of % p != 0:
+                yield p
+        lo = hi
 
 
 @dataclass
@@ -211,9 +218,11 @@ class BlockingSystem:
     def verify(self) -> None:
         """Recheck every invariant with exact arithmetic; raises on failure.
 
-        Admissibility checks run against the retained factorization of T_blk
-        with per-prime residues precomputed once, so no big factorizations
-        happen here.
+        Admissibility of every a_T + i, 0 <= i <= k, is decided by
+        `_blocked_offsets` from the retained factorization of T_blk in one
+        pass over its prime powers, so nothing is factored here; exactly the
+        intermediate offsets other than h must be blocked, and the first
+        offset that breaks this is named.
         """
         q2_4 = 4 * self.q.value**2
         if (self.a3 + self.h - self.b3) % q2_4 != 0 or (self.a3 + self.k - self.c3) % q2_4 != 0:
@@ -232,33 +241,34 @@ class BlockingSystem:
             raise InternalInconsistency("a_T wrong mod 4q^2")
         if sorted(self.blocking_primes) != [i for i in range(1, self.k) if i != self.h]:
             raise InternalInconsistency("blocking index set is not 1..k-1 minus h")
-        # Residues of a_T at every prime power of T_blk, computed once.
-        residues = {p: self.a_T.value % p**e for p, e in self.T_blk.factors.items()}
-        for i in range(0, self.k + 1):
-            value_admissible = self._shifted_admissible(residues, i)
-            if i in (0, self.h, self.k):
-                if not value_admissible:
-                    raise InternalInconsistency(f"a_T + {i} should be admissible")
-            elif value_admissible:
+        wrong = self._blocked_offsets() ^ self.blocking_primes.keys()
+        if wrong:
+            i = min(wrong)
+            if i in self.blocking_primes:
                 raise InternalInconsistency(f"a_T + {i} should not be admissible")
+            raise InternalInconsistency(f"a_T + {i} should be admissible")
         verdict = check_hypotheses(self.T_blk, self.a_T.value, self.h, self.k)
         if not verdict.ok:
             raise InternalInconsistency(
                 f"constructed system violates {verdict.failed_clause}: {verdict.detail}"
             )
 
-    def _shifted_admissible(self, residues: dict[int, int], i: int) -> bool:
-        """Whether a_T + i is admissible mod T_blk. Offset i's own blocking
-        prime is tried first; the sweep over every prime power of T_blk runs
-        for 0, h, k and for any i that prime does not block."""
-        blocker = self.blocking_primes.get(i)
-        if blocker in residues and self._blocked_at(residues, blocker, i):
-            return False
-        return not any(self._blocked_at(residues, p, i) for p in self.T_blk.factors)
-
-    def _blocked_at(self, residues: dict[int, int], p: int, i: int) -> bool:
-        e = self.T_blk.factors[p]
-        return admissibility_reason((residues[p] + i) % p**e, {p: e}) is not None
+    def _blocked_offsets(self) -> set[int]:
+        """The offsets i in [0, k] with a_T + i inadmissible mod T_blk, found
+        in one pass over its prime powers. A prime = 1 mod 4 never blocks,
+        and an odd p = 3 mod 4 can block only where it divides a_T + i, so
+        it is tried at i = -a_T mod p only; 2 is tried at every i."""
+        blocked: set[int] = set()
+        for p, e in self.T_blk.factors.items():
+            if p % 4 == 1:
+                continue
+            pe = p**e
+            r = self.a_T.value % pe
+            start, step = (0, 1) if p == 2 else (-r % p, p)
+            for i in range(start, self.k + 1, step):
+                if admissibility_reason((r + i) % pe, {p: e}) is not None:
+                    blocked.add(i)
+        return blocked
 
     def to_json_dict(self) -> dict:
         return {

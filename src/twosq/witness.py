@@ -32,6 +32,7 @@ import numpy as np
 from .admissibility import admissibility_reason, class_exponent, is_admissible_value
 from .arith import (
     _TRIAL_PRIMES,
+    _sqrt_unit_odd,
     DEFAULT_BUDGET,
     FactorBudget,
     FactoredInteger,
@@ -327,15 +328,26 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
     Scans v ascending and resolves u by modular square roots, so output is
     lexicographic in (v, u). With x0 = y0 = 0 this enumerates the base
     congruence x^2 + y^2 = c.
+
+    At an odd p with target 0, a unit w = c - (y0+v)^2 has exactly the two
+    unit roots of `_sqrt_unit_odd`, and min(v_p(u), v_p(v)) = 0 just means
+    p does not divide both u and v.
     """
     mod = p**e
-    c %= mod
+    x0, y0, c = x0 % mod, y0 % mod, c % mod
+    odd_unit_path = p != 2 and target == 0
     for v in range(min(mod, LOCAL_SCAN_CAP)):
+        yv = y0 + v
+        w = (c - yv * yv) % mod
+        if odd_unit_path and w % p:
+            for u in sorted([(r - x0) % mod for r in _sqrt_unit_odd(w, p, e)]):
+                if v % p or u % p:
+                    yield u, v
+            continue
         vv = class_exponent(v, p, e)
         if vv < target:
             continue
-        yv = (y0 + v) % mod
-        us = sqrt_mod_prime_power(c - yv * yv, p, e).expand()
+        us = sqrt_mod_prime_power(w, p, e).expand()
         if x0:  # expand() is sorted; only a nonzero shift can reorder it
             us = sorted([(x - x0) % mod for x in us])
         for u in us:

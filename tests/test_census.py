@@ -107,8 +107,6 @@ def test_pattern_spec_validation():
         PatternSpec(factorize(4), ())
     with pytest.raises(ValueError):
         PatternSpec(factorize(4), (4,))
-    assert not PatternSpec(factorize(4), (1, 3)).all_admissible()
-    assert PatternSpec(factorize(4), (1, 2)).all_admissible()
 
 
 def _reference_census_report(q, r, x):

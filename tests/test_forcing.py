@@ -5,11 +5,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from twosq import forcing
+from twosq import arith, forcing
 from twosq.admissibility import admissible_classes, is_admissible_value
-from twosq.arith import FactoredInteger, ResidueClass, crt_combine, factorize
+from twosq.arith import FactoredInteger, ResidueClass, crt_combine, factorize, is_prime
 from twosq.cli import run
 from twosq.errors import (
     DomainError,
@@ -116,6 +117,36 @@ def test_blocking_system_q1_fixture():
     assert bs.T_blk.value == 4 * (11 * 19 * 23 * 31 * 43 * 47) ** 2
 
 
+def _reference_primes_3mod4_above(bound, avoid_divisors_of):
+    """The former stream: every n = 3 mod 4 above bound through `is_prime`."""
+    n = bound + 1
+    n += (3 - n) % 4
+    while True:
+        if is_prime(n) and avoid_divisors_of % n != 0:
+            yield n
+        n += 4
+
+
+@pytest.mark.parametrize("avoid", [1, 3 * 7 * 11 * 19 * 23])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 200, 1023])
+def test_prime_stream_matches_is_prime(monkeypatch, bound, avoid):
+    # From an empty table, so the stream has to grow it while it runs;
+    # 1023 sits just below a power of two.
+    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_prime_limit", 1)
+
+    def no_prime_test(n):
+        raise AssertionError("the stream reads the prime table")
+
+    monkeypatch.setattr(forcing, "is_prime", no_prime_test)
+    stream = forcing._primes_3mod4_above(bound, avoid)
+    first = next(stream)
+    limit_at_first = arith._prime_limit
+    got = [first] + list(itertools.islice(stream, 199))
+    assert arith._prime_limit > limit_at_first
+    assert got == list(itertools.islice(_reference_primes_3mod4_above(bound, avoid), 200))
+
+
 def test_blocking_system_invariants_spot():
     bs = build_blocking_system(factorize(5), 2, 0, 3)
     # blocked offsets carry exactly one factor of their prime
@@ -192,8 +223,8 @@ def test_blocker_first_verdicts_and_tampering():
     assert free and held
 
     def verdicts(tampered):
-        residues = {p: tampered.a_T.value % p**e for p, e in tampered.T_blk.factors.items()}
-        return [tampered._shifted_admissible(residues, i) for i in range(system.k + 1)]
+        blocked = tampered._blocked_offsets()
+        return [i not in blocked for i in range(system.k + 1)]
 
     def swept(tampered):
         return [is_admissible_value(tampered.a_T.value + i, tampered.T_blk) for i in range(system.k + 1)]

@@ -464,30 +464,52 @@ def _res_val(x, p, e):
     return valuation(x % p**e, p)
 
 
-def _reference_xy_local(c, p, e, target):
-    """The former base enumerator, kept verbatim as the reference for the
-    shared local enumerator: lexicographic in (y, x)."""
+def _reference_xy_local(x0, y0, c, p, e, target):
+    """The former local enumerator, kept as the reference for the shared one:
+    it reduces the shifted point at every step and always goes through
+    `sqrt_mod_prime_power`; lexicographic in (v, u)."""
     mod = p**e
     c %= mod
-    for y in range(mod):
-        vy = _res_val(y, p, e)
-        if vy < target:
+    for v in range(mod):
+        vv = _res_val(v, p, e)
+        if vv < target:
             continue
-        for x in sqrt_mod_prime_power(c - y * y, p, e).expand():
-            vx = _res_val(x, p, e)
-            if min(vx, vy) == target:
-                yield x, y
+        yv = (y0 + v) % mod
+        for u in sorted((x - x0) % mod for x in sqrt_mod_prime_power(c - yv * yv, p, e).expand()):
+            vu = _res_val(u, p, e)
+            if min(vu, vv) == target:
+                yield u, v
+
+
+def _local_shifts(p, e):
+    """Base points for the enumerator tests: none, a multiple of p with one
+    coordinate above p^e, and one of CRT size."""
+    mod = p**e
+    return [(0, 0), (p, mod + 3), (3**2000 + 1, 5**900 + 2 * p)]
 
 
 @pytest.mark.parametrize(
-    "p,e", [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 8) if p**e <= 13**2]
+    "p,e",
+    [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 8) if p**e <= 13**2]
+    + [(19, 2), (1019, 2)],
 )
 def test_base_enumerator_matches_reference(p, e):
-    for c in range(p**e):
-        for target in range(e + 1):
-            assert list(_iter_uv_local(0, 0, c, p, e, target)) == list(
-                _reference_xy_local(c, p, e, target)
-            )
+    mod = p**e
+    count = None
+    if mod <= 13**2:
+        cases = [(c, target) for c in range(mod) for target in range(e + 1)]
+    elif mod < 1000:
+        cases = [(c, 0) for c in range(mod)]
+    else:
+        # The first pairs only, at units c: each v runs once through its class
+        # mod p, so w = c - (y0+v)^2 also meets multiples of p.
+        cases = [(c, 0) for c in (1, 2, 3, mod - 1, 123457, 654321)]
+        count = 1200
+    for x0, y0 in _local_shifts(p, e):
+        for c, target in cases:
+            got = itertools.islice(_iter_uv_local(x0, y0, c, p, e, target), count)
+            want = itertools.islice(_reference_xy_local(x0, y0, c, p, e, target), count)
+            assert list(got) == list(want), (x0, y0, c, target)
 
 
 def _reference_crt_pairs(q: FactoredInteger, local, missing: str):
