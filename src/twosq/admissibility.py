@@ -12,6 +12,7 @@ f_p = e_p for all p (the gcd-of-class convention).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,7 +67,13 @@ def is_admissible(a: ResidueClass, q: FactoredInteger) -> AdmissibilityVerdict:
 
 
 def is_admissible_value(a_value: int, q: FactoredInteger) -> bool:
-    return admissibility_reason(a_value % q.value, q.factors) is None
+    """Whether a_value mod q is admissible. Only 2 and the primes = 3 mod 4
+    dividing a can fail; for a q with many primes, one gcd finds those faster
+    than a division of a by each prime."""
+    a = a_value % q.value
+    g = math.gcd(a, q.value)
+    factors = {p: e for p, e in q.factors.items() if p == 2 or g % p == 0}
+    return admissibility_reason(a, factors) is None
 
 
 def admissible_classes(q: FactoredInteger) -> list[ResidueClass]:

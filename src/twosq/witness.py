@@ -340,7 +340,11 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
         yv = y0 + v
         w = (c - yv * yv) % mod
         if odd_unit_path and w % p:
-            for u in sorted([(r - x0) % mod for r in _sqrt_unit_odd(w, p, e)]):
+            roots = _sqrt_unit_odd(w, p, e)
+            if not roots:
+                continue
+            u1, u2 = (roots[0] - x0) % mod, (roots[1] - x0) % mod
+            for u in (u1, u2) if u1 < u2 else (u2, u1):
                 if v % p or u % p:
                     yield u, v
             continue
@@ -413,11 +417,12 @@ def iter_base_solutions(a: int, q: FactoredInteger):
     if qv == 1:
         yield BaseSolution(0, 0, ResidueClass(0, 1), q)
         return
-    pairs = _iter_crt_pairs(
-        q,
-        lambda p, e: _iter_uv_local(0, 0, a, p, e, _base_target(a, p, e)),
-        f"no base solution for a={a}",
-    )
+
+    def local(p: int, e: int):
+        c = a % p**e  # one big reduction serves the target and the enumerator
+        return _iter_uv_local(0, 0, c, p, e, _base_target(c, p, e))
+
+    pairs = _iter_crt_pairs(q, local, f"no base solution for a={a}")
     for x0, y0 in pairs:
         if x0 == 0 and y0 == 0:
             continue
@@ -530,8 +535,9 @@ def iter_shift_pairs(base: BaseSolution, h: int):
     primes = q.primes()
 
     def local(p: int, e: int):
-        target = _shift_target(a, h, p, e)
-        found = _iter_uv_local(base.x0, base.y0, a + h, p, e, target)
+        c = a % p**e  # one big reduction serves the target and the enumerator
+        target = _shift_target(c, h, p, e)
+        found = _iter_uv_local(base.x0, base.y0, c + h, p, e, target)
         if p != 2:
             return found
         return (uv for uv in found if _two_adic_feasible(base.x0, base.y0, h, e, target, *uv))

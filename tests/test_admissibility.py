@@ -6,6 +6,7 @@ from twosq.admissibility import (
     admissible_classes,
     class_exponent,
     is_admissible,
+    is_admissible_value,
     lift_admissible,
 )
 from twosq.arith import FactoredInteger, ResidueClass, factorize
@@ -39,6 +40,7 @@ def test_exhaustive_equivalence_small():
         fq = factorize(q)
         mine = {c.value for c in admissible_classes(fq)}
         assert mine == brute_admissible_set(q), q
+        assert {a for a in range(q) if is_admissible_value(a + q, fq)} == mine, q
 
 
 def _reference_reason(a, factors):
@@ -60,6 +62,7 @@ def test_reasons_match_full_exponent_scan():
     for a in range(fq.value):
         verdict = is_admissible(ResidueClass(a, fq.value), fq)
         assert verdict.reason == _reference_reason(a, fq.factors), a
+        assert is_admissible_value(a + 3 * fq.value, fq) == (verdict.reason is None), a
         if verdict.reason is not None:
             kinds.add(verdict.reason[:2])
     assert kinds == {("two_adic", 2), ("odd_prime", 3), ("odd_prime", 7)}
