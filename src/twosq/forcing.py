@@ -24,7 +24,7 @@ from .arith import (
     ResidueClass,
     crt_combine,
     factorize,
-    is_prime,  # no longer called here, but perfbench/tracing.py wraps forcing.is_prime
+    is_prime,  # not called here; perfbench/tracing.py wraps forcing.is_prime
     obstructing_prime,
     prime_array,
     represent_two_squares,
