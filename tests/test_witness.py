@@ -501,8 +501,8 @@ def test_base_enumerator_matches_reference(p, e):
     elif mod < 1000:
         cases = [(c, 0) for c in range(mod)]
     else:
-        # The first pairs only, at units c: each v runs once through its class
-        # mod p, so w = c - (y0+v)^2 also meets multiples of p.
+        # The first 1,200 pairs at unit c only. At c = 1 the scan passes v
+        # with p | w = c - (y0+v)^2, which take the general path.
         cases = [(c, 0) for c in (1, 2, 3, mod - 1, 123457, 654321)]
         count = 1200
     for x0, y0 in _local_shifts(p, e):
