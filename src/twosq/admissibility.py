@@ -13,7 +13,6 @@ f_p = e_p for all p (the gcd-of-class convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .arith import FactoredInteger, ResidueClass, valuation
@@ -23,13 +22,6 @@ from .errors import ModulusMismatch, NoAdmissibleLift
 #   ("odd_prime", p, f_p, e_p)          f_p odd and short of e_p at p = 3 mod 4
 #   ("two_adic", e_2, f_2, quot_mod_4)  a / 2^f_2 = 3 mod 4 with e_2 - f_2 >= 2
 Reason = tuple
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    cls: ResidueClass
-    admissible: bool
-    reason: Reason | None = None
 
 
 def class_exponent(a_value: int, p: int, e: int) -> int:
@@ -42,7 +34,7 @@ def class_exponent(a_value: int, p: int, e: int) -> int:
 def admissibility_reason(a_value: int, factors: dict[int, int]) -> Reason | None:
     """None when a mod q is admissible, else the first violated condition.
 
-    Int-level core shared by the verdict API and the bulk verification loops.
+    Int-level core of every admissibility check in the package.
     A prime 1 mod 4 never fails, nor does a prime 3 mod 4 not dividing a
     (f_p = 0), so only the other primes need f_p.
     """
@@ -56,14 +48,6 @@ def admissibility_reason(a_value: int, factors: dict[int, int]) -> Reason | None
             if f % 2 == 1 and f != e:
                 return ("odd_prime", p, f, e)
     return None
-
-
-def is_admissible(a: ResidueClass, q: FactoredInteger) -> AdmissibilityVerdict:
-    """Verdict for a mod q, with a structured witness on failure."""
-    if a.modulus != q.value:
-        raise ModulusMismatch(f"class modulus {a.modulus} != q = {q.value}")
-    reason = admissibility_reason(a.value, q.factors)
-    return AdmissibilityVerdict(a, reason is None, reason)
 
 
 def is_admissible_value(a_value: int, q: FactoredInteger) -> bool:

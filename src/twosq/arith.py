@@ -75,9 +75,6 @@ class ResidueClass:
         if not 0 <= self.value < self.modulus:
             object.__setattr__(self, "value", self.value % self.modulus)
 
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 
@@ -126,9 +123,6 @@ class FactoredInteger:
         for p, e in factors.items():
             value *= p**e
         return cls(value, dict(sorted(factors.items())))
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def _extend_primes(limit: int) -> None:
@@ -409,30 +403,23 @@ def valuation(n: int, p: int) -> int:
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) > 0.
 
-    When a != 0 and |b|/g > 2, Euclid's x is the inverse of a/g mod |b|/g
-    taken in (-|b|/2g, |b|/2g], so one modular inverse gives the same triple;
-    the loop runs only for the remaining degenerate inputs.
+    The triple is the one Euclid's loop ends with, in closed form: (g, a/g, 0)
+    for b = 0 and (g, 0, b/g) for |b|/g = 1. Otherwise x is the inverse of
+    a/g mod m = |b|/g taken in (-m/2, m/2], or in [-m/2, m/2) when b < 0;
+    only m = 2 can tie.
     """
     if a == 0 and b == 0:
         raise DegenerateInput("ext_gcd(0, 0) is undefined")
     g = math.gcd(a, b)
+    if b == 0:
+        return g, a // g, 0
     m = abs(b) // g
-    if a and m > 2:
-        x = pow(a // g, -1, m)
-        if 2 * x > m:
-            x -= m
-        return g, x, (g - a * x) // b
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    if m == 1:
+        return g, 0, b // g
+    x = pow(a // g, -1, m)
+    if 2 * x > m or (2 * x == m and b < 0):
+        x -= m
+    return g, x, (g - a * x) // b
 
 
 def crt_combine(congruences: list[ResidueClass]) -> ResidueClass:
@@ -655,6 +642,11 @@ def _gauss_mul(r1: tuple[int, int], r2: tuple[int, int]) -> tuple[int, int]:
     return a * c - b * d, a * d + b * c
 
 
+def _canon_pair(x: int, y: int) -> tuple[int, int]:
+    x, y = abs(x), abs(y)
+    return (x, y) if x <= y else (y, x)
+
+
 def represent_two_squares(n: FactoredInteger) -> tuple[int, int] | None:
     """A representation (x, y) with x^2 + y^2 = n and 0 <= x <= y, or None.
 
@@ -698,5 +690,5 @@ def represent_two_squares(n: FactoredInteger) -> tuple[int, int] | None:
             choices = range(e // 2 + 1 if index == 0 else e + 1)
         options = [_gauss_mul(pw[j], (pw[e - j][0], -pw[e - j][1])) for j in choices]
         reps = [_gauss_mul(rep, option) for rep in reps for option in options]
-    x, y = min((abs(x), abs(y)) if abs(x) <= abs(y) else (abs(y), abs(x)) for x, y in reps)
+    x, y = min(_canon_pair(x, y) for x, y in reps)
     return x * scalar, y * scalar

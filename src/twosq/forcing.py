@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     HypothesisViolation,
     InternalInconsistency,
-    NoAdmissibleLift,
     NoneFoundWithinBudget,
     SearchExhausted,
 )
@@ -288,9 +287,9 @@ class BlockingSystem:
 def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> BlockingSystem:
     """Construct and verify the blocking system for the pattern [a, b, c] mod q.
 
-    Lifts each class to the window (0, q^2] admissibly mod 4q^2 (also keeping
-    it away from 0 mod 2^(v2-1), which the downstream hypotheses need); falls
-    back to the window (0, 4q^2] and records that. Offsets h < k are the
+    Lifts each class to its least admissible representative mod 4q^2 in
+    (0, 4q^2] that is not 0 mod 2^(v2-1), which the downstream hypotheses
+    need, and records whether any lift lies above q^2. Offsets h < k are the
     least positive solutions, with 4q^2 added to restore order or break a
     tie. Blocking primes are the smallest valid choices in ascending index
     order, so the whole construction is deterministic.
@@ -304,26 +303,14 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     four_q2 = FactoredInteger.from_factors(factors)
     half = 1 << (four_q2.exponent(2) - 1)
 
-    def not_half_zero(m: int) -> bool:
-        return m % half != 0
+    def lift(cls: int) -> int:
+        # 4q^2 = 0 mod half fails `require`, so no lift reduces to 0
+        return lift_admissible(
+            ResidueClass(cls, qv), four_q2, window=(0, four_q2.value),
+            require=lambda m: m % half != 0,
+        ).value
 
-    widened = False
-
-    def window_lift(cls: int) -> int:
-        nonlocal widened
-        base_cls = ResidueClass(cls % qv, qv)
-        try:
-            lifted = lift_admissible(base_cls, four_q2, window=(0, qv * qv), require=not_half_zero)
-        except NoAdmissibleLift:
-            widened = True
-            lifted = lift_admissible(
-                base_cls, four_q2, window=(0, 4 * qv * qv), require=not_half_zero
-            )
-        return lifted.value if lifted.value != 0 else four_q2.value
-
-    a3 = window_lift(a)
-    b3 = window_lift(b)
-    c3 = window_lift(c)
+    a3, b3, c3 = lift(a), lift(b), lift(c)
     mod4q2 = four_q2.value
     h = (b3 - a3) % mod4q2 or mod4q2
     k = (c3 - a3) % mod4q2 or mod4q2
@@ -346,7 +333,7 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
         a3=a3, b3=b3, c3=c3, h=h, k=k,
         blocking_primes=blocking, T_blk=T_blk,
         a_T=ResidueClass(a_T.value, T_blk.value),
-        lift_window_widened=widened,
+        lift_window_widened=max(a3, b3, c3) > qv * qv,
     )
     system.verify()
     return system

@@ -46,6 +46,7 @@ inclusive (members <= x).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -289,22 +290,16 @@ def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegmen
     return seg
 
 
-def iter_segments(segment_len: int, cache_dir: str | None = None) -> Iterator[TwoSqSegment]:
-    """Unbounded stream of consecutive segments of E from 0."""
-    lo = 0
-    while True:
-        yield sieve_segment(lo, lo + segment_len, cache_dir=cache_dir)
-        lo += segment_len
-
-
 def iter_member_arrays(x: int, cache_dir: str | None = None) -> Iterator[np.ndarray]:
-    """Member values of E in ascending order, one array per segment.
+    """Member values of E in ascending order, one array per segment, from 0
+    on without end; the census and `count_N` read it up to about x.
 
     Segments shrink to the scale of a scan up to about x, so small bounds
     do not pay for a full DEFAULT_SEGMENT_LEN segment.
     """
-    for seg in iter_segments(min(DEFAULT_SEGMENT_LEN, max(x + 4096, 4096)), cache_dir):
-        yield seg.members()
+    segment_len = min(DEFAULT_SEGMENT_LEN, max(x + 4096, 4096))
+    for lo in itertools.count(0, segment_len):
+        yield sieve_segment(lo, lo + segment_len, cache_dir).members()
 
 
 def count_N(x: int, cache_dir: str | None = None) -> int:
@@ -312,12 +307,8 @@ def count_N(x: int, cache_dir: str | None = None) -> int:
     if x < 0:
         return 0
     total = 0
-    for seg in iter_segments(min(DEFAULT_SEGMENT_LEN, max(x + 1, 1024)), cache_dir):
-        if seg.lo > x:
-            break
-        if seg.hi <= x + 1:
-            total += seg.count()
-        else:
-            total += int(np.count_nonzero(seg.bits[: x + 1 - seg.lo]))
-            break
-    return total
+    for members in iter_member_arrays(x, cache_dir):
+        below = int(np.searchsorted(members, x, "right"))
+        total += below
+        if below < members.size:
+            return total

@@ -32,6 +32,7 @@ import numpy as np
 from .admissibility import admissibility_reason, class_exponent, is_admissible_value
 from .arith import (
     _TRIAL_PRIMES,
+    _canon_pair,
     _sqrt_unit_odd,
     DEFAULT_BUDGET,
     FactorBudget,
@@ -173,9 +174,6 @@ class WitnessFamily:
         if d0 - 4 * A * self.k > 0:
             raise InternalInconsistency("positive discriminant")
 
-    def disc(self) -> int:
-        return self.B * self.B - 4 * self.A * (self.C + self.k)
-
 
 @dataclass(frozen=True)
 class TripleCertificate:
@@ -216,7 +214,8 @@ class TripleCertificate:
             for m, p in self.evidence:
                 if not self.n < m < self.n + self.k or m == self.n + self.h or m in covered:
                     return False
-                if p % 4 != 3 or not is_prime(p) or valuation(m, p) % 2 == 0:
+                # p | m first: it bounds the primality test by m's own size
+                if p % 4 != 3 or m % p or not is_prime(p) or valuation(m, p) % 2 == 0:
                     return False
                 covered.add(m)
         return True
@@ -275,11 +274,6 @@ def _decimal(text) -> int:
     if not isinstance(text, str):
         raise ValueError(f"expected a decimal string, got {text!r:.40}")
     return int(text)
-
-
-def _canon_pair(x: int, y: int) -> tuple[int, int]:
-    x, y = abs(x), abs(y)
-    return (x, y) if x <= y else (y, x)
 
 
 def check_hypotheses(q: FactoredInteger, a: int, h: int, k: int) -> HypothesisVerdict:
@@ -429,19 +423,6 @@ def iter_base_solutions(a: int, q: FactoredInteger):
         yield BaseSolution(x0, y0, ResidueClass(a, qv), q)
 
 
-def solve_base(a: int, q: FactoredInteger) -> BaseSolution:
-    """First base solution in canonical order.
-
-    Raises SearchExhausted when the bounded scan finds nothing (a budget
-    signal, not a mathematical failure when a is admissible).
-    """
-    if not is_admissible_value(a % q.value, q):
-        raise HypothesisViolation(f"{a} mod {q.value} is not admissible")
-    for base in iter_base_solutions(a, q):
-        return base
-    raise SearchExhausted(f"base search exhausted for a={a} mod {q.value}")
-
-
 def _shift_target(a: int, h: int, p: int, e: int) -> int:
     """Required exact valuation of gcd(u, v) at p."""
     if p % 4 == 1:
@@ -459,27 +440,19 @@ def _shift_target(a: int, h: int, p: int, e: int) -> int:
     return min(alpha, beta) // 2
 
 
-def _q_smooth_part(n: int, primes: list[int]) -> int:
-    s = 1
-    for p in primes:
-        while n % p == 0:
-            n //= p
-            s *= p
-    return s
-
-
-def _strip_stray_primes(u: int, v: int, qv: int, primes: list[int]) -> tuple[int, int] | None:
+def _strip_stray_primes(u: int, v: int, qv: int) -> tuple[int, int] | None:
     """Adjust u by multiples of q until gcd(u, v) has no factor outside q.
 
     If p divides both u and v but not q, then u + q is not divisible by p,
     so one bump clears every current stray at once; iteration handles strays
-    introduced by the bump itself.
+    introduced by the bump itself. No prime's exponent in g reaches
+    g.bit_length(), so g divides q^g.bit_length() just when it has no stray.
     """
     for _ in range(64):
         g = math.gcd(u, v)
         if g == 0:
             return None
-        if g // _q_smooth_part(g, primes) == 1:
+        if pow(qv, g.bit_length(), g) == 0:  # every prime of g divides q
             return u, v
         if v == 0:
             return None
@@ -532,7 +505,6 @@ def iter_shift_pairs(base: BaseSolution, h: int):
     target_cls = (a + h) % qv
     if not is_admissible_value(target_cls, q):
         raise HypothesisViolation(f"a+h = {target_cls} mod {qv} is not admissible")
-    primes = q.primes()
 
     def local(p: int, e: int):
         c = a % p**e  # one big reduction serves the target and the enumerator
@@ -550,7 +522,7 @@ def iter_shift_pairs(base: BaseSolution, h: int):
             u, v = u0 + du * qv, v0 + dv * qv
             if u == 0 and v == 0:
                 continue
-            stripped = _strip_stray_primes(u, v, qv, primes)
+            stripped = _strip_stray_primes(u, v, qv)
             if stripped is None:
                 continue
             u, v = stripped
@@ -560,13 +532,6 @@ def iter_shift_pairs(base: BaseSolution, h: int):
             if ((base.x0 + u) ** 2 + (base.y0 + v) ** 2 - a - h) % qv != 0:
                 continue
             yield ShiftPair(u, v, g, h)
-
-
-def construct_shift(base: BaseSolution, h: int) -> ShiftPair:
-    """First locally valid shift pair in canonical order."""
-    for pair in iter_shift_pairs(base, h):
-        return pair
-    raise SearchExhausted(f"shift search exhausted for h={h}")
 
 
 def build_family(base: BaseSolution, shift: ShiftPair, k: int) -> WitnessFamily:

@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 from twosq import sieve
-from twosq.admissibility import admissible_classes, is_admissible
-from twosq.arith import FactorBudget, FactoredInteger, ResidueClass, factorize, is_sum_two_squares
+from twosq.admissibility import admissibility_reason, admissible_classes
+from twosq.arith import FactorBudget, FactoredInteger, factorize, is_sum_two_squares
 from twosq.census import PatternSpec, census_report, match_pattern
 from twosq.forcing import bin_plan, build_blocking_system, delta_constant
 from twosq.sieve import count_N, sieve_segment
-from twosq.witness import build_witness_family, scan_family, solve_base, construct_shift, build_family
+from twosq.witness import build_family, build_witness_family, iter_base_solutions, iter_shift_pairs, scan_family
 
 from .conftest import brute_admissible_set, criterion_membership, spf_table
 
@@ -82,7 +82,7 @@ def test_criterion_03_partition_identity():
         if sum(rep.counts.values()) != total or rep.total_windows != total:
             ok = False
         for tup in itertools.product(range(qv), repeat=r):
-            if any(not is_admissible(ResidueClass(c, qv), factorize(qv)).admissible for c in tup):
+            if any(admissibility_reason(c, factorize(qv).factors) is not None for c in tup):
                 if rep.count_for(tup) != 0:
                     ok = False
     _report(
@@ -101,8 +101,8 @@ def test_criterion_04_census_fixtures():
 
 def test_criterion_05_witness_fixture():
     t0 = time.time()
-    base = solve_base(1, factorize(4))
-    shift = construct_shift(base, 4)
+    base = next(iter_base_solutions(1, factorize(4)))
+    shift = next(iter_shift_pairs(base, 4))
     fam = build_family(base, shift, 8)
     ok = fam.T == 2 and (fam.A, fam.B, fam.C + fam.k) == (8, 4, 9)
     result = scan_family(fam, 4)
@@ -122,7 +122,7 @@ def test_criterion_06_witness_invariants(witness_families):
     for fam in witness_families:
         q, a = fam.q.value, fam.a
         d0 = fam.B**2 - 4 * fam.A * fam.C
-        if d0 > 0 or math.isqrt(-d0) ** 2 != -d0 or fam.disc() > 0:
+        if d0 > 0 or math.isqrt(-d0) ** 2 != -d0 or fam.B**2 - 4 * fam.A * (fam.C + fam.k) > 0:
             ok = False
             break
         for t in range(1001):

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from twosq.admissibility import (
+    admissibility_reason,
     admissible_classes,
     class_exponent,
-    is_admissible,
     is_admissible_value,
     lift_admissible,
 )
@@ -16,22 +16,19 @@ from .conftest import brute_admissible_set
 
 
 def test_examples():
-    v = is_admissible(ResidueClass(3, 4), factorize(4))
-    assert not v.admissible and v.reason == ("two_adic", 2, 0, 3)
+    assert admissibility_reason(3, factorize(4).factors) == ("two_adic", 2, 0, 3)
     for q in (1, 2, 7, 12, 36, 250):
-        assert is_admissible(ResidueClass(0, q), factorize(q)).admissible
-    v = is_admissible(ResidueClass(6, 8), factorize(8))
-    assert not v.admissible and v.reason == ("two_adic", 3, 1, 3)
+        assert admissibility_reason(0, factorize(q).factors) is None
+    assert admissibility_reason(6, factorize(8).factors) == ("two_adic", 3, 1, 3)
 
 
 def test_odd_prime_reason():
-    v = is_admissible(ResidueClass(3, 9), factorize(9))
-    assert not v.admissible and v.reason == ("odd_prime", 3, 1, 2)
+    assert admissibility_reason(3, factorize(9).factors) == ("odd_prime", 3, 1, 2)
 
 
 def test_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
-        is_admissible(ResidueClass(1, 8), factorize(4))
+        lift_admissible(ResidueClass(1, 8), factorize(4))
 
 
 def test_exhaustive_equivalence_small():
@@ -60,11 +57,11 @@ def test_reasons_match_full_exponent_scan():
     fq = factorize(4 * 27 * 49)
     kinds = set()
     for a in range(fq.value):
-        verdict = is_admissible(ResidueClass(a, fq.value), fq)
-        assert verdict.reason == _reference_reason(a, fq.factors), a
-        assert is_admissible_value(a + 3 * fq.value, fq) == (verdict.reason is None), a
-        if verdict.reason is not None:
-            kinds.add(verdict.reason[:2])
+        reason = admissibility_reason(a, fq.factors)
+        assert reason == _reference_reason(a, fq.factors), a
+        assert is_admissible_value(a + 3 * fq.value, fq) == (reason is None), a
+        if reason is not None:
+            kinds.add(reason[:2])
     assert kinds == {("two_adic", 2), ("odd_prime", 3), ("odd_prime", 7)}
 
 
@@ -78,8 +75,8 @@ def test_multiplicativity():
             adm12 = {c.value for c in admissible_classes(f12)}
             for a in range(q1 * q2):
                 expected = (
-                    is_admissible(ResidueClass(a % q1, q1), f1).admissible
-                    and is_admissible(ResidueClass(a % q2, q2), f2).admissible
+                    admissibility_reason(a % q1, f1.factors) is None
+                    and admissibility_reason(a % q2, f2.factors) is None
                 )
                 assert (a in adm12) == expected, (q1, q2, a)
 
@@ -103,7 +100,7 @@ def test_lift_reduces_and_passes():
         for a in (c.value for c in admissible_classes(factorize(q))):
             lifted = lift_admissible(ResidueClass(a, q), fQ)
             assert lifted.value % q == a
-            assert is_admissible(lifted, fQ).admissible
+            assert admissibility_reason(lifted.value, fQ.factors) is None
 
 
 def test_lift_window_empty():
@@ -118,3 +115,41 @@ def test_lift_require_predicate():
         require=lambda m: m % 2 == 1,
     )
     assert got.value == 5
+
+
+def _two_window_lift(a, q, Q, require):
+    """The least lift of a mod q in (0, q^2], else in (0, Q], with whether
+    the second window was needed; None when neither holds one."""
+    for widened, hi in ((False, q * q), (True, Q.value)):
+        for b in range(a or q, hi + 1, q):
+            if require(b) and admissibility_reason(b, Q.factors) is None:
+                return b, widened
+    return None
+
+
+def test_blocking_lift_one_window_matches_two_windows():
+    # Q = 4q^2 and the blocking build's `require`: the ascending scan of
+    # (0, 4q^2] finds the least lift of (0, q^2] whenever there is one
+    classes = widened = 0
+    for q in range(1, 61):
+        Q = factorize(4 * q * q)
+        half = 1 << (Q.exponent(2) - 1)
+
+        def require(m):
+            return m % half != 0
+
+        for cls in admissible_classes(factorize(q)):
+            ref = _two_window_lift(cls.value, q, Q, require)
+            try:
+                got = lift_admissible(cls, Q, window=(0, Q.value), require=require).value
+            except NoAdmissibleLift:
+                got = None
+            assert (got, got is not None and got > q * q) == (ref or (None, False)), (q, cls)
+            classes += 1
+            widened += ref is not None and ref[1]
+    assert (classes, widened) == (1629, 0)  # no class with q <= 60 needs (q^2, 4q^2]
+    # a `require` that rejects all of (0, q^2] takes both rules to the wide window
+    Q = factorize(4 * 25)
+    for cls in admissible_classes(factorize(5)):
+        got = lift_admissible(cls, Q, window=(0, Q.value), require=lambda m: m > 25).value
+        assert (got, got > 25) == _two_window_lift(cls.value, 5, Q, lambda m: m > 25), cls

@@ -311,7 +311,7 @@ def test_cache_rejects_bad_dump(tmp_path, damage):
     expected = count_N(99_999)
     assert expected == 24_028
     assert count_N(99_999, cache_dir=str(tmp_path)) == expected
-    path = tmp_path / "twosq_0_100000.seg"
+    (path,) = tmp_path.glob("twosq_0_*.seg")  # the one dump count_N wrote
     whole = path.read_bytes()
     path.write_bytes(damage(whole))
     assert count_N(99_999, cache_dir=str(tmp_path)) == expected

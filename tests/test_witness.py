@@ -27,7 +27,6 @@ from twosq.arith import (
 )
 from twosq.errors import (
     BudgetExceeded,
-    HypothesisViolation,
     InternalInconsistency,
     ObstructionFound,
     SearchExhausted,
@@ -49,9 +48,9 @@ from twosq.witness import (
     build_witness_family,
     check_hypotheses,
     check_local_obstructions,
-    construct_shift,
+    iter_base_solutions,
+    iter_shift_pairs,
     scan_family,
-    solve_base,
 )
 
 
@@ -80,47 +79,42 @@ def _assert_base_targets(base):
 
 
 def test_solve_base_examples():
-    base = solve_base(1, factorize(4))
+    base = next(iter_base_solutions(1, factorize(4)))
     assert (base.x0, base.y0) == (1, 0)
     _assert_base_targets(base)
-    base = solve_base(0, factorize(9))
+    base = next(iter_base_solutions(0, factorize(9)))
     assert (base.x0, base.y0) == (3, 0)
     assert _base_target(0, 3, 2) == 1
     _assert_base_targets(base)
-    base = solve_base(2, factorize(8))
+    base = next(iter_base_solutions(2, factorize(8)))
     assert (base.x0, base.y0) == (1, 1)
     _assert_base_targets(base)
 
 
-def test_solve_base_rejects_inadmissible():
-    with pytest.raises(HypothesisViolation):
-        solve_base(3, factorize(4))
-
-
 def test_construct_shift_example():
-    base = solve_base(1, factorize(4))
-    shift = construct_shift(base, 4)
+    base = next(iter_base_solutions(1, factorize(4)))
+    shift = next(iter_shift_pairs(base, 4))
     assert (shift.u, shift.v, shift.gcd_uv) == (1, 1, 1)
     assert ((base.x0 + shift.u) ** 2 + (base.y0 + shift.v) ** 2) % 4 == (1 + 4) % 4
 
 
 def test_shift_identity_when_h_multiple_of_q():
     # h = 0 mod q collapses the shifted congruence onto the base one
-    base = solve_base(1, factorize(20))
-    shift = construct_shift(base, 20)
+    base = next(iter_base_solutions(1, factorize(20)))
+    shift = next(iter_shift_pairs(base, 20))
     lhs = (base.x0 + shift.u) ** 2 + (base.y0 + shift.v) ** 2
     assert lhs % 20 == 1
 
 
 def test_build_family_fixture():
-    base = solve_base(1, factorize(4))
-    shift = construct_shift(base, 4)
+    base = next(iter_base_solutions(1, factorize(4)))
+    shift = next(iter_shift_pairs(base, 4))
     fam = build_family(base, shift, 8)
     assert (fam.T, fam.r0, fam.s0) == (2, 0, 0)
     assert (fam.A, fam.B, fam.C) == (8, 4, 1)
     assert fam.B**2 - 4 * fam.A * fam.C == -16
     assert fam.eta == 4
-    assert fam.disc() == -272
+    assert fam.B**2 - 4 * fam.A * (fam.C + fam.k) == -272
 
 
 def test_local_obstructions_fixture():
@@ -176,7 +170,7 @@ def test_family_invariants_battery(witness_families):
         q, a = fam.q.value, fam.a
         d0 = fam.B**2 - 4 * fam.A * fam.C
         assert d0 <= 0 and math.isqrt(-d0) ** 2 == -d0
-        assert fam.disc() <= 0
+        assert fam.B**2 - 4 * fam.A * (fam.C + fam.k) <= 0
         for t in range(0, 1001, 97):
             n = fam.n_value(t)
             assert n % q == a
@@ -186,15 +180,14 @@ def test_family_invariants_battery(witness_families):
 
 def test_base_and_shift_valuation_invariants(witness_inputs, witness_families):
     from twosq.admissibility import class_exponent
-    from twosq.witness import construct_shift as mk_shift
 
     # op-level contracts on a sample of raw inputs
     for q, a, h, k in witness_inputs[:25]:
         fq = factorize(q)
-        base = solve_base(a, fq)
+        base = next(iter_base_solutions(a, fq))
         assert (base.x0**2 + base.y0**2 - a) % q == 0
         _assert_base_targets(base)
-        shift = mk_shift(base, h)
+        shift = next(iter_shift_pairs(base, h))
         assert ((base.x0 + shift.u) ** 2 + (base.y0 + shift.v) ** 2 - a - h) % q == 0
 
     # valuation pattern on all 100 assembled families
@@ -565,7 +558,7 @@ def test_crt_odometer_matches_eager_reference(monkeypatch, qv, blocked, local_ca
     q = factorize(qv)
     p, e, r = blocked
     bad = crt_combine([ResidueClass(r, p**e), ResidueClass(1, qv // p**e)]).value
-    base = solve_base(1, q)
+    base = next(iter_base_solutions(1, q))
     locals_ = [_base_local(a) for a in (1, 2, 5, bad)]
     locals_ += [_shift_local(base, h) for h in (4, 8, 20, bad - 1)]
     outcomes = []
@@ -617,7 +610,7 @@ def _two_adic_cases(qv):
     bases = {}
     for a, h in cases:
         if a not in bases:
-            bases[a] = solve_base(a, q)
+            bases[a] = next(iter_base_solutions(a, q))
         yield q, bases[a], h
 
 
@@ -633,7 +626,7 @@ def _assembles(base, h, local_pairs):
         for i in (0, 1)
     )
     for du, dv in itertools.product((0, -1), repeat=2):
-        stripped = _strip_stray_primes(u0 + du * qv, v0 + dv * qv, qv, q.primes())
+        stripped = _strip_stray_primes(u0 + du * qv, v0 + dv * qv, qv)
         if stripped is None:
             continue
         u, v = stripped
@@ -712,6 +705,18 @@ def test_forged_negative_prime_evidence():
     assert not _consecutive_cert(4, 4, 5, reps, ((5, -5), (6, 3), (7, 7))).verify()
 
 
+def test_evidence_prime_must_divide_m_before_it_is_tested(monkeypatch):
+    # 2^127 - 1 is a prime = 3 mod 4 that divides neither 6 nor 7: the item is
+    # rejected before the primality test runs
+    real, calls = witness.is_prime, []
+    monkeypatch.setattr(witness, "is_prime", lambda p: calls.append(p) or real(p))
+    reps = ((0, 2), (1, 2), (2, 2))  # 4, 5, 8 with 6 and 7 between
+    assert not _consecutive_cert(4, 1, 4, reps, ((6, 2**127 - 1), (7, 7))).verify()
+    assert calls == []
+    assert _consecutive_cert(4, 1, 4, reps, ((6, 3), (7, 7))).verify()
+    assert calls == [3, 7]
+
+
 def test_forged_composite_evidence():
     # 15 = 3 mod 4 divides 45 once, but 45 = 36 + 9 sits between 41 and 49
     reps = ((4, 5), (0, 7), (1, 7))
@@ -771,7 +776,7 @@ def test_base_without_shift_pairs_is_passed_over(monkeypatch):
         witness, "_two_adic_feasible", lambda x0, y0, *rest: (x0, y0) != (first.x0, first.y0)
     )
     with pytest.raises(SearchExhausted, match="no shift solution for h=4 at prime power 2"):
-        construct_shift(first, 4)
+        next(iter_shift_pairs(first, 4))
     fam = build_witness_family(q, 1, 4, 8)
     assert (fam.x0, fam.y0) == (second.x0, second.y0)
     fam.verify()
