@@ -74,27 +74,19 @@ def admissible_classes(q: FactoredInteger) -> list[ResidueClass]:
 def lift_admissible(
     a: ResidueClass,
     Q: FactoredInteger,
-    window: tuple[int, int] | None = None,
     require: Callable[[int], bool] | None = None,
 ) -> ResidueClass:
     """Smallest admissible lift of a mod q to a class mod Q (q | Q).
 
-    Without a window the scan covers representatives in [0, Q), the window
-    (-1, Q-1]. With window = (lo, hi] only integers lo < b <= hi are
-    considered, which is how the blocking-system pipeline enforces its
-    normalization. `require` is an extra predicate candidates must satisfy.
+    The scan covers the representatives in [0, Q) ascending. `require` is an
+    extra predicate candidates must satisfy.
 
     Raises NoAdmissibleLift when the scan space contains no candidate.
     """
     q = a.modulus
     if Q.value % q != 0:
         raise ModulusMismatch(f"{q} does not divide Q = {Q.value}")
-    lo, hi = window if window is not None else (-1, Q.value - 1)
-    b = a.value if a.value > lo else a.value + ((lo - a.value) // q + 1) * q
-    while b <= hi:
+    for b in range(a.value, Q.value, q):
         if (require is None or require(b)) and admissibility_reason(b, Q.factors) is None:
-            return ResidueClass(b % Q.value, Q.value)
-        b += q
-    raise NoAdmissibleLift(
-        f"no admissible lift of {a} modulo {Q.value} in window ({lo}, {hi}]"
-    )
+            return ResidueClass(b, Q.value)
+    raise NoAdmissibleLift(f"no admissible lift of {a} modulo {Q.value}")

@@ -9,7 +9,6 @@ outputs across runs.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -459,29 +458,6 @@ def is_sum_two_squares(n: FactoredInteger) -> bool:
     return obstructing_prime(n) is None
 
 
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """One square root of a mod an odd prime p, or None when a is a nonresidue.
-
-    One modular power for p = 3 mod 4 and, by Atkin's formula, for
-    p = 5 mod 8; Tonelli-Shanks for p = 1 mod 8. Which of the two roots
-    comes back depends on the method, so callers pick their own.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        # a^((p+1)/4) squares to a exactly when a is a residue.
-        r = pow(a, (p + 1) // 4, p)
-    elif p % 8 == 5:
-        # Atkin: with b = (2a)^((p-5)/8), i = 2ab^2 squares to -1 when a is a
-        # residue, and then ab(i - 1) squares to a.
-        b = pow(2 * a, (p - 5) // 8, p)
-        r = a * b * (2 * a * b * b - 1) % p
-    else:
-        return _tonelli_shanks(a, p)
-    return r if r * r % p == a else None
-
-
 def _tonelli_shanks(a: int, p: int) -> int | None:
     """A square root of a unit a mod a prime p = 1 mod 8, or None.
 
@@ -517,12 +493,13 @@ def _tonelli_shanks(a: int, p: int) -> int | None:
     return r
 
 
-def _sqrt_unit_odd(a: int, p: int, e: int) -> tuple[int, ...]:
+def sqrt_unit_odd(a: int, p: int, e: int) -> tuple[int, ...]:
     """Sorted roots of x^2 = a mod p^e for odd p and a a unit; () when a is a nonresidue.
 
     For p = 3 mod 4 the units form a cyclic group of order 2m, m = phi(p^e)/2
     odd, so a residue a has a^m = 1 and r = a^((m+1)/2) squares to a: one
-    power, checked by squaring. Other p take a root mod p and Hensel-lift it.
+    power, checked by squaring. Other p take a root mod p, by Atkin's formula
+    for p = 5 mod 8 and Tonelli-Shanks for p = 1 mod 8, and Hensel-lift it.
     """
     mod = p**e
     a %= mod
@@ -531,9 +508,18 @@ def _sqrt_unit_odd(a: int, p: int, e: int) -> tuple[int, ...]:
         if r * r % mod != a:
             return ()
     else:
-        r = sqrt_mod_prime(a, p)
-        if r is None:
-            return ()
+        if p % 8 == 5:
+            # Atkin: with b = (2a)^((p-5)/8), i = 2ab^2 squares to -1 when a is
+            # a residue, and then ab(i - 1) squares to a.
+            ap = a % p
+            b = pow(2 * ap, (p - 5) // 8, p)
+            r = ap * b * (2 * ap * b * b - 1) % p
+            if r * r % p != ap:
+                return ()
+        else:
+            r = _tonelli_shanks(a % p, p)
+            if r is None:
+                return ()
         pk = p
         while pk < mod:
             # Hensel step doubles the precision: r <- r - (r^2 - a) / (2r).
@@ -562,63 +548,39 @@ def _sqrt_unit_two(a: int, e: int) -> tuple[int, ...]:
     return tuple(sorted({x % mod, (mod - x) % mod, (x + mod // 2) % mod, (mod - x + mod // 2) % mod}))
 
 
-@dataclass(frozen=True, slots=True)
-class SqrtModRoots:
-    """The square roots of some a modulo `modulus`, held compactly.
-
-    The roots are exactly r + j*step for r in `residues` and
-    0 <= j < modulus // step. `step` is a power of p dividing `modulus`,
-    and `residues` is sorted with every entry in [0, step). The value is
-    not iterable on purpose: `expand()` lists every root.
-    """
-
-    residues: tuple[int, ...]
-    step: int
-    modulus: int
-
-    def expand(self) -> list[int]:
-        """Every root in [0, modulus), sorted."""
-        if self.step == self.modulus:
-            return list(self.residues)
-        roots = (range(r, self.modulus, self.step) for r in self.residues)
-        return sorted(itertools.chain.from_iterable(roots))
-
-
-def sqrt_mod_prime_power(a: int, p: int, e: int) -> SqrtModRoots:
-    """All x in [0, p^e) with x^2 = a mod p^e, as a compact root set.
+def sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
+    """All x in [0, p^e) with x^2 = a mod p^e, sorted.
 
     For a = 0 mod p^e the roots are the multiples of p^ceil(e/2). For
     a = p^v * u with u a unit and v < e, there are roots only when v is
     even and u is a square; they are p^(v/2) * x1 + j * p^(e - v/2), where
     x1 runs over the roots of u modulo p^(e-v). Otherwise there are none.
-    The result holds at most 4 residues for p = 2 and at most 2 otherwise,
-    whatever the number of roots.
     """
     if e < 1:
         raise ValueError("exponent must be >= 1")
     mod = p**e
     a %= mod
     if a % p:
-        base = _sqrt_unit_two(a, e) if p == 2 else _sqrt_unit_odd(a, p, e)
-        return SqrtModRoots(base, mod, mod)
+        return list(_sqrt_unit_two(a, e) if p == 2 else sqrt_unit_odd(a, p, e))
     if a == 0:
-        return SqrtModRoots((0,), p ** ((e + 1) // 2), mod)
+        return list(range(0, mod, p ** ((e + 1) // 2)))
     v = valuation(a, p)
     if v % 2 == 1:
-        return SqrtModRoots((), mod, mod)
+        return []
     half = p ** (v // 2)
-    roots = sqrt_mod_prime_power(a // p**v, p, e - v).residues
-    return SqrtModRoots(tuple([half * x1 for x1 in roots]), mod // half, mod)
+    step = mod // half
+    # each x1 < p^(e-v), so half * x1 < step and j-major order is sorted
+    units = sqrt_mod_prime_power(a // p**v, p, e - v)
+    return [half * x1 + j * step for j in range(half) for x1 in units]
 
 
 def _cornacchia_prime(p: int) -> tuple[int, int]:
     """(x, y) with x^2 + y^2 = p for a prime p = 1 mod 4."""
-    t = sqrt_mod_prime(p - 1, p)
-    if t is None or t * t % p != p - 1:
+    roots = sqrt_unit_odd(p - 1, p, 1)
+    if not roots:
         # p can run past the int-to-str digit limit, so name its size only
         raise InternalInconsistency(f"no square root of -1 modulo a {p.bit_length()}-bit p")
-    t = max(t, p - t)
-    a, b = p, t
+    a, b = p, roots[1]
     limit = math.isqrt(p)
     while b > limit:
         a, b = b, a % b

@@ -30,7 +30,7 @@ class ModulusMismatch(TwoSqError):
 
 
 class NoAdmissibleLift(TwoSqError):
-    """No admissible lift exists in the requested window."""
+    """No admissible lift exists modulo the requested modulus."""
 
 
 class SearchExhausted(TwoSqError):

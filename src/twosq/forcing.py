@@ -287,12 +287,13 @@ class BlockingSystem:
 def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> BlockingSystem:
     """Construct and verify the blocking system for the pattern [a, b, c] mod q.
 
-    Lifts each class to its least admissible representative mod 4q^2 in
-    (0, 4q^2] that is not 0 mod 2^(v2-1), which the downstream hypotheses
-    need, and records whether any lift lies above q^2. Offsets h < k are the
-    least positive solutions, with 4q^2 added to restore order or break a
-    tie. Blocking primes are the smallest valid choices in ascending index
-    order, so the whole construction is deterministic.
+    Lifts each class to its least admissible representative in [0, 4q^2)
+    that is not 0 mod 2^(v2-1), which the downstream hypotheses need (so
+    the lift is positive), and records whether any lift lies above q^2.
+    Offsets h < k are the least positive solutions, with 4q^2 added to
+    restore order or break a tie. Blocking primes are the smallest valid
+    choices in ascending index order, so the whole construction is
+    deterministic.
     """
     qv = q.value
     for cls, label in ((a, "a"), (b, "b"), (c, "c")):
@@ -304,11 +305,8 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     half = 1 << (four_q2.exponent(2) - 1)
 
     def lift(cls: int) -> int:
-        # 4q^2 = 0 mod half fails `require`, so no lift reduces to 0
-        return lift_admissible(
-            ResidueClass(cls, qv), four_q2, window=(0, four_q2.value),
-            require=lambda m: m % half != 0,
-        ).value
+        # 0 = 0 mod half fails `require`, so every lift is positive
+        return lift_admissible(ResidueClass(cls, qv), four_q2, require=lambda m: m % half != 0).value
 
     a3, b3, c3 = lift(a), lift(b), lift(c)
     mod4q2 = four_q2.value
@@ -332,7 +330,7 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
         q=q, a=a % qv, b=b % qv, c=c % qv,
         a3=a3, b3=b3, c3=c3, h=h, k=k,
         blocking_primes=blocking, T_blk=T_blk,
-        a_T=ResidueClass(a_T.value, T_blk.value),
+        a_T=a_T,
         lift_window_widened=max(a3, b3, c3) > qv * qv,
     )
     system.verify()

@@ -33,7 +33,6 @@ from .admissibility import admissibility_reason, class_exponent, is_admissible_v
 from .arith import (
     _TRIAL_PRIMES,
     _canon_pair,
-    _sqrt_unit_odd,
     DEFAULT_BUDGET,
     FactorBudget,
     FactoredInteger,
@@ -45,8 +44,8 @@ from .arith import (
     is_sum_two_squares,
     obstructing_prime,
     represent_two_squares,
-    sqrt_mod_prime,
     sqrt_mod_prime_power,
+    sqrt_unit_odd,
     valuation,
 )
 from .errors import (
@@ -242,7 +241,7 @@ class TripleCertificate:
         on anything that is not a certificate in the wire form."""
         if not isinstance(data, dict):
             raise ValueError(f"certificate must be a JSON object, not {type(data).__name__}")
-        reps = tuple((_decimal(x), _decimal(y)) for x, y in data["reps"])
+        reps = _decimal_pairs(data["reps"], "reps")
         if len(reps) != 3:
             raise ValueError("certificate needs exactly three representations")
         consecutive = data.get("consecutive")
@@ -257,7 +256,7 @@ class TripleCertificate:
             t=None if data.get("t") is None else _decimal(data["t"]),
             reps=reps,
             consecutive=consecutive,
-            evidence=tuple((_decimal(m), _decimal(p)) for m, p in data.get("evidence", [])),
+            evidence=_decimal_pairs(data.get("evidence", []), "evidence"),
         )
 
 
@@ -274,6 +273,15 @@ def _decimal(text) -> int:
     if not isinstance(text, str):
         raise ValueError(f"expected a decimal string, got {text!r:.40}")
     return int(text)
+
+
+def _decimal_pairs(items, field: str) -> tuple[tuple[int, int], ...]:
+    """Integer pairs from their wire form, a JSON array of 2-element arrays of
+    decimal strings; a string or an object would unpack into its characters
+    or keys."""
+    if not isinstance(items, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in items):
+        raise ValueError(f"{field} must be an array of 2-element arrays")
+    return tuple((_decimal(x), _decimal(y)) for x, y in items)
 
 
 def check_hypotheses(q: FactoredInteger, a: int, h: int, k: int) -> HypothesisVerdict:
@@ -324,7 +332,7 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
     congruence x^2 + y^2 = c.
 
     At an odd p with target 0, a unit w = c - (y0+v)^2 has exactly the two
-    unit roots of `_sqrt_unit_odd`, and min(v_p(u), v_p(v)) = 0 just means
+    unit roots of `sqrt_unit_odd`, and min(v_p(u), v_p(v)) = 0 just means
     p does not divide both u and v.
     """
     mod = p**e
@@ -334,7 +342,7 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
         yv = y0 + v
         w = (c - yv * yv) % mod
         if odd_unit_path and w % p:
-            roots = _sqrt_unit_odd(w, p, e)
+            roots = sqrt_unit_odd(w, p, e)
             if not roots:
                 continue
             u1, u2 = (roots[0] - x0) % mod, (roots[1] - x0) % mod
@@ -345,8 +353,8 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
         vv = class_exponent(v, p, e)
         if vv < target:
             continue
-        us = sqrt_mod_prime_power(w, p, e).expand()
-        if x0:  # expand() is sorted; only a nonzero shift can reorder it
+        us = sqrt_mod_prime_power(w, p, e)
+        if x0:  # the roots are sorted; only a nonzero shift can reorder them
             us = sorted([(x - x0) % mod for x in us])
         for u in us:
             vu = class_exponent(u, p, e)
@@ -605,11 +613,11 @@ def _roots_mod_p(A: int, B: int, C: int, p: int) -> list[int] | None:
         if b == 0:
             return None if c == 0 else []
         return [-c * pow(b, -1, p) % p]
-    s = sqrt_mod_prime(b * b - 4 * a * c, p)
-    if s is None:
-        return []
+    d = (b * b - 4 * a * c) % p
     inv = pow(2 * a, -1, p)
-    return sorted({(-b + s) * inv % p, (-b - s) * inv % p})
+    if d == 0:
+        return [-b * inv % p]
+    return sorted([(s - b) * inv % p for s in sqrt_unit_odd(d, p, 1)])
 
 
 def _odd_valuation_classes(

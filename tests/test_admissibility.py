@@ -91,7 +91,6 @@ def test_lift_examples():
     q16 = factorize(16)
     assert lift_admissible(ResidueClass(1, 4), q16) == ResidueClass(1, 16)
     assert lift_admissible(ResidueClass(2, 4), q16) == ResidueClass(2, 16)
-    assert lift_admissible(ResidueClass(0, 1), factorize(4), window=(0, 1)) == ResidueClass(1, 4)
 
 
 def test_lift_reduces_and_passes():
@@ -104,14 +103,14 @@ def test_lift_reduces_and_passes():
 
 
 def test_lift_window_empty():
-    # no class = 3 mod 4 is admissible mod 4, whatever the window
+    # no class = 3 mod 4 is admissible mod 4
     with pytest.raises(NoAdmissibleLift):
-        lift_admissible(ResidueClass(3, 4), factorize(16), window=(0, 16))
+        lift_admissible(ResidueClass(3, 4), factorize(16))
 
 
 def test_lift_require_predicate():
     got = lift_admissible(
-        ResidueClass(2, 3), FactoredInteger.from_factors({2: 2, 3: 2}), window=(0, 9),
+        ResidueClass(2, 3), FactoredInteger.from_factors({2: 2, 3: 2}),
         require=lambda m: m % 2 == 1,
     )
     assert got.value == 5
@@ -128,8 +127,9 @@ def _two_window_lift(a, q, Q, require):
 
 
 def test_blocking_lift_one_window_matches_two_windows():
-    # Q = 4q^2 and the blocking build's `require`: the ascending scan of
-    # (0, 4q^2] finds the least lift of (0, q^2] whenever there is one
+    # Q = 4q^2 and the blocking build's `require`, which rejects 0: the
+    # ascending scan of [0, 4q^2) finds the least lift of (0, q^2] whenever
+    # there is one
     classes = widened = 0
     for q in range(1, 61):
         Q = factorize(4 * q * q)
@@ -141,7 +141,7 @@ def test_blocking_lift_one_window_matches_two_windows():
         for cls in admissible_classes(factorize(q)):
             ref = _two_window_lift(cls.value, q, Q, require)
             try:
-                got = lift_admissible(cls, Q, window=(0, Q.value), require=require).value
+                got = lift_admissible(cls, Q, require=require).value
             except NoAdmissibleLift:
                 got = None
             assert (got, got is not None and got > q * q) == (ref or (None, False)), (q, cls)
@@ -151,5 +151,5 @@ def test_blocking_lift_one_window_matches_two_windows():
     # a `require` that rejects all of (0, q^2] takes both rules to the wide window
     Q = factorize(4 * 25)
     for cls in admissible_classes(factorize(5)):
-        got = lift_admissible(cls, Q, window=(0, Q.value), require=lambda m: m > 25).value
+        got = lift_admissible(cls, Q, require=lambda m: m > 25).value
         assert (got, got > 25) == _two_window_lift(cls.value, 5, Q, lambda m: m > 25), cls

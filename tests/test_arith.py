@@ -21,6 +21,7 @@ from twosq.arith import (
     represent_two_squares,
     small_primes,
     sqrt_mod_prime_power,
+    sqrt_unit_odd,
     valuation,
 )
 from twosq.errors import BudgetExceeded, DegenerateInput, InternalInconsistency, NonCoprimeModuli
@@ -486,49 +487,39 @@ def _brute_sqrt(a, mod):
 
 
 def test_sqrt_mod_examples():
-    assert sqrt_mod_prime_power(1, 5, 1).expand() == [1, 4]
-    assert sqrt_mod_prime_power(2, 3, 1).expand() == []
-    assert sqrt_mod_prime_power(1, 2, 3).expand() == [1, 3, 5, 7]
-    # a = 0 with a large p: one residue, not p roots
-    big = sqrt_mod_prime_power(0, 1000003, 2)
-    assert big.residues == (0,) and big.step == 1000003 and big.modulus == 1000003**2
+    assert sqrt_mod_prime_power(1, 5, 1) == [1, 4]
+    assert sqrt_mod_prime_power(2, 3, 1) == []
+    assert sqrt_mod_prime_power(1, 2, 3) == [1, 3, 5, 7]
+    # a = 0: every multiple of p^ceil(e/2)
+    assert sqrt_mod_prime_power(0, 1009, 2) == list(range(0, 1009**2, 1009))
+    assert sqrt_mod_prime_power(0, 1009, 3) == list(range(0, 1009**3, 1009**2))
     # v = 2: 4 * 7^2 mod 7^3 has roots 7 * (+-2 mod 7) + j * 49
-    rs = sqrt_mod_prime_power(4 * 49, 7, 3)
-    assert rs.residues == (14, 35) and rs.step == 49
-    assert rs.expand() == _brute_sqrt(4 * 49, 7**3)
-    with pytest.raises(TypeError):
-        iter(rs)
+    assert sqrt_mod_prime_power(4 * 49, 7, 3) == _brute_sqrt(4 * 49, 7**3)
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2), (7, 3), (11, 1), (13, 2), (19, 2), (23, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2), (7, 3), (11, 1), (13, 2), (17, 2), (19, 2), (23, 2)])
 def test_sqrt_mod_exhaustive(p, e):
     mod = p**e
     for a in range(mod):
-        rs = sqrt_mod_prime_power(a, p, e)
-        assert rs.modulus == mod and mod % rs.step == 0, (a, p, e)
-        assert list(rs.residues) == sorted(rs.residues), (a, p, e)
-        assert all(0 <= r < rs.step for r in rs.residues), (a, p, e)
-        assert len(rs.expand()) == len(rs.residues) * (mod // rs.step), (a, p, e)
-        assert rs.expand() == _brute_sqrt(a, mod), (a, p, e)
+        assert sqrt_mod_prime_power(a, p, e) == _brute_sqrt(a, mod), (a, p, e)
 
 
 @settings(max_examples=200)
 @given(st.sampled_from([3, 5, 7, 11, 13, 10007, 1000003]), st.integers(0, 10**9))
 def test_sqrt_mod_prime_roots_square_back(p, a):
-    # (r + j*step)^2 - a = (r^2 - a) + 2*r*j*step + j^2*step^2, so these
-    # congruences make every root r + j*step square back to a mod p^2.
-    rs = sqrt_mod_prime_power(a, p, 2)
-    assert rs.modulus == p * p
-    assert (p * p) % rs.step == 0
-    for r in rs.residues:
-        assert 0 <= r < rs.step
+    roots = sqrt_mod_prime_power(a, p, 2)
+    if a % (p * p) == 0:
+        # p roots, too many to square one by one at p = 1000003
+        assert roots == list(range(0, p * p, p))
+        return
+    assert roots == sorted(set(roots))
+    for r in roots:
+        assert 0 <= r < p * p
         assert (r * r - a) % (p * p) == 0
-        assert (2 * r * rs.step) % (p * p) == 0
-        assert (rs.step**2) % (p * p) == 0
 
 
 def test_cornacchia_without_root_raises(monkeypatch):
-    monkeypatch.setattr(arith, "sqrt_mod_prime", lambda a, p: None)
+    monkeypatch.setattr(arith, "sqrt_unit_odd", lambda a, p, e: ())
     with pytest.raises(InternalInconsistency):
         arith._cornacchia_prime(13)
 
@@ -540,13 +531,20 @@ def test_cornacchia_non_square_remainder_raises(monkeypatch):
         arith._cornacchia_prime(13)
 
 
+def _check_unit_roots(a, p, roots):
+    assert len(roots) == 2 and 0 < roots[0] < roots[1] < p and roots[0] + roots[1] == p, (a, p)
+    assert all(r * r % p == a for r in roots), (a, p)
+
+
 def test_sqrt_mod_prime_every_residue_below_2000():
     for p in small_primes(2000)[1:]:
         squares = {x * x % p for x in range(p)}
-        for a in range(p):
-            r = arith.sqrt_mod_prime(a, p)
-            assert (r is None) == (a not in squares), (a, p)
-            assert r is None or (0 <= r < p and r * r % p == a), (a, p)
+        for a in range(1, p):
+            roots = sqrt_unit_odd(a, p, 1)
+            if a in squares:
+                _check_unit_roots(a, p, roots)
+            else:
+                assert roots == (), (a, p)
 
 
 def test_sqrt_mod_prime_large_primes_in_every_class():
@@ -555,11 +553,12 @@ def test_sqrt_mod_prime_large_primes_in_every_class():
         for cls in (1, 3, 5, 7):
             p = next(n for n in itertools.count((1 << bits) + cls, 8) if is_prime(n))
             # p - 1 and -1 cover the Atkin and Tonelli-Shanks edge cases
-            for a in [1, 2, p - 1, *(rng.randrange(p) for _ in range(40))]:
-                r = arith.sqrt_mod_prime(a, p)
-                residue = pow(a, (p - 1) // 2, p) == 1
-                assert (r is not None) == residue, (a, p)
-                assert r is None or r * r % p == a, (a, p)
+            for a in [1, 2, p - 1, *(rng.randrange(1, p) for _ in range(40))]:
+                roots = sqrt_unit_odd(a, p, 1)
+                if pow(a, (p - 1) // 2, p) == 1:
+                    _check_unit_roots(a, p, roots)
+                else:
+                    assert roots == (), (a, p)
 
 
 def test_cornacchia_table_holds_the_trial_primes():

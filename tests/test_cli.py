@@ -89,6 +89,14 @@ BAD_CERTIFICATE_LINES = {
         "malformed_certificate",
         lambda data: json.dumps(dict(data, consecutive="no")),
     ),
+    "reps_strings": (
+        "malformed_certificate",
+        lambda data: json.dumps(dict(data, reps=["".join(pair) for pair in data["reps"]])),
+    ),
+    "evidence_object": (
+        "malformed_certificate",
+        lambda data: json.dumps(dict(data, consecutive=True, evidence={"33": "", "63": ""})),
+    ),
     "equal_offsets": (
         "verification_failed",
         _forged_offsets("1", "1", "1", [["0", "1"], ["1", "1"], ["1", "1"]]),

@@ -426,6 +426,25 @@ def test_scan_finds_roots_once_per_trial_prime(budget, calls):
     assert roots.call_count == calls
 
 
+def test_roots_mod_p_matches_brute_force():
+    """`_roots_mod_p` against the zeros of F mod p at every prime p <= 47:
+    every coefficient triple up to p = 13, a seeded sample of 3,000 above,
+    each also shifted by multiples of p (B by p * 10^30). None exactly
+    when F vanishes at every t."""
+    rng = random.Random(47)
+    for p in small_primes(47):
+        if p <= 13:
+            triples = itertools.product(range(p), repeat=3)
+        else:
+            triples = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(3000)]
+        for A, B, C in triples:
+            zeros = [t for t in range(p) if (A * t * t + B * t + C) % p == 0]
+            expected = None if len(zeros) == p else zeros
+            shifted = (A + p * rng.randrange(1, 100), B - p * 10**30, C + p * rng.randrange(-99, 100))
+            assert witness._roots_mod_p(A, B, C, p) == expected, (A, B, C, p)
+            assert witness._roots_mod_p(*shifted, p) == expected, (shifted, p)
+
+
 @pytest.mark.parametrize("trial_bound", [1, 2, 4, 20, 311, 10**6])
 @pytest.mark.parametrize("params,t_max", [((20, 1, 4, 8), 400), ((80, 42, 191, 392), 40)])
 def test_sieved_scan_matches_reference_at_every_trial_bound(params, t_max, trial_bound):
@@ -468,7 +487,7 @@ def _reference_xy_local(x0, y0, c, p, e, target):
         if vv < target:
             continue
         yv = (y0 + v) % mod
-        for u in sorted((x - x0) % mod for x in sqrt_mod_prime_power(c - yv * yv, p, e).expand()):
+        for u in sorted((x - x0) % mod for x in sqrt_mod_prime_power(c - yv * yv, p, e)):
             vu = _res_val(u, p, e)
             if min(vu, vv) == target:
                 yield u, v
