@@ -90,6 +90,12 @@ def _modulus(q: int) -> FactoredInteger:
     return factorize(q)
 
 
+def _member_bound(x: int, name: str) -> None:
+    # the member stream sieves upward from 0 through x, and the sieve ends at 2^62
+    if x >= sieve.MAX_HI:
+        raise _UsageError(f"{name} must be < 2^62, got {x}")
+
+
 def _output_flags(sub: argparse.ArgumentParser, formats: bool = True) -> None:
     if formats:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -146,6 +152,7 @@ def _cmd_census(args) -> int:
     q = _modulus(args.q)
     if args.r < 1:
         raise _UsageError(f"r must be >= 1, got {args.r}")
+    _member_bound(args.x, "x")
     report = census_report(q, args.r, args.x, cache_dir=args.cache_dir)
     if args.format == "json":
         patterns = []
@@ -188,6 +195,7 @@ def _cmd_pattern(args) -> int:
         spec = PatternSpec(q, classes)
     except ValueError as exc:  # a class outside [0, q)
         raise _UsageError(str(exc)) from exc
+    _member_bound(args.x, "x")
     result = match_pattern(spec, args.x, cache_dir=args.cache_dir)
     if args.format == "json":
         _emit(
@@ -235,6 +243,7 @@ def _cmd_force_triple(args) -> int:
     q = _modulus(args.q)
     if args.xbudget < 0:
         raise _UsageError(f"--xbudget must be >= 0, got {args.xbudget}")
+    _member_bound(args.xbudget, "--xbudget")
     report = end_to_end_triple(
         q,
         args.a,

@@ -91,24 +91,16 @@ class TupleDesign:
         return sum(self.bins[: self.j])
 
     def form_admissibility_witnesses(self) -> dict[int, int]:
-        """For each prime p up to the tuple length, an n mod p avoiding every
-        root of prod (q n + h_i); raises when some prime has no such n."""
-        k = len(self.offsets)
+        """For each prime p up to the tuple length, the least n mod p avoiding
+        every root of prod (q n + h_i): the least n with -q n mod p taken by
+        no offset. Raises when some prime has no such n."""
         witnesses: dict[int, int] = {}
-        for p in small_primes(k):
-            forbidden = set()
-            if self.q % p == 0:
-                if any(h % p == 0 for h in self.offsets):
-                    raise InternalInconsistency(f"forms vanish identically mod {p}")
-            else:
-                qinv = pow(self.q, -1, p)
-                forbidden = {(-h * qinv) % p for h in self.offsets}
-            for n in range(p):
-                if n not in forbidden:
-                    witnesses[p] = n
-                    break
-            else:
+        for p in small_primes(len(self.offsets)):
+            taken = {h % p for h in self.offsets}
+            n = next((n for n in range(p) if -self.q * n % p not in taken), None)
+            if n is None:
                 raise InternalInconsistency(f"no admissible residue mod {p}")
+            witnesses[p] = n
         return witnesses
 
 
@@ -122,9 +114,13 @@ def construct_two_class_tuple(
     """Greedy ascending offsets: h_i = 1 mod 4, h_i in class a for the first j
     bins and class b afterwards, keeping the forms {q n + h_i} admissible.
 
-    Admissibility is tracked per prime p <= k as a growing set of forbidden
-    residues; a candidate is accepted only if every prime still has a free
-    residue afterwards. q must be odd.
+    For a prime p <= k not dividing q the forms vanish at n = -h q^-1 mod p,
+    a bijection of h mod p, so the forms stay admissible mod p while the
+    offsets leave some residue mod p free. A candidate is rejected only by a
+    prime whose offsets already take p - 1 residues, and only if it takes
+    the last one; a prime dividing q rejects exactly the class 0 mod p.
+    Plans that can only exhaust the search are refused before any prime is
+    listed. q must be odd.
     """
     qv = q.value
     if qv % 2 == 0:
@@ -137,42 +133,37 @@ def construct_two_class_tuple(
         if not is_admissible_value(cls % qv, q):
             raise HypothesisViolation(f"class {label} = {cls} is not admissible mod {qv}")
     k = sum(sizes)
-    primes = small_primes(k)
-    roots: dict[int, set[int]] = {p: set() for p in primes}
-    qinv = {p: pow(qv, -1, p) for p in primes if qv % p != 0}
     transition = sum(sizes[:j])
+    step = 4 * qv
+    # Offsets of one class are step apart at least, and only the one change
+    # of class may close in by less.
+    if step * (k - 2) >= OFFSET_CAP:
+        raise SearchExhausted(f"{k} offsets cannot all lie below the offset cap {OFFSET_CAP}")
+    in_use = (a, b) if transition < k else (a,)
+    for p in q.factors:
+        if p <= k and any(cls % p == 0 for cls in in_use):
+            raise SearchExhausted(f"a class in use is 0 mod {p}, which divides q")
+    # the progression h = 1 mod 4, h = class mod q of each class, as its least member
+    starts = [next(s for s in range(cls % qv, step, qv) if s % 4 == 1) for cls in (a, b)]
+    primes = {p for p in small_primes(k) if qv % p != 0}
+    filling: dict[int, set[int]] = {}  # prime -> the residues the offsets take
+    free: dict[int, int] = {}  # a prime whose offsets take p - 1 residues -> the last one
     offsets: list[int] = []
     h = 0
     for index in range(k):
-        cls = a if index < transition else b
-        # Candidates run in the progression determined by h = 1 mod 4 and
-        # h = cls mod q (q odd, so the two conditions combine mod 4q).
-        start = crt_combine([ResidueClass(1, 4), ResidueClass(cls % qv, qv)]).value
-        if start == 0:
-            start = 4 * qv
-        cand = start
-        while cand <= h:
-            cand += 4 * qv
-        while True:
-            if cand > OFFSET_CAP:
-                raise SearchExhausted(f"offset cap {OFFSET_CAP} hit at index {index}")
-            ok = True
-            for p in primes:
-                if qv % p == 0:
-                    if cand % p == 0:
-                        ok = False
-                        break
-                else:
-                    root = (-cand * qinv[p]) % p
-                    if root not in roots[p] and len(roots[p]) + 1 >= p:
-                        ok = False
-                        break
-            if ok:
-                break
-            cand += 4 * qv
-        for p in primes:
-            if qv % p != 0:
-                roots[p].add((-cand * qinv[p]) % p)
+        cand = h + 1 + (starts[index >= transition] - h - 1) % step
+        while cand <= OFFSET_CAP and any(cand % p == r for p, r in free.items()):
+            cand += step
+        if cand > OFFSET_CAP:
+            raise SearchExhausted(f"offset cap {OFFSET_CAP} hit at index {index}")
+        p = index + 2  # with cand there are p - 1 offsets, the fewest that take p - 1 residues
+        if p in primes:
+            filling[p] = {x % p for x in offsets}
+        for p, taken in list(filling.items()):
+            taken.add(cand % p)
+            if len(taken) == p - 1:
+                # 0 + 1 + ... + (p - 1) less the residues taken
+                free[p] = p * (p - 1) // 2 - sum(filling.pop(p))
         offsets.append(cand)
         h = cand
     design = TupleDesign(q=qv, a=a % qv, b=b % qv, j=j, bins=list(sizes), offsets=offsets)

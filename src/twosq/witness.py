@@ -41,7 +41,6 @@ from .arith import (
     ext_gcd,
     factorize,
     is_prime,
-    is_sum_two_squares,
     obstructing_prime,
     represent_two_squares,
     sqrt_mod_prime_power,
@@ -766,11 +765,9 @@ def scan_family(
         except BudgetExceeded:
             skipped.append(t)
             continue
-        if not is_sum_two_squares(fact):
-            continue
         rep_k = represent_two_squares(fact)
-        if rep_k is None:
-            raise InternalInconsistency(f"F({t}) is a sum of two squares with no representation")
+        if rep_k is None:  # F(t) is not a sum of two squares
+            continue
         certs.append(
             TripleCertificate(
                 n=family.n_value(t),

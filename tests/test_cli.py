@@ -271,6 +271,10 @@ def test_sieve_beyond_int64_limit(capsys):
         ["census", "5", "0", "10"],
         ["witness", "4", "1", "4", "8", "--tmax", "-5"],
         ["force-triple", "5", "1", "2", "3", "--xbudget", "-5"],
+        # the member stream would sieve about 2^38 segments before failing
+        ["census", "5", "3", str(2**62)],
+        ["pattern", "5", "1,2,3", str(2**62)],
+        ["force-triple", "5", "1", "2", "3", "--xbudget", str(2**62)],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):

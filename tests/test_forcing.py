@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,149 @@ def test_tuple_search_exhausted(monkeypatch):
     monkeypatch.setattr(forcing, "OFFSET_CAP", 10)
     with pytest.raises(SearchExhausted):
         construct_two_class_tuple(factorize(5), 1, 2, 1, [2, 3])
+
+
+def _reference_witnesses(design):
+    """The former `TupleDesign.form_admissibility_witnesses`, through q^-1 mod p."""
+    k = len(design.offsets)
+    witnesses: dict[int, int] = {}
+    for p in arith.small_primes(k):
+        forbidden = set()
+        if design.q % p == 0:
+            if any(h % p == 0 for h in design.offsets):
+                raise InternalInconsistency(f"forms vanish identically mod {p}")
+        else:
+            qinv = pow(design.q, -1, p)
+            forbidden = {(-h * qinv) % p for h in design.offsets}
+        for n in range(p):
+            if n not in forbidden:
+                witnesses[p] = n
+                break
+        else:
+            raise InternalInconsistency(f"no admissible residue mod {p}")
+    return witnesses
+
+
+def _reference_tuple(q, a, b, j, sizes, offset_cap):
+    """The former `construct_two_class_tuple`: every candidate tested against
+    every prime p <= k through q^-1 mod p, with the offset cap a parameter."""
+    qv = q.value
+    if qv % 2 == 0:
+        raise HypothesisViolation("tuple construction needs odd q")
+    if not 1 <= j <= len(sizes):
+        raise DomainError(f"transition bin j={j} outside 1..{len(sizes)}")
+    if min(sizes) < 1:
+        raise DomainError(f"bin sizes must be >= 1, got {sizes}")
+    for cls, label in ((a, "a"), (b, "b")):
+        if not is_admissible_value(cls % qv, q):
+            raise HypothesisViolation(f"class {label} = {cls} is not admissible mod {qv}")
+    k = sum(sizes)
+    primes = arith.small_primes(k)
+    roots: dict[int, set[int]] = {p: set() for p in primes}
+    qinv = {p: pow(qv, -1, p) for p in primes if qv % p != 0}
+    transition = sum(sizes[:j])
+    offsets: list[int] = []
+    h = 0
+    for index in range(k):
+        cls = a if index < transition else b
+        # Candidates run in the progression determined by h = 1 mod 4 and
+        # h = cls mod q (q odd, so the two conditions combine mod 4q).
+        start = crt_combine([ResidueClass(1, 4), ResidueClass(cls % qv, qv)]).value
+        if start == 0:
+            start = 4 * qv
+        cand = start
+        while cand <= h:
+            cand += 4 * qv
+        while True:
+            if cand > offset_cap:
+                raise SearchExhausted(f"offset cap {offset_cap} hit at index {index}")
+            ok = True
+            for p in primes:
+                if qv % p == 0:
+                    if cand % p == 0:
+                        ok = False
+                        break
+                else:
+                    root = (-cand * qinv[p]) % p
+                    if root not in roots[p] and len(roots[p]) + 1 >= p:
+                        ok = False
+                        break
+            if ok:
+                break
+            cand += 4 * qv
+        for p in primes:
+            if qv % p != 0:
+                roots[p].add((-cand * qinv[p]) % p)
+        offsets.append(cand)
+        h = cand
+    design = forcing.TupleDesign(q=qv, a=a % qv, b=b % qv, j=j, bins=list(sizes), offsets=offsets)
+    return offsets, _reference_witnesses(design)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except SearchExhausted as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("cap", [4_000, 100_000])
+def test_tuple_matches_reference_builder(monkeypatch, cap):
+    # Every design of this grid ends under a cap of 10^5 as under the real
+    # cap, and the reference's scans to it stay short; at 4,000 many
+    # searches run out of candidates inside the greedy loop.
+    monkeypatch.setattr(forcing, "OFFSET_CAP", cap)
+    rng = random.Random(19)
+    ends = {"built": 0, "exhausted": 0}
+    for qv in (1, 3, 5, 7, 9, 11, 13, 15, 21, 25, 45, 49, 63):
+        fq = factorize(qv)
+        adm = [c.value for c in admissible_classes(fq)]
+        for _ in range(40):
+            sizes = [rng.randint(1, 40) for _ in range(rng.randint(1, 4))]
+            j = rng.randint(1, len(sizes))
+            a, b = rng.choice(adm), rng.choice(adm)
+
+            def build():
+                design = construct_two_class_tuple(fq, a, b, j, sizes)
+                return design.offsets, design.form_admissibility_witnesses()
+
+            want = _outcome(lambda: _reference_tuple(fq, a, b, j, sizes, cap))
+            assert _outcome(build) == want, (qv, a, b, j, sizes)
+            ends["exhausted" if want is SearchExhausted else "built"] += 1
+    assert min(ends.values()) > 100, ends
+
+
+def test_tuple_refuses_a_plan_past_the_cap_before_listing_primes(monkeypatch):
+    def no_primes(n):
+        raise AssertionError("the cap check runs before any prime is listed")
+
+    monkeypatch.setattr(forcing, "small_primes", no_primes)
+    with pytest.raises(SearchExhausted):
+        construct_two_class_tuple(factorize(5), 1, 2, 1, bin_plan(3, 0.025, 0.025))
+
+
+def test_tuple_cap_admits_an_offset_at_the_cap(monkeypatch):
+    # The change of class closes in by less than 4q: [1, 5] fits a cap of 5.
+    monkeypatch.setattr(forcing, "OFFSET_CAP", 5)
+    assert construct_two_class_tuple(factorize(5), 1, 0, 1, [1, 1]).offsets == [1, 5]
+    monkeypatch.setattr(forcing, "OFFSET_CAP", 4)
+    with pytest.raises(SearchExhausted):
+        construct_two_class_tuple(factorize(5), 1, 0, 1, [1, 1])
+
+
+def test_tuple_refuses_a_class_zero_mod_a_prime_of_q(monkeypatch):
+    # Every candidate of class 0 is 0 mod 5; below this cap the former
+    # builder stepped through them without end.
+    monkeypatch.setattr(forcing, "OFFSET_CAP", 10**18)
+    with pytest.raises(SearchExhausted, match="0 mod 5"):
+        construct_two_class_tuple(factorize(5), 0, 1, 1, [2, 3])
+
+
+def test_tuple_cli_refuses_an_impossible_plan_at_once(capsys):
+    assert run(["tuple", "5", "1", "2", "1", "3", "0.025", "0.025"]) == 1
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line)["error"] == "SearchExhausted"
 
 
 def test_blocking_system_q1_fixture():

@@ -779,13 +779,14 @@ def test_forged_gap_is_rejected_at_once():
     assert not cert.verify()
 
 
-def test_scan_rejects_missing_representation(monkeypatch):
+def test_scan_certifies_only_represented_values(monkeypatch):
+    # represent_two_squares is the scan's one membership test: None skips t.
     import twosq.witness as witness
 
     fam = build_witness_family(factorize(4), 1, 4, 8)
+    assert len(scan_family(fam, 4).certificates) == 3
     monkeypatch.setattr(witness, "represent_two_squares", lambda fact: None)
-    with pytest.raises(InternalInconsistency):
-        scan_family(fam, 4)
+    assert scan_family(fam, 4).certificates == []
 
 
 def test_base_without_shift_pairs_is_passed_over(monkeypatch):
