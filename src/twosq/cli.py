@@ -114,6 +114,11 @@ def _cmd_sieve(args) -> int:
     # checked whole, before sieving any segment of the range
     if not 0 <= args.lo < args.hi <= sieve.MAX_HI:
         raise _UsageError(f"need 0 <= lo < hi <= 2^62, got [{args.lo}, {args.hi})")
+    if args.dump and args.hi - args.lo > sieve.MAX_SEGMENT_LEN:
+        raise _UsageError(
+            f"--dump takes one segment of at most {sieve.MAX_SEGMENT_LEN} integers, "
+            f"got {args.hi - args.lo}"
+        )
     lines = []
     if args.dump:
         # the dump format is a single segment, so build the range as one

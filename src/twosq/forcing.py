@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .admissibility import admissibility_reason, is_admissible_value, lift_admissible
 from .arith import (
     FactoredInteger,
@@ -94,11 +96,13 @@ class TupleDesign:
         """For each prime p up to the tuple length, the least n mod p avoiding
         every root of prod (q n + h_i): the least n with -q n mod p taken by
         no offset. Raises when some prime has no such n."""
+        offsets = np.array(self.offsets, dtype=np.int64)
         witnesses: dict[int, int] = {}
         for p in small_primes(len(self.offsets)):
-            taken = {h % p for h in self.offsets}
-            n = next((n for n in range(p) if -self.q * n % p not in taken), None)
-            if n is None:
+            taken = np.bincount(offsets % p, minlength=p).astype(bool)
+            free = ~taken[-(self.q % p) * np.arange(p) % p]  # free[n]: -q n mod p untaken
+            n = int(np.argmax(free))
+            if not free[n]:
                 raise InternalInconsistency(f"no admissible residue mod {p}")
             witnesses[p] = n
         return witnesses

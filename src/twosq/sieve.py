@@ -13,29 +13,44 @@ about sqrt(hi/2) rows of numpy work, however narrow the window.
 
 Divisor sieve (a segmented sieve of Eratosthenes, Bays & Hudson 1977): by
 Fermat's criterion n is in E iff no prime p = 3 (mod 4) divides it to an
-odd power. Every such p up to r = isqrt(hi - 1) is divided out of the
-window: a prime no larger than the window width has all its multiples
-listed at once (the same `np.repeat` / `cumsum` expansion), and a larger
-one hits at most once, at (-lo) mod p, found for the table's primes in
-chunks. The parity of each hit's exponent comes from dividing the hit
-entries only. What is left of n after all primes up to r is 1 or one prime,
-since two primes above r would multiply past hi - 1. So when no p = 3
-(mod 4) up to r has an odd exponent, every other odd prime power in n is
-1 mod 4, so n's odd part is the cofactor mod 4, and n is a member iff its
-odd part is 1 mod 4. 0 is a member and takes no hits. The cost is about
-pi(sqrt(hi)) + W log log W for a window of width W.
+odd power. The bitmap starts as "n's odd part is 1 mod 4", which holds iff
+n = 2^j (mod 2^(j+2)) for some j: one strided slice per j while the stride
+fits the window, and a bit test on the at most four multiples of the next
+power of 2 left over, with no window-sized integer array. Every p = 3
+(mod 4) up to r = isqrt(hi - 1) then clears the entries it divides to an
+odd power, in one of three ways. A prime with at least `_DENSE_MULTIPLES`
+multiples in the window clears the strided slice of the multiples of p^e
+for each odd e, keeping the slice of the multiples of p^(e+1), so it does
+no arithmetic per entry. A prime no larger than the window width has all
+its multiples listed at once (the same `np.repeat` / `cumsum` expansion),
+and a larger one hits at most once, at (-lo) mod p, found for the table's
+primes in chunks; for these two the parity of each hit's exponent comes
+from dividing the hit entries only. What is left of n after all primes up
+to r is 1 or one prime, since two primes above r would multiply past
+hi - 1. So when no p = 3 (mod 4) up to r has an odd exponent, every other
+odd prime power in n is 1 mod 4, so n's odd part is the cofactor mod 4, and
+n is a member iff its odd part is 1 mod 4. 0 is a member and takes no hits.
+The cost is about pi(sqrt(hi)) + W log log W for a window of width W.
 
-`sieve_segment` takes the divisor sieve when 8 W <= isqrt(hi - 1) <=
-`PRIME_CAP` (2^24), and the lattice otherwise. The ratio 8 comes from timing
-both kernels on one CPU of a 2-core Xeon VM (numpy 2.4) from 1e9 to 2^48:
-with isqrt(hi - 1) / W = 8 the divisor sieve was 1.4 to 4.7 times as fast as
-the lattice at every scale, with ratio 4 it was slower near 1e12 and 1e13,
-and 1000-wide windows ran 15 to 50 times as fast (0.34 against 5.4 ms near
-1e11, 1.4 against 56 ms near 1e13). The primes come from
-`arith.prime_array`, the package's one prime table, built lazily in
-segments; the cap bounds it at about 4 MB (int32), and a window with
-isqrt(hi - 1) above the cap runs the lattice. The factorization criterion
-in `arith` serves as an independent cross-check in the tests.
+`sieve_segment` takes the divisor sieve when W <= 8 r and r <= `PRIME_CAP`
+(2^24), and the lattice otherwise. The ratio 8 comes from timing both
+kernels on one CPU of a 2-vCPU Xeon VM (numpy 2.4.6), the fastest of 10
+runs (of 2 where W > 10^7), in ms, divisor / lattice:
+
+    W/r:         1           2           4            8            16
+    lo = 1e9     0.5 / 1.3   0.5 / 2.3   1.0 / 2.3    1.9 / 4.0    3.4 / 5.0
+    lo = 1e10    1.1 / 2.7   1.4 / 5.6   2.2 / 6.3    3.6 / 10.7   8.4 / 11.4
+    lo = 1e11    2.9 / 9.2   4.6 / 14.4  8.2 / 15.9   16.9 / 25.6  44.4 / 39.5
+    lo = 1e12    7.6 / 24    16 / 45     39 / 49      76 / 88      142 / 133
+    lo = 1e13    32 / 85     55 / 161    108 / 212    197 / 234    516 / 485
+
+At W/r = 32 the lattice won near 1e13 (0.99 against 1.37 s). The census
+segments from 0 are thousands of times wider than their root and keep the
+lattice. The primes come from `arith.prime_array`, the package's one prime
+table, built lazily in segments; the cap bounds it at about 4 MB (int32),
+and a window with isqrt(hi - 1) above the cap runs the lattice. The
+factorization criterion in `arith` serves as an independent cross-check in
+the tests.
 
 The int64 square root is exact for arguments up to 2^62, so segments must
 end at hi <= 2^62 (`MAX_HI`); larger ranges raise ValueError.
@@ -68,11 +83,14 @@ _BLOCK_ROWS = 1 << 16
 _DENSE_ROW = 64
 _CHUNK_MARKS = 1 << 20
 
-# The divisor sieve takes [lo, hi) when _DIVISOR_RATIO (hi - lo) <=
-# isqrt(hi - 1) <= PRIME_CAP, the largest prime table it asks for; it takes
-# the primes above the window width _LARGE_PRIME_CHUNK at a time.
+# The divisor sieve takes [lo, hi) when hi - lo <= _DIVISOR_RATIO r and
+# r = isqrt(hi - 1) <= PRIME_CAP, the largest prime table it asks for. It
+# strikes a prime with at least _DENSE_MULTIPLES multiples in the window by
+# strided slices, and takes the primes above the window width
+# _LARGE_PRIME_CHUNK at a time.
 _DIVISOR_RATIO = 8
 PRIME_CAP = 1 << 24
+_DENSE_MULTIPLES = 128
 _LARGE_PRIME_CHUNK = 1 << 15
 
 _HEADER = struct.Struct("<QQ")
@@ -213,12 +231,35 @@ def _divisor_bits(lo: int, hi: int, root: int) -> np.ndarray:
     """Membership bitmap of [lo, hi) from the exponents of the primes
     p = 3 (mod 4) up to root = isqrt(hi - 1) in its entries."""
     width = hi - lo
-    n = np.arange(lo, hi, dtype=np.int64)
-    bits = n & ((n & -n) << 1) == 0  # n's odd part is 1 mod 4, or n = 0
+    bits = np.zeros(width, dtype=bool)
+    # n > 0 has odd part 1 mod 4 iff n = 2^j (mod 2^(j+2)) for some j: one
+    # strided slice per j while the stride fits the window, then the few n
+    # left, the multiples of the next 2^j, tested one by one (0 is a member).
+    j = 0
+    while 4 << j <= width:
+        bits[((1 << j) - lo) % (4 << j) :: 4 << j] = True
+        j += 1
+    first = -lo % (1 << j)
+    n = np.arange(lo + first, hi, 1 << j, dtype=np.int64)
+    bits[first :: 1 << j] = n & ((n & -n) << 1) == 0
     primes = arith.prime_array(root)
+    dense = primes[: arith.prime_array(min(width // _DENSE_MULTIPLES, root)).size]
     k = arith.prime_array(min(width, root)).size
-    # Each prime p <= width: all its multiples in the window, listed at once.
-    small = primes[:k]
+    # Each prime with _DENSE_MULTIPLES or more multiples: one strided pass per
+    # pair of powers p^e, p^(e+1) for odd e, clearing the multiples of p^e
+    # but not of p^(e+1).
+    for p in dense[dense & 3 == 3].tolist():
+        pe = p
+        while (first := _first_multiple(lo, pe)) < width:
+            if (again := _first_multiple(lo, pe * p)) < width:
+                keep = bits[again :: pe * p].copy()
+                bits[first::pe] = False
+                bits[again :: pe * p] = keep
+            else:
+                bits[first::pe] = False
+            pe *= p * p
+    # Each other prime p <= width: all its multiples in the window, listed at once.
+    small = primes[dense.size : k]
     small = small[small & 3 == 3].astype(np.int64)
     first = _first_multiple(lo, small)
     cnt = (width - first + small - 1) // small  # first <= p <= width
@@ -236,7 +277,7 @@ def _divisor_bits(lo: int, hi: int, root: int) -> np.ndarray:
     return bits
 
 
-def _first_multiple(lo: int, p: np.ndarray) -> np.ndarray:
+def _first_multiple(lo: int, p: int | np.ndarray) -> int | np.ndarray:
     """Offset from lo of each p's least positive multiple at or after lo
     (0 takes no hits: every p divides it without end)."""
     return (-lo) % p if lo else p
@@ -257,8 +298,8 @@ def _strike_odd_powers(bits: np.ndarray, lo: int, idx: np.ndarray, p: np.ndarray
 
 def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegment:
     """Exact membership bitmap for [lo, hi), by the divisor sieve when the
-    window is narrow next to isqrt(hi - 1) and that root is at most
-    PRIME_CAP, and by lattice marking otherwise.
+    window is at most _DIVISOR_RATIO times as wide as isqrt(hi - 1) and that
+    root is at most PRIME_CAP, and by lattice marking otherwise.
 
     Requires 0 <= lo < hi <= MAX_HI (2^62) and hi - lo <= MAX_SEGMENT_LEN.
     With cache_dir set, a previously dumped segment for the same range is
@@ -279,7 +320,7 @@ def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegmen
             if seg is not None:
                 return seg
     root = math.isqrt(hi - 1)
-    if _DIVISOR_RATIO * (hi - lo) <= root <= PRIME_CAP:
+    if hi - lo <= _DIVISOR_RATIO * root and root <= PRIME_CAP:
         bits = _divisor_bits(lo, hi, root)
     else:
         bits = _lattice_bits(lo, hi)

@@ -266,6 +266,7 @@ def test_sieve_beyond_int64_limit(capsys):
         ["pattern", "4", "x", "10"],
         ["sieve", "-5", "10"],
         ["sieve", "5", "5"],
+        ["sieve", "0", str(sieve.MAX_SEGMENT_LEN + 1), "--dump", "unwritten.seg"],
         ["admissible", "0"],
         ["admissible", "-3"],
         ["census", "5", "0", "10"],

@@ -219,6 +219,18 @@ def test_tuple_matches_reference_builder(monkeypatch, cap):
     assert min(ends.values()) > 100, ends
 
 
+def test_witnesses_refuse_a_design_with_no_free_residue():
+    every_residue = forcing.TupleDesign(q=5, a=1, b=2, j=1, bins=[3], offsets=[1, 5, 9])
+    with pytest.raises(InternalInconsistency, match="mod 3$"):
+        every_residue.form_admissibility_witnesses()
+    # 3 | q: the forms take -3 n = 0 mod 3 at every n, and 3 and 15 sit there
+    vanishing = forcing.TupleDesign(q=3, a=0, b=1, j=1, bins=[3], offsets=[3, 7, 15])
+    with pytest.raises(InternalInconsistency, match="mod 3$"):
+        vanishing.form_admissibility_witnesses()
+    fine = forcing.TupleDesign(q=3, a=1, b=2, j=1, bins=[3], offsets=[1, 5, 13])
+    assert fine.form_admissibility_witnesses() == _reference_witnesses(fine) == {2: 0, 3: 0}
+
+
 def test_tuple_refuses_a_plan_past_the_cap_before_listing_primes(monkeypatch):
     def no_primes(n):
         raise AssertionError("the cap check runs before any prime is listed")

@@ -91,8 +91,8 @@ def test_kernel_matches_reference_loop(monkeypatch, constants):
 
 
 # Crossover ratios that send every window (up to PRIME_CAP) to one kernel.
-LATTICE_ONLY = 1 << 62
-DIVISOR_ONLY = 0
+LATTICE_ONLY = 0
+DIVISOR_ONLY = 1 << 62
 
 
 def _primes_3_mod_4_below(n: int, count: int) -> list[int]:
@@ -106,28 +106,54 @@ def _primes_3_mod_4_below(n: int, count: int) -> list[int]:
 
 def _largest_divisor_width(lo: int) -> int:
     """The widest [lo, lo + w) that still goes to the divisor sieve."""
-    w = math.isqrt(lo) // sieve._DIVISOR_RATIO
-    while sieve._DIVISOR_RATIO * (w + 1) <= math.isqrt(lo + w):
+    c = sieve._DIVISOR_RATIO
+    w = c * math.isqrt(lo)
+    while w + 1 <= c * math.isqrt(lo + w):
         w += 1
-    while sieve._DIVISOR_RATIO * w > math.isqrt(lo + w - 1):
+    while w > c * math.isqrt(lo + w - 1):
         w -= 1
     return w
 
 
+def _exact_multiple(p: int, e: int, near: int) -> int:
+    """The least n >= near with p^e exactly dividing it."""
+    m = -(-near // p**e)
+    return p**e * (m if m % p else m + 1)
+
+
 def kernel_windows() -> list[tuple[int, int]]:
-    """Windows at lo = 0 and 1; windows straddling the crossover from 1e9
-    to 1e13; windows holding p^2, p^3, p^4, 2 p^2 and 21 p^2 for primes
-    p = 3 mod 4; windows holding p^2 for the largest such p below 10^6,
-    some with p = isqrt(hi - 1); and windows at the prime table's cap."""
+    """Windows at lo = 0 and 1; windows straddling the crossover at 1e9 and
+    1e10, and far windows up to 1e13; windows holding p^2, p^3, p^4, 2 p^2
+    and 21 p^2 for primes p = 3 mod 4; windows of a strided prime p with a
+    multiple of p^2 to p^5 at the first or the last index, and of widths
+    around _DENSE_MULTIPLES p; windows holding p^2 for the largest such p
+    below 10^6, some with p = isqrt(hi - 1); and windows at the prime
+    table's cap."""
+    dense = sieve._DENSE_MULTIPLES
     out = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 10), (0, 1000), (1, 4097), (0, 1 << 16)]
-    for e in range(9, 14):
+    out += [(0, 11 * dense), (1, 11 * dense + 1), (0, 11 * dense + 500)]  # 3, 7, 11 strided
+    # A straddle at 1e11 and above would be millions wide; the far windows
+    # there are isqrt(lo) / 8 wide, so strided, listed and single hits all run.
+    for e in (9, 10):
         lo = 10**e + 777
         w = _largest_divisor_width(lo)
         out += [(lo, lo + w - 1), (lo, lo + w), (lo, lo + w + 1)]
+    for e in (11, 12, 13):
+        lo = 10**e + 777
+        out.append((lo, lo + math.isqrt(lo) // 8))
     for p in [3, 7, 11, *_primes_3_mod_4_below(1000, 2), *_primes_3_mod_4_below(4100, 1)]:
         for n in (p**2, p**3, p**4, 2 * p**2, 3 * 7 * p**2):
             if n <= 1 << 48:
                 out.append((max(n - 150, 0), n + 150))
+    for p in (3, 7, 11):
+        w = 2 * dense * p
+        for e in (2, 3, 4, 5):
+            for near in (w, 10**11):
+                n = _exact_multiple(p, e, near)
+                out += [(n, n + w), (n - w + 1, n + 1)]
+    for p in (3, 11, 19, 103):
+        lo = 10**7 + 777
+        out += [(lo, lo + dense * p + d) for d in (-1, 0, 1)]
     for p in _primes_3_mod_4_below(10**6, 2):
         out += [(p * p - 300, p * p + 1), (p * p - 1, p * p + 300), (p * p - 2 * p, p * p + 2 * p)]
     cap = sieve.PRIME_CAP
@@ -145,6 +171,15 @@ def test_divisor_kernel_matches_reference_loop(monkeypatch):
         assert np.array_equal(sieve_segment(lo, hi).bits, reference_bits(lo, hi)), (lo, hi)
 
 
+@pytest.mark.parametrize("dense", [1, 1 << 40], ids=["all_strided", "none_strided"])
+def test_divisor_strikes_match_reference_loop_in_one_regime(monkeypatch, dense):
+    """Every prime up to the width strided, or every one listed hit by hit."""
+    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
+    monkeypatch.setattr(sieve, "_DENSE_MULTIPLES", dense)
+    for lo, hi in reference_windows():
+        assert np.array_equal(sieve_segment(lo, hi).bits, reference_bits(lo, hi)), (lo, hi)
+
+
 def test_kernels_match_each_other_and_references(monkeypatch):
     for lo, hi in kernel_windows():
         monkeypatch.setattr(sieve, "_DIVISOR_RATIO", LATTICE_ONLY)
@@ -157,31 +192,33 @@ def test_kernels_match_each_other_and_references(monkeypatch):
         elif hi - lo <= 1000:
             assert np.array_equal(divisor, factorization_bits(lo, hi)), (lo, hi)
         else:  # the wide windows far out: sample the factorization criterion
-            for n in range(lo, hi, 997):
+            for n in [*range(lo, hi, 997), hi - 1]:
                 assert divisor[n - lo] == is_sum_two_squares(factorize(n)), n
 
 
 def test_crossover_picks_kernel(monkeypatch):
     ran = []
 
-    def spy(name, kernel):
-        def run(*args):
+    def spy(name, kernel=None):
+        def run(lo, hi, *root):
             ran.append(name)
-            return kernel(*args)
+            return kernel(lo, hi, *root) if kernel else np.zeros(hi - lo, dtype=bool)
 
         return run
 
     for name in ("_lattice_bits", "_divisor_bits"):
-        monkeypatch.setattr(sieve, name, spy(name, getattr(sieve, name)))
+        monkeypatch.setattr(sieve, name, spy(name))
     cap = 1 << 24  # the prime table's documented cap
     cases = [
         ((0, 1000), "_lattice_bits"),
+        ((0, 8_004_096), "_lattice_bits"),  # the census segment up to 8e6
+        ((0, 1 << 24), "_lattice_bits"),  # a full default segment
         ((10**11, 10**11 + 1000), "_divisor_bits"),
-        ((10**11, 10**11 + (1 << 20)), "_lattice_bits"),
+        ((10**11, 10**11 + (1 << 20)), "_divisor_bits"),
         ((cap * cap, cap * cap + 1000), "_divisor_bits"),  # isqrt(hi - 1) = cap
         (((cap + 1) ** 2, (cap + 1) ** 2 + 1000), "_lattice_bits"),  # just above it
     ]
-    for e in range(9, 14):
+    for e in range(9, 14):  # the kernels are stubbed, so wide straddles cost nothing
         lo = 10**e + 777
         w = _largest_divisor_width(lo)
         cases += [((lo, lo + w), "_divisor_bits"), ((lo, lo + w + 1), "_lattice_bits")]
@@ -190,6 +227,9 @@ def test_crossover_picks_kernel(monkeypatch):
         sieve_segment(lo, hi)
         assert ran == [name], (lo, hi)
     # Above the cap the lattice runs whatever the crossover says.
+    monkeypatch.undo()
+    for name in ("_lattice_bits", "_divisor_bits"):
+        monkeypatch.setattr(sieve, name, spy(name, getattr(sieve, name)))
     monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
     lo = (cap + 1) ** 2 - 50
     ran.clear()
