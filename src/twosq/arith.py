@@ -36,11 +36,12 @@ _MR_LEVELS = (
 )
 _PSI_13 = 3317044064679887385961981
 
-# The package's one table of primes: every prime up to _prime_limit as a
-# read-only int32 array, sieved in segments of _PRIME_SEGMENT integers when a
-# caller first asks past its end.
+# The package's prime tables: every prime up to _prime_limit, and those of
+# them = 3 (mod 4), as read-only int32 arrays, sieved together in segments of
+# _PRIME_SEGMENT integers when a caller first asks past their end.
 _PRIME_SEGMENT = 1 << 18
 _primes = np.zeros(0, dtype=np.int32)
+_primes_3_mod_4 = np.zeros(0, dtype=np.int32)
 _prime_limit = 1
 
 
@@ -125,15 +126,15 @@ class FactoredInteger:
 
 
 def _extend_primes(limit: int) -> None:
-    """Extend the prime table to every prime <= limit by a segmented sieve of
+    """Extend both prime tables to limit by a segmented sieve of
     Eratosthenes, taking the base primes up to isqrt(limit) from the table."""
-    global _primes, _prime_limit
+    global _primes, _primes_3_mod_4, _prime_limit
     if limit <= _prime_limit:
         return
     root = math.isqrt(limit)
     _extend_primes(root)
     base = _primes[: np.searchsorted(_primes, np.int32(root), "right")].tolist()
-    parts = [_primes]
+    parts, parts_3_mod_4 = [_primes], [_primes_3_mod_4]
     for lo in range(_prime_limit + 1, limit + 1, _PRIME_SEGMENT):
         hi = min(lo + _PRIME_SEGMENT, limit + 1)
         seg = np.ones(hi - lo, dtype=bool)
@@ -141,21 +142,30 @@ def _extend_primes(limit: int) -> None:
             if p * p >= hi:
                 break
             seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
-        parts.append((np.flatnonzero(seg) + lo).astype(np.int32))
+        fresh = (np.flatnonzero(seg) + lo).astype(np.int32)
+        parts.append(fresh)
+        parts_3_mod_4.append(fresh[fresh & 3 == 3])
     _primes = np.concatenate(parts)
-    _primes.flags.writeable = False
+    _primes_3_mod_4 = np.concatenate(parts_3_mod_4)
+    _primes.flags.writeable = _primes_3_mod_4.flags.writeable = False
     _prime_limit = limit
 
 
 def prime_array(bound: int) -> np.ndarray:
     """All primes <= bound as a read-only int32 array (bound < 2^31).
 
-    The table grows to the power of two at or above bound (at least 16), so
+    The tables grow to the power of two at or above bound (at least 16), so
     nearby bounds share one extension.
     """
     _extend_primes(1 << max((bound - 1).bit_length(), 4))
     # an int32 key, so that numpy does not convert the whole table to search it
     return _primes[: np.searchsorted(_primes, np.int32(bound), "right")]
+
+
+def primes_3_mod_4(bound: int) -> np.ndarray:
+    """The primes p = 3 (mod 4) <= bound, from a table grown with `prime_array`'s."""
+    _extend_primes(1 << max((bound - 1).bit_length(), 4))
+    return _primes_3_mod_4[: np.searchsorted(_primes_3_mod_4, np.int32(bound), "right")]
 
 
 def small_primes(bound: int) -> list[int]:

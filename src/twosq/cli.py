@@ -105,7 +105,7 @@ def _output_flags(sub: argparse.ArgumentParser, formats: bool = True) -> None:
 def _sieve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--cache-dir",
-        default=os.environ.get("TWOSQ_CACHE_DIR"),
+        default=os.environ.get("TWOSQ_CACHE_DIR") or None,  # empty counts as unset
         help="directory for sieve bitmap dumps (env: TWOSQ_CACHE_DIR)",
     )
 
@@ -114,13 +114,13 @@ def _cmd_sieve(args) -> int:
     # checked whole, before sieving any segment of the range
     if not 0 <= args.lo < args.hi <= sieve.MAX_HI:
         raise _UsageError(f"need 0 <= lo < hi <= 2^62, got [{args.lo}, {args.hi})")
-    if args.dump and args.hi - args.lo > sieve.MAX_SEGMENT_LEN:
+    if args.dump is not None and args.hi - args.lo > sieve.MAX_SEGMENT_LEN:
         raise _UsageError(
             f"--dump takes one segment of at most {sieve.MAX_SEGMENT_LEN} integers, "
             f"got {args.hi - args.lo}"
         )
     lines = []
-    if args.dump:
+    if args.dump is not None:
         # the dump format is a single segment, so build the range as one
         seg = sieve.sieve_segment(args.lo, args.hi, cache_dir=args.cache_dir)
         seg.save(args.dump)
@@ -278,7 +278,7 @@ def _cmd_force_triple(args) -> int:
 
 def _cmd_tuple(args) -> int:
     q = _modulus(args.q)
-    if args.sizes:
+    if args.sizes is not None:
         sizes = list(_parse_ints(args.sizes))
         delta = None
     else:

@@ -28,7 +28,7 @@ from .arith import (
     factorize,
     is_prime,  # not called here; perfbench/tracing.py wraps forcing.is_prime
     obstructing_prime,
-    prime_array,
+    primes_3_mod_4,
     represent_two_squares,
     small_primes,
 )
@@ -178,14 +178,13 @@ def construct_two_class_tuple(
 def _primes_3mod4_above(bound: int, avoid_divisors_of: int):
     """Ascending primes p = 3 mod 4 with p > bound not dividing the given integer.
 
-    Read from `arith`'s prime table over (lo, 2 lo], lo doubling each time
-    the range runs out.
+    Read from `arith`'s table of primes = 3 (mod 4) over (lo, 2 lo], lo
+    doubling each time the range runs out.
     """
     lo = bound
     while True:
         hi = max(2 * lo, 16)
-        fresh = prime_array(hi)[len(prime_array(lo)) :]
-        for p in fresh[fresh % 4 == 3].tolist():
+        for p in primes_3_mod_4(hi)[len(primes_3_mod_4(lo)) :].tolist():
             if avoid_divisors_of % p != 0:
                 yield p
         lo = hi

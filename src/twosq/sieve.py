@@ -17,19 +17,19 @@ odd power. The bitmap starts as "n's odd part is 1 mod 4", which holds iff
 n = 2^j (mod 2^(j+2)) for some j: one strided slice per j while the stride
 fits the window, and a bit test on the at most four multiples of the next
 power of 2 left over, with no window-sized integer array. Every p = 3
-(mod 4) up to r = isqrt(hi - 1) then clears the entries it divides to an
-odd power, in one of three ways. A prime with at least `_DENSE_MULTIPLES`
-multiples in the window clears the strided slice of the multiples of p^e
-for each odd e, keeping the slice of the multiples of p^(e+1), so it does
-no arithmetic per entry. A prime no larger than the window width has all
-its multiples listed at once (the same `np.repeat` / `cumsum` expansion),
-and a larger one hits at most once, at (-lo) mod p, found for the table's
-primes in chunks; for these two the parity of each hit's exponent comes
-from dividing the hit entries only. What is left of n after all primes up
-to r is 1 or one prime, since two primes above r would multiply past
-hi - 1. So when no p = 3 (mod 4) up to r has an odd exponent, every other
-odd prime power in n is 1 mod 4, so n's odd part is the cofactor mod 4, and
-n is a member iff its odd part is 1 mod 4. 0 is a member and takes no hits.
+(mod 4) up to r = isqrt(hi - 1), from `arith.primes_3_mod_4`, then clears
+the entries it divides to an odd power, in one of two ways. A prime with at
+least `_DENSE_MULTIPLES` multiples in the window clears the strided slice
+of the multiples of p^e for each odd e, keeping the slice of the multiples
+of p^(e+1), so it does no arithmetic per entry. Every other prime with a
+multiple in the window, the first at (-lo) mod p, has all of them listed at
+once (the same `np.repeat` / `cumsum` expansion; one, for a prime above the
+width), and the parity of each hit's exponent comes from dividing the hit
+entries only. What is left of n after all primes up to r is 1 or one prime,
+since two primes above r would multiply past hi - 1. So when no p = 3
+(mod 4) up to r has an odd exponent, every other odd prime power in n is
+1 mod 4, so n's odd part is the cofactor mod 4, and n is a member iff its
+odd part is 1 mod 4. 0 is a member and takes no hits.
 The cost is about pi(sqrt(hi)) + W log log W for a window of width W.
 
 `sieve_segment` takes the divisor sieve when W <= 8 r and r <= `PRIME_CAP`
@@ -46,11 +46,11 @@ runs (of 2 where W > 10^7), in ms, divisor / lattice:
 
 At W/r = 32 the lattice won near 1e13 (0.99 against 1.37 s). The census
 segments from 0 are thousands of times wider than their root and keep the
-lattice. The primes come from `arith.prime_array`, the package's one prime
-table, built lazily in segments; the cap bounds it at about 4 MB (int32),
-and a window with isqrt(hi - 1) above the cap runs the lattice. The
-factorization criterion in `arith` serves as an independent cross-check in
-the tests.
+lattice. The primes' table is built lazily in segments, alongside the
+package's table of all primes; the cap bounds the two at about 2 and 4 MB
+(int32), and a window with isqrt(hi - 1) above the cap runs the lattice.
+The factorization criterion in `arith` serves as an independent
+cross-check in the tests.
 
 The int64 square root is exact for arguments up to 2^62, so segments must
 end at hi <= 2^62 (`MAX_HI`); larger ranges raise ValueError.
@@ -84,14 +84,11 @@ _DENSE_ROW = 64
 _CHUNK_MARKS = 1 << 20
 
 # The divisor sieve takes [lo, hi) when hi - lo <= _DIVISOR_RATIO r and
-# r = isqrt(hi - 1) <= PRIME_CAP, the largest prime table it asks for. It
-# strikes a prime with at least _DENSE_MULTIPLES multiples in the window by
-# strided slices, and takes the primes above the window width
-# _LARGE_PRIME_CHUNK at a time.
+# r = isqrt(hi - 1) <= PRIME_CAP, the largest prime table it asks for, and
+# strikes a prime with _DENSE_MULTIPLES or more multiples there by strided slices.
 _DIVISOR_RATIO = 8
 PRIME_CAP = 1 << 24
 _DENSE_MULTIPLES = 128
-_LARGE_PRIME_CHUNK = 1 << 15
 
 _HEADER = struct.Struct("<QQ")
 
@@ -242,13 +239,12 @@ def _divisor_bits(lo: int, hi: int, root: int) -> np.ndarray:
     first = -lo % (1 << j)
     n = np.arange(lo + first, hi, 1 << j, dtype=np.int64)
     bits[first :: 1 << j] = n & ((n & -n) << 1) == 0
-    primes = arith.prime_array(root)
-    dense = primes[: arith.prime_array(min(width // _DENSE_MULTIPLES, root)).size]
-    k = arith.prime_array(min(width, root)).size
+    primes = arith.primes_3_mod_4(root)
+    dense = arith.primes_3_mod_4(min(width // _DENSE_MULTIPLES, root)).size
     # Each prime with _DENSE_MULTIPLES or more multiples: one strided pass per
     # pair of powers p^e, p^(e+1) for odd e, clearing the multiples of p^e
     # but not of p^(e+1).
-    for p in dense[dense & 3 == 3].tolist():
+    for p in primes[:dense].tolist():
         pe = p
         while (first := _first_multiple(lo, pe)) < width:
             if (again := _first_multiple(lo, pe * p)) < width:
@@ -258,22 +254,16 @@ def _divisor_bits(lo: int, hi: int, root: int) -> np.ndarray:
             else:
                 bits[first::pe] = False
             pe *= p * p
-    # Each other prime p <= width: all its multiples in the window, listed at once.
-    small = primes[dense.size : k]
-    small = small[small & 3 == 3].astype(np.int64)
-    first = _first_multiple(lo, small)
-    cnt = (width - first + small - 1) // small  # first <= p <= width
+    # Every other prime with a multiple in the window: all of them, listed at once.
+    sparse = primes[dense:].astype(np.int64)
+    first = _first_multiple(lo, sparse)
+    inside = np.flatnonzero(first < width)
+    sparse, first = sparse[inside], first[inside]
+    cnt = (width - first + sparse - 1) // sparse
     for i, j, pos in _runs(cnt):
-        p = np.repeat(small[i:j], cnt[i:j])
-        idx = np.repeat(first[i:j] - pos * small[i:j], cnt[i:j]) + np.arange(p.size) * p
+        p = np.repeat(sparse[i:j], cnt[i:j])
+        idx = np.repeat(first[i:j] - pos * sparse[i:j], cnt[i:j]) + np.arange(p.size) * p
         _strike_odd_powers(bits, lo, idx, p)
-    # Each larger prime has at most one multiple in the window.
-    for c in range(k, primes.size, _LARGE_PRIME_CHUNK):
-        p = primes[c : c + _LARGE_PRIME_CHUNK].astype(np.int64)
-        first = _first_multiple(lo, p)
-        inside = np.flatnonzero(first < width)
-        inside = inside[p[inside] & 3 == 3]
-        _strike_odd_powers(bits, lo, first[inside], p[inside])
     return bits
 
 

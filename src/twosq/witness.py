@@ -42,6 +42,7 @@ from .arith import (
     factorize,
     is_prime,
     obstructing_prime,
+    primes_3_mod_4,
     represent_two_squares,
     sqrt_mod_prime_power,
     sqrt_unit_odd,
@@ -712,9 +713,9 @@ def check_local_obstructions(family: WitnessFamily) -> None:
     At each prime power p^e || q with p = 3 mod 4 the values sit in the class
     k + a, which must be admissible. At powers of 2 the only obstruction shape
     is F(t) constantly 3 * 2^(alpha-2) mod 2^alpha; powers up to 2^(v2+2) are
-    checked exhaustively. At the small primes p = 3 mod 4 that do not divide
-    q, F must not be p times a polynomial with no root mod p, which would put
-    p exactly once into every F(t).
+    checked exhaustively. At the primes p = 3 mod 4 up to 47 not dividing q,
+    F must not be p times a polynomial with no root mod p, which would put p
+    exactly once into every F(t).
     """
     q = family.q
     value = family.a + family.k
@@ -728,7 +729,7 @@ def check_local_obstructions(family: WitnessFamily) -> None:
         for alpha in range(2, q.exponent(2) + 3)
     ) or any(
         _roots_mod_p(*coeffs, p) is None and _roots_mod_p(*(c // p for c in coeffs), p) == []
-        for p in (3, 7, 11, 19, 23, 31, 43, 47)
+        for p in primes_3_mod_4(47).tolist()
         if q.value % p
     )
     if obstructed:

@@ -264,30 +264,43 @@ def _reference_primes(bound: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
+def _empty_prime_tables(monkeypatch) -> None:
+    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_primes_3_mod_4", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_prime_limit", 1)
+
+
 @pytest.mark.parametrize("segment,top", [(4099, 16), (None, 22)], ids=["small_segments", "default"])
 def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
-    """Grown from empty, bucket edge by bucket edge, the table holds exactly
-    the primes of a plain sieve at 2^k - 1, 2^k and 2^k + 1."""
-    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
-    monkeypatch.setattr(arith, "_prime_limit", 1)
+    """Grown from empty, bucket edge by bucket edge, the tables hold exactly
+    the primes of a plain sieve at 2^k - 1, 2^k and 2^k + 1, and those of
+    them = 3 (mod 4), whichever accessor grows them."""
+    _empty_prime_tables(monkeypatch)
     if segment is not None:
         monkeypatch.setattr(arith, "_PRIME_SEGMENT", segment)
     reference = _reference_primes((1 << top) + 1)
     for k in range(4, top + 1):
         for bound in ((1 << k) - 1, 1 << k, (1 << k) + 1):
-            got = arith.prime_array(bound)
-            assert got.dtype == np.int32 and not got.flags.writeable
-            assert np.array_equal(got, reference[reference <= bound]), bound
+            if k % 2:  # 2^k + 1 grows the tables: through each accessor in turn
+                got_3_mod_4, got = arith.primes_3_mod_4(bound), arith.prime_array(bound)
+            else:
+                got, got_3_mod_4 = arith.prime_array(bound), arith.primes_3_mod_4(bound)
+            want = reference[reference <= bound]
+            for table in (got, got_3_mod_4):
+                assert table.dtype == np.int32 and not table.flags.writeable
+            assert np.array_equal(got, want), bound
+            assert np.array_equal(got_3_mod_4, want[want % 4 == 3]), bound
             if k <= 16:
-                assert small_primes(bound) == reference[reference <= bound].tolist(), bound
+                assert small_primes(bound) == want.tolist(), bound
 
 
 def test_prime_table_built_in_one_jump(monkeypatch):
-    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
-    monkeypatch.setattr(arith, "_prime_limit", 1)
+    _empty_prime_tables(monkeypatch)
     bound = (1 << 22) + 1
-    assert np.array_equal(arith.prime_array(bound), _reference_primes(bound))
+    reference = _reference_primes(bound)
+    assert np.array_equal(arith.prime_array(bound), reference)
     assert arith._prime_limit == 1 << 23
+    assert np.array_equal(arith.primes_3_mod_4(bound), reference[reference % 4 == 3])
 
 
 def test_shared_prime_table_keeps_python_lists():

@@ -276,6 +276,8 @@ def test_sieve_beyond_int64_limit(capsys):
         ["census", "5", "3", str(2**62)],
         ["pattern", "5", "1,2,3", str(2**62)],
         ["force-triple", "5", "1", "2", "3", "--xbudget", str(2**62)],
+        # an empty list is not the bin plan
+        ["tuple", "5", "1", "2", "1", "1", "0.025", "0.025", "--sizes", ""],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
@@ -301,12 +303,14 @@ FILE_ERRORS = {
     "verify_directory": lambda tmp: ["verify", str(tmp)],
     "output_into_missing_dir": lambda tmp: ["admissible", "5", "--output", str(tmp / "missing" / "out.csv")],
     "dump_into_missing_dir": lambda tmp: ["sieve", "0", "10", "--dump", str(tmp / "missing" / "d.seg")],
+    "dump_to_empty_path": lambda tmp: ["sieve", "0", "20", "--dump", ""],
     "cache_dir_is_a_file": lambda tmp: ["sieve", "0", "10", "--cache-dir", str(tmp / "file.txt")],
 }
 
 
 @pytest.mark.parametrize("case", sorted(FILE_ERRORS))
-def test_file_errors_exit_1_with_one_diagnostic(capsys, tmp_path, case):
+def test_file_errors_exit_1_with_one_diagnostic(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.chdir(tmp_path)  # where an empty path's temporary file goes
     (tmp_path / "file.txt").write_text("not a directory\n", encoding="utf-8")
     code, out, err = run_capture(capsys, FILE_ERRORS[case](tmp_path))
     assert code == 1 and out == ""
@@ -314,6 +318,25 @@ def test_file_errors_exit_1_with_one_diagnostic(capsys, tmp_path, case):
     diagnostic = json.loads(line)
     assert set(diagnostic) == {"error", "detail"}
     assert diagnostic["error"].endswith("Error"), diagnostic
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "0", "20"],
+        ["census", "5", "2", "100"],
+        ["pattern", "4", "1,2", "10"],
+        ["force-triple", "3", "0", "1", "2", "--xbudget", "1000"],
+    ],
+)
+def test_empty_cache_dir_variable_counts_as_unset(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TWOSQ_CACHE_DIR", raising=False)
+    unset = run_capture(capsys, argv)
+    assert unset[0] == 0
+    monkeypatch.setenv("TWOSQ_CACHE_DIR", "")
+    assert run_capture(capsys, argv) == unset
+    assert list(tmp_path.iterdir()) == []
 
 
 RECORDED_STDOUT = json.loads(

@@ -289,6 +289,7 @@ def test_prime_stream_matches_is_prime(monkeypatch, bound, avoid):
     # From an empty table, so the stream has to grow it while it runs;
     # 1023 sits just below a power of two.
     monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_primes_3_mod_4", np.zeros(0, dtype=np.int32))
     monkeypatch.setattr(arith, "_prime_limit", 1)
 
     def no_prime_test(n):

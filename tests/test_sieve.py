@@ -127,7 +127,9 @@ def kernel_windows() -> list[tuple[int, int]]:
     and 21 p^2 for primes p = 3 mod 4; windows of a strided prime p with a
     multiple of p^2 to p^5 at the first or the last index, and of widths
     around _DENSE_MULTIPLES p; windows holding p^2 for the largest such p
-    below 10^6, some with p = isqrt(hi - 1); and windows at the prime
+    below 10^6, some with p = isqrt(hi - 1); windows of width p - 1 whose
+    first or last entry is p q (q a prime = 3 (mod 4) above the root, so only
+    p's strike clears it) or 5 p^2 (not struck); and windows at the prime
     table's cap."""
     dense = sieve._DENSE_MULTIPLES
     out = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 10), (0, 1000), (1, 4097), (0, 1 << 16)]
@@ -156,6 +158,9 @@ def kernel_windows() -> list[tuple[int, int]]:
         out += [(lo, lo + dense * p + d) for d in (-1, 0, 1)]
     for p in _primes_3_mod_4_below(10**6, 2):
         out += [(p * p - 300, p * p + 1), (p * p - 1, p * p + 300), (p * p - 2 * p, p * p + 2 * p)]
+    p, q = 1019, 1031  # primes = 3 (mod 4); isqrt(1019 * 1031 + 1017) = 1025
+    for n in (p * q, 5 * p * p):
+        out += [(n, n + p - 1), (n - p + 2, n + 1)]
     cap = sieve.PRIME_CAP
     out += [(cap * cap - 100, cap * cap + 100), (cap * cap - 1000, cap * cap + 1)]
     return out
