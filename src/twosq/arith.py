@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +39,12 @@ _PSI_13 = 3317044064679887385961981
 # The package's prime tables: every prime up to _prime_limit, and those of
 # them = 3 (mod 4), as read-only int32 arrays, sieved together in segments of
 # _PRIME_SEGMENT integers when a caller first asks past their end.
-_PRIME_SEGMENT = 1 << 18
+# `iter_primes_3_mod_4` reads them only up to PRIME_CAP (about 4 and 2 MB
+# there), in chunks of _TABLE_CHUNK primes, and sieves the segments above it
+# afresh without keeping them.
+_PRIME_SEGMENT = 1 << 20
+PRIME_CAP = 1 << 24
+_TABLE_CHUNK = 1 << 16
 _primes = np.zeros(0, dtype=np.int32)
 _primes_3_mod_4 = np.zeros(0, dtype=np.int32)
 _prime_limit = 1
@@ -125,9 +130,20 @@ class FactoredInteger:
         return cls(value, dict(sorted(factors.items())))
 
 
+def _sieve_primes(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """The primes in [lo, hi) (2 <= lo) as int64, by a sieve of Eratosthenes
+    over the segment; base holds every prime up to isqrt(hi - 1) in order."""
+    seg = np.ones(hi - lo, dtype=bool)
+    for p in base:
+        if p * p >= hi:
+            break
+        seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return np.flatnonzero(seg) + lo
+
+
 def _extend_primes(limit: int) -> None:
-    """Extend both prime tables to limit by a segmented sieve of
-    Eratosthenes, taking the base primes up to isqrt(limit) from the table."""
+    """Extend both prime tables to limit segment by segment, taking the base
+    primes up to isqrt(limit) from the table."""
     global _primes, _primes_3_mod_4, _prime_limit
     if limit <= _prime_limit:
         return
@@ -136,13 +152,7 @@ def _extend_primes(limit: int) -> None:
     base = _primes[: np.searchsorted(_primes, np.int32(root), "right")].tolist()
     parts, parts_3_mod_4 = [_primes], [_primes_3_mod_4]
     for lo in range(_prime_limit + 1, limit + 1, _PRIME_SEGMENT):
-        hi = min(lo + _PRIME_SEGMENT, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            if p * p >= hi:
-                break
-            seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
-        fresh = (np.flatnonzero(seg) + lo).astype(np.int32)
+        fresh = _sieve_primes(lo, min(lo + _PRIME_SEGMENT, limit + 1), base).astype(np.int32)
         parts.append(fresh)
         parts_3_mod_4.append(fresh[fresh & 3 == 3])
     _primes = np.concatenate(parts)
@@ -166,6 +176,23 @@ def primes_3_mod_4(bound: int) -> np.ndarray:
     """The primes p = 3 (mod 4) <= bound, from a table grown with `prime_array`'s."""
     _extend_primes(1 << max((bound - 1).bit_length(), 4))
     return _primes_3_mod_4[: np.searchsorted(_primes_3_mod_4, np.int32(bound), "right")]
+
+
+def iter_primes_3_mod_4(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The primes p = 3 (mod 4) with lo < p <= hi (hi <= PRIME_CAP^2) in
+    ascending int64 chunks: up to PRIME_CAP, slices of _TABLE_CHUNK primes
+    of the table; above it, those of each segment of _PRIME_SEGMENT
+    integers, sieved afresh and not kept."""
+    table = primes_3_mod_4(min(hi, PRIME_CAP))
+    # an int32 key, so that numpy does not convert the whole table to search it
+    first = int(np.searchsorted(table, np.int32(min(lo, PRIME_CAP)), "right"))
+    for i in range(first, table.size, _TABLE_CHUNK):
+        yield table[i : i + _TABLE_CHUNK].astype(np.int64)
+    if hi > PRIME_CAP:
+        base = prime_array(math.isqrt(hi)).tolist()
+        for start in range(max(lo, PRIME_CAP) + 1, hi + 1, _PRIME_SEGMENT):
+            fresh = _sieve_primes(start, min(start + _PRIME_SEGMENT, hi + 1), base)
+            yield fresh[fresh & 3 == 3]
 
 
 def small_primes(bound: int) -> list[int]:

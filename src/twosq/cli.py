@@ -119,19 +119,14 @@ def _cmd_sieve(args) -> int:
             f"--dump takes one segment of at most {sieve.MAX_SEGMENT_LEN} integers, "
             f"got {args.hi - args.lo}"
         )
+    # the dump format is a single segment, so --dump builds the range as one
+    step = args.hi - args.lo if args.dump is not None else sieve.DEFAULT_SEGMENT_LEN
     lines = []
+    for lo in range(args.lo, args.hi, step):
+        seg = sieve.sieve_segment(lo, min(lo + step, args.hi), cache_dir=args.cache_dir)
+        lines.extend(str(v) for v in seg.members().tolist())
     if args.dump is not None:
-        # the dump format is a single segment, so build the range as one
-        seg = sieve.sieve_segment(args.lo, args.hi, cache_dir=args.cache_dir)
         seg.save(args.dump)
-        lines = [str(v) for v in seg.members().tolist()]
-    else:
-        lo = args.lo
-        while lo < args.hi:
-            hi = min(lo + sieve.DEFAULT_SEGMENT_LEN, args.hi)
-            seg = sieve.sieve_segment(lo, hi, cache_dir=args.cache_dir)
-            lines.extend(str(v) for v in seg.members().tolist())
-            lo = hi
     if args.format == "json":
         _emit(
             _json_dumps({"lo": str(args.lo), "hi": str(args.hi), "members": lines}) + "\n",

@@ -1,59 +1,37 @@
 """Segmented enumeration of the set E = {x^2 + y^2 : x, y >= 0}.
 
-Membership bitmaps come from one of two exact kernels.
+Membership bitmaps come from one exact kernel, a divisor sieve (a segmented
+sieve of Eratosthenes, Bays & Hudson 1977). By Fermat's criterion n is in E
+iff no prime p = 3 (mod 4) divides it to an odd power. The window [lo, hi)
+is processed in blocks of `_BLOCK_LEN` entries, small enough to stay in
+cache. In each block the bitmap starts as "n's odd part is 1 mod 4", which
+holds iff n = 2^j (mod 2^(j+2)) for some j: one strided slice per j while
+the stride fits the block, and a bit test on the at most four multiples of
+the next power of 2 left over, with no block-sized integer array. Every
+p = 3 (mod 4) with at least `_DENSE_MULTIPLES` multiples in a block then
+clears there the strided slice of the multiples of p^e for each odd e,
+keeping the slice of the multiples of p^(e+1), so it does no arithmetic
+per entry. Every other p = 3 (mod 4) up to r = isqrt(hi - 1), streamed in
+chunks from `arith.iter_primes_3_mod_4`, has all its multiples in the
+window listed at once, the first at (-lo) mod p (one, for a prime above
+the width; `np.repeat` / `cumsum` expansion, a bounded number of hits at a
+time), and the parity of each hit's exponent comes from dividing the hit
+entries only. What is left of n after all primes up to r is 1 or one
+prime, since two primes above r would multiply past hi - 1. So when no
+p = 3 (mod 4) up to r has an odd exponent, every other odd prime power in
+n is 1 mod 4, so n's odd part is the cofactor mod 4, and n is a member iff
+its odd part is 1 mod 4. 0 is a member and takes no hits. The cost is
+about pi(sqrt(hi)) + W log log W for a window of width W.
 
-Lattice marking: for each x with 2x^2 below the segment end, every y >= x
-putting x^2 + y^2 inside the segment is marked (each member has a
-representation with x <= y, so the other half of the lattice adds nothing).
-The rows x are processed in numpy blocks: an int64 square root gives every
-row's y-range at once, rows with many y write one slice of a table of
-squares each, and the remaining short rows are expanded together with
-`np.repeat` and `cumsum`, a bounded number of marks at a time. It costs
-about sqrt(hi/2) rows of numpy work, however narrow the window.
+The primes up to `arith.PRIME_CAP` (2^24) come from the package's prime
+table; those above it (r up to 2^31) are sieved afresh, segment by segment,
+and not kept. The factorization criterion in `arith` serves as an
+independent cross-check in the tests.
 
-Divisor sieve (a segmented sieve of Eratosthenes, Bays & Hudson 1977): by
-Fermat's criterion n is in E iff no prime p = 3 (mod 4) divides it to an
-odd power. The bitmap starts as "n's odd part is 1 mod 4", which holds iff
-n = 2^j (mod 2^(j+2)) for some j: one strided slice per j while the stride
-fits the window, and a bit test on the at most four multiples of the next
-power of 2 left over, with no window-sized integer array. Every p = 3
-(mod 4) up to r = isqrt(hi - 1), from `arith.primes_3_mod_4`, then clears
-the entries it divides to an odd power, in one of two ways. A prime with at
-least `_DENSE_MULTIPLES` multiples in the window clears the strided slice
-of the multiples of p^e for each odd e, keeping the slice of the multiples
-of p^(e+1), so it does no arithmetic per entry. Every other prime with a
-multiple in the window, the first at (-lo) mod p, has all of them listed at
-once (the same `np.repeat` / `cumsum` expansion; one, for a prime above the
-width), and the parity of each hit's exponent comes from dividing the hit
-entries only. What is left of n after all primes up to r is 1 or one prime,
-since two primes above r would multiply past hi - 1. So when no p = 3
-(mod 4) up to r has an odd exponent, every other odd prime power in n is
-1 mod 4, so n's odd part is the cofactor mod 4, and n is a member iff its
-odd part is 1 mod 4. 0 is a member and takes no hits.
-The cost is about pi(sqrt(hi)) + W log log W for a window of width W.
-
-`sieve_segment` takes the divisor sieve when W <= 8 r and r <= `PRIME_CAP`
-(2^24), and the lattice otherwise. The ratio 8 comes from timing both
-kernels on one CPU of a 2-vCPU Xeon VM (numpy 2.4.6), the fastest of 10
-runs (of 2 where W > 10^7), in ms, divisor / lattice:
-
-    W/r:         1           2           4            8            16
-    lo = 1e9     0.5 / 1.3   0.5 / 2.3   1.0 / 2.3    1.9 / 4.0    3.4 / 5.0
-    lo = 1e10    1.1 / 2.7   1.4 / 5.6   2.2 / 6.3    3.6 / 10.7   8.4 / 11.4
-    lo = 1e11    2.9 / 9.2   4.6 / 14.4  8.2 / 15.9   16.9 / 25.6  44.4 / 39.5
-    lo = 1e12    7.6 / 24    16 / 45     39 / 49      76 / 88      142 / 133
-    lo = 1e13    32 / 85     55 / 161    108 / 212    197 / 234    516 / 485
-
-At W/r = 32 the lattice won near 1e13 (0.99 against 1.37 s). The census
-segments from 0 are thousands of times wider than their root and keep the
-lattice. The primes' table is built lazily in segments, alongside the
-package's table of all primes; the cap bounds the two at about 2 and 4 MB
-(int32), and a window with isqrt(hi - 1) above the cap runs the lattice.
-The factorization criterion in `arith` serves as an independent
-cross-check in the tests.
-
-The int64 square root is exact for arguments up to 2^62, so segments must
-end at hi <= 2^62 (`MAX_HI`); larger ranges raise ValueError.
+Segments must end at hi <= 2^62 (`MAX_HI`); larger ranges raise
+ValueError. The bound keeps the int64 index arithmetic exact: every entry
+n = lo + i, twice its lowest set bit and every product of a hit's index and
+its prime stay below 2^63, as p <= r <= 2^31.
 
 Conventions: 0 and 1 are members (0 = 0^2 + 0^2), and all counting is
 inclusive (members <= x).
@@ -77,18 +55,12 @@ DEFAULT_SEGMENT_LEN = 1 << 24
 MAX_SEGMENT_LEN = 1 << 27
 MAX_HI = 1 << 62
 
-# Rows of x per numpy block, rows with at least this many y that are marked
-# through the table of squares, and marks per expansion of the short rows.
-_BLOCK_ROWS = 1 << 16
-_DENSE_ROW = 64
-_CHUNK_MARKS = 1 << 20
-
-# The divisor sieve takes [lo, hi) when hi - lo <= _DIVISOR_RATIO r and
-# r = isqrt(hi - 1) <= PRIME_CAP, the largest prime table it asks for, and
-# strikes a prime with _DENSE_MULTIPLES or more multiples there by strided slices.
-_DIVISOR_RATIO = 8
-PRIME_CAP = 1 << 24
+# Entries per block of the strided pass, the number of multiples a prime
+# needs in a block to strike it by strided slices, and hits per expansion
+# of the listed primes' multiples.
+_BLOCK_LEN = 1 << 20
 _DENSE_MULTIPLES = 128
+_CHUNK_MARKS = 1 << 20
 
 _HEADER = struct.Struct("<QQ")
 
@@ -156,19 +128,6 @@ def _packed_len(n_bits: int) -> int:
     return -(-n_bits // 64) * 8
 
 
-def _isqrt(n: np.ndarray) -> np.ndarray:
-    """floor(sqrt(n)) for an int64 array with 0 <= n <= 2^62.
-
-    The float64 root is within 1 of the true one (its relative error is
-    about 2^-52 and the root is at most 2^31), so one step each way makes
-    it exact, and (r + 1)^2 <= 2^62 + 2^32 + 1 cannot overflow.
-    """
-    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
-    r -= r * r > n
-    r += (r + 1) * (r + 1) <= n
-    return r
-
-
 def _load_cached(path: str, lo: int, hi: int) -> TwoSqSegment | None:
     """The segment dumped at `path` if it is a whole dump of [lo, hi)."""
     try:
@@ -176,23 +135,6 @@ def _load_cached(path: str, lo: int, hi: int) -> TwoSqSegment | None:
     except (OSError, ValueError):
         return None
     return seg if (seg.lo, seg.hi) == (lo, hi) else None
-
-
-def _mark_rows(bits: np.ndarray, base: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> None:
-    """Set bits[base + y^2] for y0 <= y <= y1 in each row (base, y0, y1),
-    where y0 <= y1."""
-    n = y1 - y0 + 1
-    dense = np.flatnonzero(n >= _DENSE_ROW)
-    if dense.size:
-        sq = np.arange(int(y1[dense].max()) + 1, dtype=np.int64) ** 2
-        for b, a, c in zip(base[dense].tolist(), y0[dense].tolist(), y1[dense].tolist()):
-            bits[sq[a : c + 1] + b] = True
-    short = np.flatnonzero(n < _DENSE_ROW)
-    base, y0, n = base[short], y0[short], n[short]
-    for i, j, first in _runs(n):
-        cnt = n[i:j]
-        y = np.repeat(y0[i:j] - first, cnt) + np.arange(int(first[-1] + cnt[-1]))
-        bits[np.repeat(base[i:j], cnt) + y * y] = True
 
 
 def _runs(cnt: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -208,43 +150,46 @@ def _runs(cnt: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
             yield i, j, np.cumsum(cnt[i:j]) - cnt[i:j]
 
 
-def _lattice_bits(lo: int, hi: int) -> np.ndarray:
-    """Membership bitmap of [lo, hi) by marking x^2 + y^2 for x <= y."""
-    bits = np.zeros(hi - lo, dtype=bool)
-    x_end = math.isqrt((hi - 1) // 2) + 1  # rows with x <= y need 2x^2 < hi
-    for start in range(0, x_end, _BLOCK_ROWS):
-        x = np.arange(start, min(start + _BLOCK_ROWS, x_end), dtype=np.int64)
-        x2 = x * x
-        y1 = _isqrt(hi - 1 - x2)  # >= x, as 2x^2 < hi
-        rows = np.flatnonzero(x2 + y1 * y1 >= lo)  # rows reaching the segment
-        x, x2, y1 = x[rows], x2[rows], y1[rows]
-        below = lo - x2  # y^2 >= below, so y >= ceil(sqrt(below))
-        y0 = np.where(below > 0, _isqrt(np.maximum(below - 1, 0)) + 1, 0)
-        _mark_rows(bits, x2 - lo, np.maximum(y0, x), y1)
+def _divisor_bits(lo: int, hi: int) -> np.ndarray:
+    """Membership bitmap of [lo, hi) from the exponents of the primes
+    p = 3 (mod 4) up to isqrt(hi - 1) in its entries."""
+    width = hi - lo
+    bits = np.zeros(width, dtype=bool)
+    root = math.isqrt(hi - 1)
+    cut = min(min(width, _BLOCK_LEN) // _DENSE_MULTIPLES, root)
+    dense = arith.primes_3_mod_4(cut).tolist()
+    for start in range(0, width, _BLOCK_LEN):
+        _strided_bits(bits[start : start + _BLOCK_LEN], lo + start, dense)
+    # Every other prime with a multiple in the window: all of them, listed at once.
+    for sparse in arith.iter_primes_3_mod_4(cut, root):
+        first = _first_multiple(lo, sparse)
+        inside = np.flatnonzero(first < width)
+        sparse, first = sparse[inside], first[inside]
+        cnt = (width - first + sparse - 1) // sparse
+        for i, j, pos in _runs(cnt):
+            p = np.repeat(sparse[i:j], cnt[i:j])
+            idx = np.repeat(first[i:j] - pos * sparse[i:j], cnt[i:j]) + np.arange(p.size) * p
+            _strike_odd_powers(bits, lo, idx, p)
     return bits
 
 
-def _divisor_bits(lo: int, hi: int, root: int) -> np.ndarray:
-    """Membership bitmap of [lo, hi) from the exponents of the primes
-    p = 3 (mod 4) up to root = isqrt(hi - 1) in its entries."""
-    width = hi - lo
-    bits = np.zeros(width, dtype=bool)
+def _strided_bits(bits: np.ndarray, lo: int, dense: list[int]) -> None:
+    """Set the zeroed block bits, for [lo, lo + bits.size), to the odd-part
+    mask, then clear the entries where a prime of dense has an odd exponent."""
+    width = bits.size
     # n > 0 has odd part 1 mod 4 iff n = 2^j (mod 2^(j+2)) for some j: one
-    # strided slice per j while the stride fits the window, then the few n
+    # strided slice per j while the stride fits the block, then the few n
     # left, the multiples of the next 2^j, tested one by one (0 is a member).
     j = 0
     while 4 << j <= width:
         bits[((1 << j) - lo) % (4 << j) :: 4 << j] = True
         j += 1
     first = -lo % (1 << j)
-    n = np.arange(lo + first, hi, 1 << j, dtype=np.int64)
+    n = np.arange(lo + first, lo + width, 1 << j, dtype=np.int64)
     bits[first :: 1 << j] = n & ((n & -n) << 1) == 0
-    primes = arith.primes_3_mod_4(root)
-    dense = arith.primes_3_mod_4(min(width // _DENSE_MULTIPLES, root)).size
-    # Each prime with _DENSE_MULTIPLES or more multiples: one strided pass per
-    # pair of powers p^e, p^(e+1) for odd e, clearing the multiples of p^e
-    # but not of p^(e+1).
-    for p in primes[:dense].tolist():
+    # One strided pass per pair of powers p^e, p^(e+1) for odd e, clearing
+    # the multiples of p^e but not of p^(e+1).
+    for p in dense:
         pe = p
         while (first := _first_multiple(lo, pe)) < width:
             if (again := _first_multiple(lo, pe * p)) < width:
@@ -254,17 +199,6 @@ def _divisor_bits(lo: int, hi: int, root: int) -> np.ndarray:
             else:
                 bits[first::pe] = False
             pe *= p * p
-    # Every other prime with a multiple in the window: all of them, listed at once.
-    sparse = primes[dense:].astype(np.int64)
-    first = _first_multiple(lo, sparse)
-    inside = np.flatnonzero(first < width)
-    sparse, first = sparse[inside], first[inside]
-    cnt = (width - first + sparse - 1) // sparse
-    for i, j, pos in _runs(cnt):
-        p = np.repeat(sparse[i:j], cnt[i:j])
-        idx = np.repeat(first[i:j] - pos * sparse[i:j], cnt[i:j]) + np.arange(p.size) * p
-        _strike_odd_powers(bits, lo, idx, p)
-    return bits
 
 
 def _first_multiple(lo: int, p: int | np.ndarray) -> int | np.ndarray:
@@ -287,14 +221,13 @@ def _strike_odd_powers(bits: np.ndarray, lo: int, idx: np.ndarray, p: np.ndarray
 
 
 def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegment:
-    """Exact membership bitmap for [lo, hi), by the divisor sieve when the
-    window is at most _DIVISOR_RATIO times as wide as isqrt(hi - 1) and that
-    root is at most PRIME_CAP, and by lattice marking otherwise.
+    """Exact membership bitmap for [lo, hi), by the divisor sieve.
 
     Requires 0 <= lo < hi <= MAX_HI (2^62) and hi - lo <= MAX_SEGMENT_LEN.
     With cache_dir set, a previously dumped segment for the same range is
     reused and fresh segments are dumped there; a dump that is not a whole
-    dump of [lo, hi) is ignored and overwritten.
+    dump of [lo, hi) is ignored and overwritten. An empty cache_dir counts
+    as unset.
     """
     if not 0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi})")
@@ -303,18 +236,13 @@ def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegmen
     if hi - lo > MAX_SEGMENT_LEN:
         raise SegmentTooLarge(f"segment length {hi - lo} exceeds cap {MAX_SEGMENT_LEN}")
     path = None
-    if cache_dir is not None:
+    if cache_dir:
         path = os.path.join(cache_dir, f"twosq_{lo}_{hi}.seg")
         if os.path.exists(path):
             seg = _load_cached(path, lo, hi)
             if seg is not None:
                 return seg
-    root = math.isqrt(hi - 1)
-    if hi - lo <= _DIVISOR_RATIO * root and root <= PRIME_CAP:
-        bits = _divisor_bits(lo, hi, root)
-    else:
-        bits = _lattice_bits(lo, hi)
-    seg = TwoSqSegment(lo, hi, bits)
+    seg = TwoSqSegment(lo, hi, _divisor_bits(lo, hi))
     if path is not None:
         os.makedirs(cache_dir, exist_ok=True)
         seg.save(path)

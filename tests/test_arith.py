@@ -292,6 +292,21 @@ def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
             assert np.array_equal(got_3_mod_4, want[want % 4 == 3]), bound
             if k <= 16:
                 assert small_primes(bound) == want.tolist(), bound
+    # The stream, with the cap at 2^10: chunks of 7 primes of the table below
+    # the cap and freshly sieved segments above it, the table never growing
+    # past it. 1019, 4099 and 59999 are primes = 3 (mod 4).
+    _empty_prime_tables(monkeypatch)
+    cap = 1 << 10
+    monkeypatch.setattr(arith, "PRIME_CAP", cap)
+    monkeypatch.setattr(arith, "_TABLE_CHUNK", 7)
+    want = reference[reference % 4 == 3]
+    for lo, hi in [(0, 1), (0, 500), (7, 1019), (100, cap + 1), (1019, 4099), (cap, 4099),
+                   (4099, 59_999), (cap - 1, 1 << 16), (0, 1 << 16)]:
+        chunks = list(arith.iter_primes_3_mod_4(lo, hi))
+        assert all(c.dtype == np.int64 for c in chunks), (lo, hi)
+        got = np.concatenate([np.zeros(0, dtype=np.int64), *chunks])
+        assert np.array_equal(got, want[(lo < want) & (want <= hi)]), (lo, hi)
+        assert arith._prime_limit <= cap, (lo, hi)
 
 
 def test_prime_table_built_in_one_jump(monkeypatch):

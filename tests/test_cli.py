@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twosq
@@ -337,6 +338,26 @@ def test_empty_cache_dir_variable_counts_as_unset(capsys, monkeypatch, tmp_path,
     monkeypatch.setenv("TWOSQ_CACHE_DIR", "")
     assert run_capture(capsys, argv) == unset
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [["--cache-dir", ""], ["--cache-dir="]], ids=["separate", "joined"])
+def test_empty_cache_dir_flag_counts_as_unset(capsys, monkeypatch, tmp_path, flag):
+    """An empty --cache-dir neither reads the stale dump in the current
+    directory nor tries to write one there."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TWOSQ_CACHE_DIR", raising=False)
+    stale = sieve.TwoSqSegment(0, 20, np.zeros(20, dtype=bool)).to_bytes()
+    (tmp_path / "twosq_0_20.seg").write_bytes(stale)
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(sieve.TwoSqSegment, "load", staticmethod(no_read))
+    code, out, _ = run_capture(capsys, ["sieve", "0", "20", *flag])
+    assert code == 0
+    assert out.splitlines() == ["value", "0", "1", "2", "4", "5", "8", "9", "10", "13", "16", "17", "18"]
+    assert [p.name for p in tmp_path.iterdir()] == ["twosq_0_20.seg"]
+    assert (tmp_path / "twosq_0_20.seg").read_bytes() == stale
 
 
 RECORDED_STDOUT = json.loads(

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from twosq import sieve
+from twosq import arith, sieve
 from twosq.arith import factorize, is_prime, is_sum_two_squares
 from twosq.errors import SegmentTooLarge
 from twosq.sieve import MAX_HI, MAX_SEGMENT_LEN, TwoSqSegment, count_N, sieve_segment
@@ -14,7 +14,7 @@ from .conftest import brute_two_square_set
 
 
 def reference_bits(lo: int, hi: int) -> np.ndarray:
-    """The per-x interpreted lattice loop the blocked kernel replaced."""
+    """The oracle: every x^2 + y^2 in [lo, hi), marked by an interpreted loop over x."""
     bits = np.zeros(hi - lo, dtype=bool)
     x = 0
     while x * x < hi:
@@ -75,24 +75,18 @@ def test_segment_against_factorization_criterion():
 @pytest.mark.parametrize(
     "constants",
     [
-        {},  # dense and short rows mixed
-        {"_DENSE_ROW": 1},  # every row through the table of squares
-        {"_DENSE_ROW": 1 << 40},  # every row through the short-row expansion
-        {"_BLOCK_ROWS": 7, "_CHUNK_MARKS": 50},  # many blocks and chunks
+        {},  # strided and listed primes mixed
+        {"_DENSE_MULTIPLES": 1},  # every prime up to the block width strided
+        {"_DENSE_MULTIPLES": 1 << 40},  # every prime listed hit by hit
+        {"_BLOCK_LEN": 61, "_DENSE_MULTIPLES": 4, "_CHUNK_MARKS": 50},  # many blocks and chunks
     ],
     ids=["mixed", "all_dense", "all_short", "small_blocks"],
 )
 def test_kernel_matches_reference_loop(monkeypatch, constants):
-    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", LATTICE_ONLY)
     for name, value in constants.items():
         monkeypatch.setattr(sieve, name, value)
     for lo, hi in reference_windows():
         assert np.array_equal(sieve_segment(lo, hi).bits, reference_bits(lo, hi)), (lo, hi)
-
-
-# Crossover ratios that send every window (up to PRIME_CAP) to one kernel.
-LATTICE_ONLY = 0
-DIVISOR_ONLY = 1 << 62
 
 
 def _primes_3_mod_4_below(n: int, count: int) -> list[int]:
@@ -104,17 +98,6 @@ def _primes_3_mod_4_below(n: int, count: int) -> list[int]:
     return out
 
 
-def _largest_divisor_width(lo: int) -> int:
-    """The widest [lo, lo + w) that still goes to the divisor sieve."""
-    c = sieve._DIVISOR_RATIO
-    w = c * math.isqrt(lo)
-    while w + 1 <= c * math.isqrt(lo + w):
-        w += 1
-    while w > c * math.isqrt(lo + w - 1):
-        w -= 1
-    return w
-
-
 def _exact_multiple(p: int, e: int, near: int) -> int:
     """The least n >= near with p^e exactly dividing it."""
     m = -(-near // p**e)
@@ -122,27 +105,27 @@ def _exact_multiple(p: int, e: int, near: int) -> int:
 
 
 def kernel_windows() -> list[tuple[int, int]]:
-    """Windows at lo = 0 and 1; windows straddling the crossover at 1e9 and
-    1e10, and far windows up to 1e13; windows holding p^2, p^3, p^4, 2 p^2
-    and 21 p^2 for primes p = 3 mod 4; windows of a strided prime p with a
-    multiple of p^2 to p^5 at the first or the last index, and of widths
-    around _DENSE_MULTIPLES p; windows holding p^2 for the largest such p
-    below 10^6, some with p = isqrt(hi - 1); windows of width p - 1 whose
-    first or last entry is p q (q a prime = 3 (mod 4) above the root, so only
-    p's strike clears it) or 5 p^2 (not struck); and windows at the prime
-    table's cap."""
-    dense = sieve._DENSE_MULTIPLES
+    """Windows at lo = 0 and 1; far windows up to 1e13 as wide as isqrt(lo)
+    / 8 and 8 isqrt(lo); windows holding p^2, p^3, p^4, 2 p^2 and 21 p^2 for
+    primes p = 3 mod 4; windows of a strided prime p with a multiple of p^2
+    to p^5 at the first or the last index, and of widths around
+    _DENSE_MULTIPLES p; windows wider than a block with p^2 or p^3 of a
+    strided p at the last index of a block or the first of the next; windows
+    holding p^2 for the largest such p below 10^6, some with
+    p = isqrt(hi - 1); windows of width p - 1 whose first or last entry is
+    p q (q a prime = 3 (mod 4) above the root, so only p's strike clears it)
+    or 5 p^2 (not struck); and windows whose root is the prime table's cap
+    or just above it, so the prime stream straddles the cap."""
+    dense, block = sieve._DENSE_MULTIPLES, sieve._BLOCK_LEN
     out = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 10), (0, 1000), (1, 4097), (0, 1 << 16)]
     out += [(0, 11 * dense), (1, 11 * dense + 1), (0, 11 * dense + 500)]  # 3, 7, 11 strided
-    # A straddle at 1e11 and above would be millions wide; the far windows
-    # there are isqrt(lo) / 8 wide, so strided, listed and single hits all run.
-    for e in (9, 10):
-        lo = 10**e + 777
-        w = _largest_divisor_width(lo)
-        out += [(lo, lo + w - 1), (lo, lo + w), (lo, lo + w + 1)]
-    for e in (11, 12, 13):
+    # Far out, windows a few times narrower and wider than the root, so
+    # strided, listed and single hits all run.
+    for e in (9, 10, 11, 12, 13):
         lo = 10**e + 777
         out.append((lo, lo + math.isqrt(lo) // 8))
+        if e <= 10:
+            out.append((lo, lo + 8 * math.isqrt(lo)))
     for p in [3, 7, 11, *_primes_3_mod_4_below(1000, 2), *_primes_3_mod_4_below(4100, 1)]:
         for n in (p**2, p**3, p**4, 2 * p**2, 3 * 7 * p**2):
             if n <= 1 << 48:
@@ -153,6 +136,10 @@ def kernel_windows() -> list[tuple[int, int]]:
             for near in (w, 10**11):
                 n = _exact_multiple(p, e, near)
                 out += [(n, n + w), (n - w + 1, n + 1)]
+    for p in (3, 11):
+        for e in (2, 3):
+            n = _exact_multiple(p, e, 2 * block)
+            out += [(n - block + 1, n + 100), (n - block, n + 100)]
     for p in (3, 11, 19, 103):
         lo = 10**7 + 777
         out += [(lo, lo + dense * p + d) for d in (-1, 0, 1)]
@@ -161,8 +148,9 @@ def kernel_windows() -> list[tuple[int, int]]:
     p, q = 1019, 1031  # primes = 3 (mod 4); isqrt(1019 * 1031 + 1017) = 1025
     for n in (p * q, 5 * p * p):
         out += [(n, n + p - 1), (n - p + 2, n + 1)]
-    cap = sieve.PRIME_CAP
+    cap = arith.PRIME_CAP
     out += [(cap * cap - 100, cap * cap + 100), (cap * cap - 1000, cap * cap + 1)]
+    out += [((cap + 1) ** 2 - 100, (cap + 1) ** 2 + 100)]
     return out
 
 
@@ -171,85 +159,37 @@ def factorization_bits(lo: int, hi: int) -> np.ndarray:
 
 
 def test_divisor_kernel_matches_reference_loop(monkeypatch):
-    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
+    """The whole window in one block, so a prime strikes by strided slices
+    when it has _DENSE_MULTIPLES multiples in the window."""
+    monkeypatch.setattr(sieve, "_BLOCK_LEN", MAX_SEGMENT_LEN)
     for lo, hi in reference_windows():
         assert np.array_equal(sieve_segment(lo, hi).bits, reference_bits(lo, hi)), (lo, hi)
 
 
 @pytest.mark.parametrize("dense", [1, 1 << 40], ids=["all_strided", "none_strided"])
 def test_divisor_strikes_match_reference_loop_in_one_regime(monkeypatch, dense):
-    """Every prime up to the width strided, or every one listed hit by hit."""
-    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
+    """Blocks of 64 entries, in each of which every prime up to 64 strikes by
+    strided slices, or none does."""
+    monkeypatch.setattr(sieve, "_BLOCK_LEN", 64)
     monkeypatch.setattr(sieve, "_DENSE_MULTIPLES", dense)
     for lo, hi in reference_windows():
         assert np.array_equal(sieve_segment(lo, hi).bits, reference_bits(lo, hi)), (lo, hi)
 
 
 def test_kernels_match_each_other_and_references(monkeypatch):
-    for lo, hi in kernel_windows():
-        monkeypatch.setattr(sieve, "_DIVISOR_RATIO", LATTICE_ONLY)
-        lattice = sieve_segment(lo, hi).bits
-        monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
-        divisor = sieve_segment(lo, hi).bits
-        assert np.array_equal(lattice, divisor), (lo, hi)
+    """The default blocks and blocks of 1000 entries, on the kernel windows."""
+    windows = kernel_windows()
+    default = [sieve_segment(lo, hi).bits for lo, hi in windows]
+    monkeypatch.setattr(sieve, "_BLOCK_LEN", 1000)
+    for (lo, hi), bits in zip(windows, default):
+        assert np.array_equal(sieve_segment(lo, hi).bits, bits), (lo, hi)
         if hi <= 10**10:
-            assert np.array_equal(divisor, reference_bits(lo, hi)), (lo, hi)
+            assert np.array_equal(bits, reference_bits(lo, hi)), (lo, hi)
         elif hi - lo <= 1000:
-            assert np.array_equal(divisor, factorization_bits(lo, hi)), (lo, hi)
+            assert np.array_equal(bits, factorization_bits(lo, hi)), (lo, hi)
         else:  # the wide windows far out: sample the factorization criterion
             for n in [*range(lo, hi, 997), hi - 1]:
-                assert divisor[n - lo] == is_sum_two_squares(factorize(n)), n
-
-
-def test_crossover_picks_kernel(monkeypatch):
-    ran = []
-
-    def spy(name, kernel=None):
-        def run(lo, hi, *root):
-            ran.append(name)
-            return kernel(lo, hi, *root) if kernel else np.zeros(hi - lo, dtype=bool)
-
-        return run
-
-    for name in ("_lattice_bits", "_divisor_bits"):
-        monkeypatch.setattr(sieve, name, spy(name))
-    cap = 1 << 24  # the prime table's documented cap
-    cases = [
-        ((0, 1000), "_lattice_bits"),
-        ((0, 8_004_096), "_lattice_bits"),  # the census segment up to 8e6
-        ((0, 1 << 24), "_lattice_bits"),  # a full default segment
-        ((10**11, 10**11 + 1000), "_divisor_bits"),
-        ((10**11, 10**11 + (1 << 20)), "_divisor_bits"),
-        ((cap * cap, cap * cap + 1000), "_divisor_bits"),  # isqrt(hi - 1) = cap
-        (((cap + 1) ** 2, (cap + 1) ** 2 + 1000), "_lattice_bits"),  # just above it
-    ]
-    for e in range(9, 14):  # the kernels are stubbed, so wide straddles cost nothing
-        lo = 10**e + 777
-        w = _largest_divisor_width(lo)
-        cases += [((lo, lo + w), "_divisor_bits"), ((lo, lo + w + 1), "_lattice_bits")]
-    for (lo, hi), name in cases:
-        ran.clear()
-        sieve_segment(lo, hi)
-        assert ran == [name], (lo, hi)
-    # Above the cap the lattice runs whatever the crossover says.
-    monkeypatch.undo()
-    for name in ("_lattice_bits", "_divisor_bits"):
-        monkeypatch.setattr(sieve, name, spy(name, getattr(sieve, name)))
-    monkeypatch.setattr(sieve, "_DIVISOR_RATIO", DIVISOR_ONLY)
-    lo = (cap + 1) ** 2 - 50
-    ran.clear()
-    above = sieve_segment(lo, lo + 100).bits
-    assert ran == ["_lattice_bits"]
-    assert np.array_equal(above, factorization_bits(lo, lo + 100))
-
-
-def test_isqrt_exact_up_to_limit():
-    rng = random.Random(5)
-    ks = [1, 2, 3, 1 << 26, (1 << 26) + 1, 3037000499, (1 << 31) - 1, 1 << 31]
-    ks += [rng.randrange(1, 1 << 31) for _ in range(3000)]
-    ns = [0, MAX_HI] + [n for k in ks for n in (k * k - 1, k * k, k * k + 1) if n <= MAX_HI]
-    got = sieve._isqrt(np.array(ns, dtype=np.int64))
-    assert got.tolist() == [math.isqrt(n) for n in ns]
+                assert bits[n - lo] == is_sum_two_squares(factorize(n)), n
 
 
 def test_far_window_against_factorization_criterion():
