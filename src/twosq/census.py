@@ -10,9 +10,9 @@ segment, residues are taken in bulk, and `census_report` serves every
 pattern in one pass. It replaces each residue by its index among the
 admissible classes mod q (every member is x^2 + y^2, so its class is
 admissible), encodes each window as a base-len(adm) integer, and counts the
-codes with `np.bincount`. First occurrences come from prefixes of the block
-that double in length until every pattern has its hits; only windows whose
-pattern still needs hits are sorted.
+codes with `np.bincount`. First hits come from one loop, in ascending n,
+over the windows whose pattern still needs hits. `census_report`,
+`match_pattern` and `find_first_occurrence` read one window stream.
 """
 
 from __future__ import annotations
@@ -101,11 +101,10 @@ def _iter_window_blocks(
             carry = block
             continue
         starts = block.size - r + 1
-        over = block[:starts] > x
-        if over.any():
-            eff = int(np.argmax(over))
-            if eff:
-                yield block, n_start, eff
+        within = int(np.searchsorted(block[:starts], x, "right"))
+        if within < starts:
+            if within:
+                yield block, n_start, within
             return
         yield block, n_start, starts
         carry = block[starts:]
@@ -113,24 +112,7 @@ def _iter_window_blocks(
 
 
 def _occurrence(block: np.ndarray, n_start: int, pos: int, r: int) -> Occurrence:
-    return Occurrence(n_start + pos, tuple(int(v) for v in block[pos : pos + r]))
-
-
-def _iter_pattern_masks(
-    spec: PatternSpec, x: int, cache_dir: str | None
-) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
-    """Yield (block, n_start, mask) with mask[i] set where the window at i matches.
-
-    Classes are compared elementwise rather than encoded as base-q codes,
-    which would overflow int64 once q^r exceeds 2^63.
-    """
-    q, r = spec.q.value, spec.r
-    for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
-        res = block % q
-        mask = res[:starts] == spec.classes[0]
-        for i in range(1, r):
-            mask &= res[i : starts + i] == spec.classes[i]
-        yield block, n_start, mask
+    return Occurrence(n_start + pos, tuple(block[pos : pos + r].tolist()))
 
 
 def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> MatchResult:
@@ -138,14 +120,21 @@ def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> Ma
 
     Also reports the first MAX_OCCURRENCES matches. A count of 0 is the
     legitimate output for patterns containing a non-admissible class.
+    Classes are compared elementwise rather than encoded as base-q codes,
+    which would overflow int64 once q^r exceeds 2^63.
     """
+    q, r = spec.q.value, spec.r
     count = 0
     occurrences: list[Occurrence] = []
-    for block, n_start, mask in _iter_pattern_masks(spec, x, cache_dir):
+    for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
+        res = block % q
+        mask = res[:starts] == spec.classes[0]
+        for i in range(1, r):
+            mask &= res[i : starts + i] == spec.classes[i]
         block_count = int(np.count_nonzero(mask))
         if block_count and len(occurrences) < MAX_OCCURRENCES:
             for pos in np.flatnonzero(mask)[: MAX_OCCURRENCES - len(occurrences)].tolist():
-                occurrences.append(_occurrence(block, n_start, pos, spec.r))
+                occurrences.append(_occurrence(block, n_start, pos, r))
         count += block_count
     return MatchResult(count, tuple(occurrences))
 
@@ -154,10 +143,8 @@ def find_first_occurrence(
     spec: PatternSpec, bound: int, cache_dir: str | None = None
 ) -> Occurrence | None:
     """Smallest n whose window matches with E_n <= bound, or None."""
-    for block, n_start, mask in _iter_pattern_masks(spec, bound, cache_dir):
-        if mask.any():
-            return _occurrence(block, n_start, int(np.argmax(mask)), spec.r)
-    return None
+    occurrences = match_pattern(spec, bound, cache_dir).occurrences
+    return occurrences[0] if occurrences else None
 
 
 def census_report(
@@ -231,26 +218,18 @@ def _collect_first_hits(
 ) -> None:
     """Append to occ[code] the first want[code] windows of this block with that code.
 
-    Scans prefixes that double from 4096 windows and stops at the first
-    prefix that holds every wanted hit. Within each stretch only windows whose code
-    still wants hits are sorted; a stable argsort keeps them in ascending n,
-    so the head of each group is its first hits. `want` is consumed in place.
+    Scans prefixes that double from 4096 windows and stops once every wanted
+    hit is taken. In each stretch it loops in ascending n over the windows
+    whose code still wants hits. `want` is consumed in place.
     """
     remaining = int(want.sum())
     lo, hi = 0, 4096
     while remaining > 0 and lo < codes.size:
         sub = codes[lo:hi]
         pos = np.flatnonzero(want[sub] > 0)
-        if pos.size:
-            c = sub[pos]
-            order = np.argsort(c, kind="stable")
-            c, pos = c[order], pos[order] + lo
-            heads = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-            sizes = np.diff(np.r_[heads, c.size])
-            take = np.arange(c.size) - np.repeat(heads, sizes) < want[c]
-            for code, p in zip(c[take].tolist(), pos[take].tolist()):
+        for p, code in zip((pos + lo).tolist(), sub[pos].tolist()):
+            if want[code] > 0:
+                want[code] -= 1
+                remaining -= 1
                 occ.setdefault(code, []).append(_occurrence(block, n_start, p, r))
-            taken = np.minimum(want[c[heads]], sizes)
-            want[c[heads]] -= taken
-            remaining -= int(taken.sum())
         lo, hi = hi, 2 * hi

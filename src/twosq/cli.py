@@ -297,7 +297,7 @@ def _cmd_tuple(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.path and args.path != "-":
+    if args.path != "-":
         with open(args.path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     else:

@@ -129,8 +129,11 @@ def _packed_len(n_bits: int) -> int:
 
 
 def _load_cached(path: str, lo: int, hi: int) -> TwoSqSegment | None:
-    """The segment dumped at `path` if it is a whole dump of [lo, hi)."""
+    """The segment dumped at `path` if it is a whole dump of [lo, hi); a file
+    of any other size is not read."""
     try:
+        if os.path.getsize(path) != _HEADER.size + _packed_len(hi - lo):
+            return None
         seg = TwoSqSegment.load(path)
     except (OSError, ValueError):
         return None
@@ -238,10 +241,9 @@ def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegmen
     path = None
     if cache_dir:
         path = os.path.join(cache_dir, f"twosq_{lo}_{hi}.seg")
-        if os.path.exists(path):
-            seg = _load_cached(path, lo, hi)
-            if seg is not None:
-                return seg
+        seg = _load_cached(path, lo, hi)
+        if seg is not None:
+            return seg
     seg = TwoSqSegment(lo, hi, _divisor_bits(lo, hi))
     if path is not None:
         os.makedirs(cache_dir, exist_ok=True)

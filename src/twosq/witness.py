@@ -269,8 +269,10 @@ class ScanResult:
 
 
 def _decimal(text) -> int:
-    """An integer from its wire form, a decimal string; int() rejects other strings."""
-    if not isinstance(text, str):
+    """An integer from its wire form: ASCII decimal digits with an optional
+    minus sign. int() alone would also take spaces, underscores, a plus sign
+    and non-ASCII digits."""
+    if not (isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()):
         raise ValueError(f"expected a decimal string, got {text!r:.40}")
     return int(text)
 

@@ -46,11 +46,20 @@ def test_census_examples():
     assert rep.total_windows == 8
 
 
-def test_partition_identity_small():
+def test_partition_identity_small(monkeypatch):
     for q, r in ((4, 1), (4, 2), (5, 2), (3, 3)):
         x = 20_000
         rep = census_report(factorize(q), r, x)
         assert sum(rep.counts.values()) == rep.total_windows == count_N(x)
+    # count_N reads the member arrays, not the census's window blocks, so it
+    # checks where the window stream stops: at, just below and just above
+    # the last window start of the second block.
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", 999)
+    for q, r in ((4, 1), (4, 2), (5, 2), (3, 3)):
+        last_start = int(sieve.sieve_segment(0, 2 * 999).members()[-r])
+        for x in (last_start - 1, last_start, last_start + 1):
+            rep = census_report(factorize(q), r, x)
+            assert sum(rep.counts.values()) == rep.total_windows == count_N(x)
 
 
 def test_zero_on_inadmissible():
@@ -75,7 +84,13 @@ def test_census_matches_match_pattern():
     fq = factorize(5)
     rep = census_report(fq, 2, 10_000)
     for tup in rep.pattern_universe():
-        assert rep.count_for(tup) == match_pattern(PatternSpec(fq, tup), 10_000).count
+        spec = PatternSpec(fq, tup)
+        match = match_pattern(spec, 10_000)
+        assert rep.count_for(tup) == match.count
+        first = rep.occurrences.get(tup, [])
+        shorter = min(len(first), len(match.occurrences))
+        assert first[:shorter] == list(match.occurrences[:shorter])
+        assert find_first_occurrence(spec, 10_000) == (first[0] if first else None)
 
 
 def test_occurrence_capping(monkeypatch):

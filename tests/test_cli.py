@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -84,6 +85,10 @@ BAD_CERTIFICATE_LINES = {
     "missing_key": ("malformed_certificate", _without_k),
     "array": ("malformed_certificate", lambda data: json.dumps([data])),
     "non_decimal": ("malformed_certificate", lambda data: json.dumps(dict(data, n="0x29"))),
+    "space_before_digit": ("malformed_certificate", lambda data: json.dumps(dict(data, t=" 0"))),
+    "underscore_digits": ("malformed_certificate", lambda data: json.dumps(dict(data, t="0_0"))),
+    "plus_sign": ("malformed_certificate", lambda data: json.dumps(dict(data, a="+1"))),
+    "arabic_indic_zero": ("malformed_certificate", lambda data: json.dumps(dict(data, t="\u0660"))),
     "int_field": ("malformed_certificate", lambda data: json.dumps(dict(data, h=4))),
     "invalid_json": ("malformed_certificate", lambda data: json.dumps(data)[:-7]),
     "consecutive_string": (
@@ -302,6 +307,7 @@ def test_library_value_error_exits_1(capsys, monkeypatch):
 FILE_ERRORS = {
     "verify_missing_file": lambda tmp: ["verify", str(tmp / "missing.jsonl")],
     "verify_directory": lambda tmp: ["verify", str(tmp)],
+    "verify_empty_path": lambda tmp: ["verify", ""],
     "output_into_missing_dir": lambda tmp: ["admissible", "5", "--output", str(tmp / "missing" / "out.csv")],
     "dump_into_missing_dir": lambda tmp: ["sieve", "0", "10", "--dump", str(tmp / "missing" / "d.seg")],
     "dump_to_empty_path": lambda tmp: ["sieve", "0", "20", "--dump", ""],
@@ -312,6 +318,7 @@ FILE_ERRORS = {
 @pytest.mark.parametrize("case", sorted(FILE_ERRORS))
 def test_file_errors_exit_1_with_one_diagnostic(capsys, monkeypatch, tmp_path, case):
     monkeypatch.chdir(tmp_path)  # where an empty path's temporary file goes
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))  # a path read as stdin holds nothing
     (tmp_path / "file.txt").write_text("not a directory\n", encoding="utf-8")
     code, out, err = run_capture(capsys, FILE_ERRORS[case](tmp_path))
     assert code == 1 and out == ""

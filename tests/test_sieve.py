@@ -282,23 +282,29 @@ def test_cache_reads_dump_written_unchanged(tmp_path):
     assert path.stat().st_ino == inode  # read, not re-sieved and replaced
 
 
+def _refuse_load(cls, path):
+    raise AssertionError("a dump of the wrong size was read")
+
+
 @pytest.mark.parametrize(
-    "damage",
+    "damage, same_size",
     [
-        lambda blob: blob[: len(blob) // 2],
-        lambda blob: blob[:4],
-        lambda blob: blob + b"\x00" * 8,
-        lambda blob: (0).to_bytes(8, "little") + (50_000).to_bytes(8, "little") + blob[16:],
+        (lambda blob: blob[: len(blob) // 2], False),
+        (lambda blob: blob[:4], False),
+        (lambda blob: blob + b"\x00" * 8, False),
+        (lambda blob: (0).to_bytes(8, "little") + (50_000).to_bytes(8, "little") + blob[16:], True),
     ],
     ids=["halved", "four_bytes", "padded", "other_range"],
 )
-def test_cache_rejects_bad_dump(tmp_path, damage):
+def test_cache_rejects_bad_dump(tmp_path, monkeypatch, damage, same_size):
     expected = count_N(99_999)
     assert expected == 24_028
     assert count_N(99_999, cache_dir=str(tmp_path)) == expected
     (path,) = tmp_path.glob("twosq_0_*.seg")  # the one dump count_N wrote
     whole = path.read_bytes()
     path.write_bytes(damage(whole))
+    if not same_size:  # a dump of the wrong size is not even read
+        monkeypatch.setattr(TwoSqSegment, "load", classmethod(_refuse_load))
     assert count_N(99_999, cache_dir=str(tmp_path)) == expected
     assert path.read_bytes() == whole  # the bad dump was overwritten
 
