@@ -132,13 +132,19 @@ class FactoredInteger:
 
 def _sieve_primes(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """The primes in [lo, hi) (2 <= lo) as int64, by a sieve of Eratosthenes
-    over the segment; base holds every prime up to isqrt(hi - 1) in order."""
-    seg = np.ones(hi - lo, dtype=bool)
-    for p in base:
+    over the segment's odd integers, entry i standing for (lo | 1) + 2i;
+    base holds every prime up to isqrt(hi - 1) in order."""
+    start = lo | 1
+    seg = np.ones(max(hi - start + 1, 0) // 2, dtype=bool)
+    for p in base[1:]:  # 2 strikes no odd integer
         if p * p >= hi:
             break
-        seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    return np.flatnonzero(seg) + lo
+        # from the least odd multiple of p at or above both p^2 and lo
+        seg[((max(p, -(-start // p)) | 1) * p - start) // 2 :: p] = False
+    odd = np.flatnonzero(seg)
+    odd *= 2  # in place: no second array of the segment's primes
+    odd += start
+    return np.concatenate(([2], odd)) if lo <= 2 < hi else odd
 
 
 def _extend_primes(limit: int) -> None:

@@ -429,8 +429,6 @@ def _run(argv: list[str] | None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except HypothesisViolation as exc:
         _diagnose("hypothesis_violation", str(exc))
         return EXIT_HYPOTHESIS

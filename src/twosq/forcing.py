@@ -108,6 +108,13 @@ class TupleDesign:
         return witnesses
 
 
+def _require_admissible(q: FactoredInteger, **classes: int) -> None:
+    """Raise HypothesisViolation naming the first class not admissible mod q."""
+    for label, cls in classes.items():
+        if not is_admissible_value(cls % q.value, q):
+            raise HypothesisViolation(f"class {label} = {cls} is not admissible mod {q.value}")
+
+
 def construct_two_class_tuple(
     q: FactoredInteger,
     a: int,
@@ -133,9 +140,7 @@ def construct_two_class_tuple(
         raise DomainError(f"transition bin j={j} outside 1..{len(sizes)}")
     if min(sizes) < 1:
         raise DomainError(f"bin sizes must be >= 1, got {sizes}")
-    for cls, label in ((a, "a"), (b, "b")):
-        if not is_admissible_value(cls % qv, q):
-            raise HypothesisViolation(f"class {label} = {cls} is not admissible mod {qv}")
+    _require_admissible(q, a=a, b=b)
     k = sum(sizes)
     transition = sum(sizes[:j])
     step = 4 * qv
@@ -173,21 +178,6 @@ def construct_two_class_tuple(
     design = TupleDesign(q=qv, a=a % qv, b=b % qv, j=j, bins=list(sizes), offsets=offsets)
     design.form_admissibility_witnesses()
     return design
-
-
-def _primes_3mod4_above(bound: int, avoid_divisors_of: int):
-    """Ascending primes p = 3 mod 4 with p > bound not dividing the given integer.
-
-    Read from `arith`'s table of primes = 3 (mod 4) over (lo, 2 lo], lo
-    doubling each time the range runs out.
-    """
-    lo = bound
-    while True:
-        hi = max(2 * lo, 16)
-        for p in primes_3_mod_4(hi)[len(primes_3_mod_4(lo)) :].tolist():
-            if avoid_divisors_of % p != 0:
-                yield p
-        lo = hi
 
 
 @dataclass
@@ -290,9 +280,7 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     deterministic.
     """
     qv = q.value
-    for cls, label in ((a, "a"), (b, "b"), (c, "c")):
-        if not is_admissible_value(cls % qv, q):
-            raise HypothesisViolation(f"class {label} = {cls} is not admissible mod {qv}")
+    _require_admissible(q, a=a, b=b, c=c)
     factors = {p: 2 * e for p, e in q.factors.items()}
     factors[2] = factors.get(2, 0) + 2
     four_q2 = FactoredInteger.from_factors(factors)
@@ -308,18 +296,19 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     k = (c3 - a3) % mod4q2 or mod4q2
     if h >= k:
         k += mod4q2
-    # Greedy smallest-unused choice in ascending i consumes one ascending
-    # stream of valid primes, so a single pass suffices.
-    stream = _primes_3mod4_above(k, qv)
-    blocking = {i: next(stream) for i in range(1, k) if i != h}
+    # The k - 2 least primes = 3 (mod 4) above k not dividing q, one per
+    # intermediate offset in ascending order.
+    bound = 2 * k
+    while len(primes := [p for p in primes_3_mod_4(bound).tolist() if p > k and qv % p]) < k - 2:
+        bound *= 2
+    blocking = dict(zip((i for i in range(1, k) if i != h), primes))
     congruences = [ResidueClass(a3 % mod4q2, mod4q2)]
     congruences += [ResidueClass((p - i) % (p * p), p * p) for i, p in blocking.items()]
     a_T = crt_combine(congruences)
-    T_blk = FactoredInteger.from_factors(
-        dict(four_q2.factors) | {p: 2 for p in blocking.values()}
+    # the constructor checks that these factors multiply to the CRT modulus
+    T_blk = FactoredInteger(
+        a_T.modulus, dict(sorted((four_q2.factors | {p: 2 for p in blocking.values()}).items()))
     )
-    if a_T.modulus != T_blk.value:
-        raise InternalInconsistency("CRT modulus mismatch with T_blk")
     system = BlockingSystem(
         q=q, a=a % qv, b=b % qv, c=c % qv,
         a3=a3, b3=b3, c3=c3, h=h, k=k,
@@ -383,7 +372,8 @@ def end_to_end_triple(
     budget statement, not a refutation).
     """
     blocking = build_blocking_system(q, a, b, c)
-    spec = PatternSpec(q, (a % q.value, b % q.value, c % q.value))
+    pattern = (a % q.value, b % q.value, c % q.value)
+    spec = PatternSpec(q, pattern)
     result = match_pattern(spec, x_budget, cache_dir=cache_dir)
     if result.count == 0:
         raise NoneFoundWithinBudget(
@@ -398,7 +388,7 @@ def end_to_end_triple(
             raise InternalInconsistency("certificate failed self-verification")
     return TripleSearchReport(
         q=q.value,
-        pattern=(a % q.value, b % q.value, c % q.value),
+        pattern=pattern,
         x_budget=x_budget,
         blocking=blocking,
         count=result.count,

@@ -504,7 +504,8 @@ def _two_adic_feasible(x0: int, y0: int, h: int, e: int, gamma: int, u: int, v: 
 def iter_shift_pairs(base: BaseSolution, h: int):
     """Locally valid shift pairs in deterministic order.
 
-    Yields integer pairs satisfying the congruence to a+h and both gcd
+    Yields integer pairs satisfying the congruence to a+h (each local pair
+    does mod its p^e, and the CRT glue keeps it mod q) and both gcd
     divisibility constraints, skipping local pairs at 2 that
     `_two_adic_feasible` rules out; the remaining global family conditions
     are checked by the caller on assembly.
@@ -538,8 +539,6 @@ def iter_shift_pairs(base: BaseSolution, h: int):
             u, v = stripped
             g = math.gcd(u, v)
             if gbound % g != 0 or g0_twice % g != 0:
-                continue
-            if ((base.x0 + u) ** 2 + (base.y0 + v) ** 2 - a - h) % qv != 0:
                 continue
             yield ShiftPair(u, v, g, h)
 

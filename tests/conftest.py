@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from twosq import arith
 from twosq.arith import factorize
 from twosq.witness import build_witness_family, check_hypotheses
 
@@ -73,6 +74,13 @@ def criterion_membership(n: int, spf: np.ndarray) -> bool:
         if p % 4 == 3 and e % 2 == 1:
             return False
     return True
+
+
+def empty_prime_tables(monkeypatch) -> None:
+    """Start `arith`'s prime tables from empty for the rest of the test."""
+    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_primes_3_mod_4", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(arith, "_prime_limit", 1)
 
 
 def hypothesis_satisfying_inputs(count: int = 100, seed: int = 12345) -> list[tuple[int, int, int, int]]:

@@ -26,7 +26,7 @@ from twosq.arith import (
 )
 from twosq.errors import BudgetExceeded, DegenerateInput, InternalInconsistency, NonCoprimeModuli
 
-from .conftest import brute_representation, brute_two_square_set
+from .conftest import brute_representation, brute_two_square_set, empty_prime_tables
 
 
 def test_factorize_examples():
@@ -264,18 +264,12 @@ def _reference_primes(bound: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-def _empty_prime_tables(monkeypatch) -> None:
-    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
-    monkeypatch.setattr(arith, "_primes_3_mod_4", np.zeros(0, dtype=np.int32))
-    monkeypatch.setattr(arith, "_prime_limit", 1)
-
-
 @pytest.mark.parametrize("segment,top", [(4099, 16), (None, 22)], ids=["small_segments", "default"])
 def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
     """Grown from empty, bucket edge by bucket edge, the tables hold exactly
     the primes of a plain sieve at 2^k - 1, 2^k and 2^k + 1, and those of
     them = 3 (mod 4), whichever accessor grows them."""
-    _empty_prime_tables(monkeypatch)
+    empty_prime_tables(monkeypatch)
     if segment is not None:
         monkeypatch.setattr(arith, "_PRIME_SEGMENT", segment)
     reference = _reference_primes((1 << top) + 1)
@@ -294,14 +288,15 @@ def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
                 assert small_primes(bound) == want.tolist(), bound
     # The stream, with the cap at 2^10: chunks of 7 primes of the table below
     # the cap and freshly sieved segments above it, the table never growing
-    # past it. 1019, 4099 and 59999 are primes = 3 (mod 4).
-    _empty_prime_tables(monkeypatch)
+    # past it. 1019, 4099 and 59999 are primes = 3 (mod 4); (cap + 1, cap + 2)
+    # sieves a segment of one even integer, which holds no odd entry.
+    empty_prime_tables(monkeypatch)
     cap = 1 << 10
     monkeypatch.setattr(arith, "PRIME_CAP", cap)
     monkeypatch.setattr(arith, "_TABLE_CHUNK", 7)
     want = reference[reference % 4 == 3]
     for lo, hi in [(0, 1), (0, 500), (7, 1019), (100, cap + 1), (1019, 4099), (cap, 4099),
-                   (4099, 59_999), (cap - 1, 1 << 16), (0, 1 << 16)]:
+                   (4099, 59_999), (cap - 1, 1 << 16), (0, 1 << 16), (cap + 1, cap + 2)]:
         chunks = list(arith.iter_primes_3_mod_4(lo, hi))
         assert all(c.dtype == np.int64 for c in chunks), (lo, hi)
         got = np.concatenate([np.zeros(0, dtype=np.int64), *chunks])
@@ -310,7 +305,7 @@ def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
 
 
 def test_prime_table_built_in_one_jump(monkeypatch):
-    _empty_prime_tables(monkeypatch)
+    empty_prime_tables(monkeypatch)
     bound = (1 << 22) + 1
     reference = _reference_primes(bound)
     assert np.array_equal(arith.prime_array(bound), reference)

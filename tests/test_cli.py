@@ -67,6 +67,20 @@ def test_witness_jsonl_and_verify(capsys, tmp_path):
     assert "3 certificates verified" in err
 
 
+def test_force_triple_certificates_verify(capsys, tmp_path):
+    # Consecutive certificates carry exclusion evidence through the reader.
+    code, out, _ = run_capture(capsys, ["force-triple", "5", "1", "2", "3", "--xbudget", "100000"])
+    assert code == 0
+    certs = json.loads(out)["certificates"]
+    assert len(certs) == 3 and all(c["consecutive"] for c in certs)
+    assert any(c["evidence"] for c in certs)
+    path = tmp_path / "certs.jsonl"
+    path.write_text("".join(json.dumps(c) + "\n" for c in certs), encoding="utf-8")
+    code, _, err = run_capture(capsys, ["verify", str(path)])
+    assert code == 0
+    assert err.strip().splitlines()[-1] == "3 certificates verified"
+
+
 def _without_k(data):
     data = dict(data)
     del data["k"]

@@ -29,6 +29,8 @@ from twosq.forcing import (
 )
 from twosq.witness import build_witness_family, check_hypotheses
 
+from .conftest import empty_prime_tables
+
 
 def test_delta_examples():
     assert delta_constant(1 / 40, 1 / 40) == pytest.approx(2.9656, abs=1e-3)
@@ -274,7 +276,8 @@ def test_blocking_system_q1_fixture():
 
 
 def _reference_primes_3mod4_above(bound, avoid_divisors_of):
-    """The former stream: every n = 3 mod 4 above bound through `is_prime`."""
+    """Every n = 3 mod 4 above bound through `is_prime`, skipping the
+    divisors of the given integer."""
     n = bound + 1
     n += (3 - n) % 4
     while True:
@@ -286,22 +289,36 @@ def _reference_primes_3mod4_above(bound, avoid_divisors_of):
 @pytest.mark.parametrize("avoid", [1, 3 * 7 * 11 * 19 * 23])
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 200, 1023])
 def test_prime_stream_matches_is_prime(monkeypatch, bound, avoid):
-    # From an empty table, so the stream has to grow it while it runs;
-    # 1023 sits just below a power of two.
-    monkeypatch.setattr(arith, "_primes", np.zeros(0, dtype=np.int32))
-    monkeypatch.setattr(arith, "_primes_3_mod_4", np.zeros(0, dtype=np.int32))
-    monkeypatch.setattr(arith, "_prime_limit", 1)
+    # The slice `build_blocking_system` reads: the table's primes = 3 (mod 4)
+    # above bound that do not divide avoid, from a table grown from empty by
+    # the read itself. 1023 sits just below a power of two.
+    want = list(itertools.islice(_reference_primes_3mod4_above(bound, avoid), 200))
+    empty_prime_tables(monkeypatch)
+    got = [p for p in arith.primes_3_mod_4(want[-1]).tolist() if p > bound and avoid % p]
+    assert arith._prime_limit >= want[-1]
+    assert got == want
+
+
+def test_blocking_primes_are_the_least_valid_from_an_empty_table(monkeypatch):
+    # For q = 11 and q = 19, [1, 5, 9] has h = 4 and k = 8, so the prime of
+    # q lies above k and must be skipped.
+    empty_prime_tables(monkeypatch)
 
     def no_prime_test(n):
-        raise AssertionError("the stream reads the prime table")
+        raise AssertionError("blocking primes come from the prime table")
 
     monkeypatch.setattr(forcing, "is_prime", no_prime_test)
-    stream = forcing._primes_3mod4_above(bound, avoid)
-    first = next(stream)
-    limit_at_first = arith._prime_limit
-    got = [first] + list(itertools.islice(stream, 199))
-    assert arith._prime_limit > limit_at_first
-    assert got == list(itertools.islice(_reference_primes_3mod4_above(bound, avoid), 200))
+    systems = {
+        (qv, pattern): build_blocking_system(factorize(qv), *pattern)
+        for qv, pattern in [(11, (1, 5, 9)), (19, (1, 5, 9)), (3, (0, 1, 2)),
+                            (4, (2, 2, 0)), (5, (1, 2, 3)), (5, (4, 4, 4))]
+    }
+    assert systems[11, (1, 5, 9)].blocking_primes == {1: 19, 2: 23, 3: 31, 5: 43, 6: 47, 7: 59}
+    assert systems[19, (1, 5, 9)].blocking_primes == {1: 11, 2: 23, 3: 31, 5: 43, 6: 47, 7: 59}
+    for (qv, _), bs in systems.items():
+        want = list(itertools.islice(_reference_primes_3mod4_above(bs.k, qv), bs.k - 2))
+        assert list(bs.blocking_primes.values()) == want
+        assert list(bs.blocking_primes) == [i for i in range(1, bs.k) if i != bs.h]
 
 
 def test_blocking_system_invariants_spot():
