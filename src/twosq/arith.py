@@ -102,12 +102,26 @@ class FactoredInteger:
             if self.factors:
                 raise ValueError("zero carries an empty factor map")
             return
+        self._check_product()
+        for p in self.factors:
+            if not is_prime(p):
+                raise ValueError(f"factor {p} is not prime")
+
+    @classmethod
+    def _proven(cls, value: int, factors: dict[int, int]) -> "FactoredInteger":
+        """value >= 1 with a factor map whose primes the caller has proved
+        (`factorize`, or primes read from the prime table): the exponents
+        and the product are checked, primality is not."""
+        out = cls.__new__(cls)
+        out.value, out.factors = value, factors
+        out._check_product()
+        return out
+
+    def _check_product(self) -> None:
         prod = 1
         for p, e in self.factors.items():
             if e < 1:
                 raise ValueError(f"exponent of {p} must be >= 1")
-            if not is_prime(p):
-                raise ValueError(f"factor {p} is not prime")
             prod *= p**e
         if prod != self.value:
             raise ValueError(f"factors multiply to {prod}, not {self.value}")
@@ -210,8 +224,10 @@ def small_primes(bound: int) -> list[int]:
 _TRIAL_PRIMES = tuple(small_primes(311))
 _TRIAL_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_NEXT = 313
-# _TRIAL_STOPS[i] is the least prime above the first i trial primes.
+# _TRIAL_STOPS[i] is the least prime above the first i trial primes, and
+# _TRIAL_PRODUCTS[i] is their product.
 _TRIAL_STOPS = _TRIAL_PRIMES + (_TRIAL_NEXT,)
+_TRIAL_PRODUCTS = tuple(math.prod(_TRIAL_PRIMES[:i]) for i in range(len(_TRIAL_STOPS)))
 
 
 def is_prime(n: int) -> bool:
@@ -344,8 +360,13 @@ def factorize(
 
     trial_primes lists, ascending, the primes up to 311 to divide by; a
     caller that knows which of them divide n (a sieve over the values of a
-    polynomial) passes only those. A list that misses a divisor cannot give
-    a wrong map: `FactoredInteger` re-tests every prime.
+    polynomial) passes only those. Each prime of the map is proved once: a
+    trial prime by the table, the cofactor by `is_prime` or by lying below
+    the square of the least trial prime above the bound, and each piece of
+    a composite cofactor by `_split_composite`. A list that names a divisor
+    of n outside the trial primes, or misses a trial prime up to the bound
+    that divides n, raises ValueError, so it cannot pass a composite off as
+    prime.
     """
     if n < 0:
         raise ValueError("factorize expects n >= 0")
@@ -358,16 +379,22 @@ def factorize(
         if p > bound or p * p > m:
             break
         if m % p == 0:
+            if p not in _TRIAL_SET:
+                raise ValueError(f"trial divisor {p} is not a prime up to 311")
             m = _divide_out(m, p, factors)
-    # m has no prime factor below stop, the least trial prime above bound;
-    # an early stop at p * p > m left m < p^2 <= stop^2
-    stop = _TRIAL_STOPS[bisect.bisect_right(_TRIAL_PRIMES, bound)]
+    # With the trial primes up to bound divided out, m has no prime factor
+    # below stop, the least trial prime above bound. An early stop at
+    # p * p > m can leave a trial prime up to bound as m itself.
+    i = bisect.bisect_right(_TRIAL_PRIMES, bound)
+    if math.gcd(m, _TRIAL_PRODUCTS[i]) != 1 and m not in _TRIAL_SET:
+        raise ValueError("the trial list misses a prime divisor of n")
+    stop = _TRIAL_STOPS[i]
     if m < stop * stop or is_prime(m):
         if m > 1:
             factors[m] = 1
     else:
         _split_composite(m, factors, budget, bound, stop)
-    return FactoredInteger(n, dict(sorted(factors.items())))
+    return FactoredInteger._proven(n, dict(sorted(factors.items())))
 
 
 def _divide_out(m: int, p: int, factors: dict[int, int]) -> int:
@@ -381,13 +408,17 @@ def _divide_out(m: int, p: int, factors: dict[int, int]) -> int:
 
 
 def _split_composite(m: int, factors: dict[int, int], budget: FactorBudget, bound: int, stop: int) -> None:
-    """Factor a composite m with no prime factor below stop into `factors`.
+    """Factor a composite m with no prime factor below stop into `factors`,
+    proving each prime it records once.
 
     Each piece gets the perfect-square check, then the budget's rho rounds.
     A piece rho cannot split is trial-divided up to bound, which reaches its
     square root below trial_bound^2. A piece that trial division leaves
     whole, or that rho cannot split after one trial pass, raises
-    BudgetExceeded: a second pass would find nothing.
+    BudgetExceeded: a second pass would find nothing. A square root, a rho
+    piece and a trial-division rest are proved prime by `is_prime` or, below
+    stop^2, by having no prime factor below stop; a prime that trial division
+    divides out comes from the prime table.
     """
     prime_below = stop * stop
     stack = [(m, False)]  # (piece, whether a trial pass up to bound left it)
@@ -618,12 +649,23 @@ def sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
 
 
 def _cornacchia_prime(p: int) -> tuple[int, int]:
-    """(x, y) with x^2 + y^2 = p for a prime p = 1 mod 4."""
-    roots = sqrt_unit_odd(p - 1, p, 1)
-    if not roots:
+    """(x, y) with x^2 + y^2 = p for a prime p = 1 mod 4.
+
+    The root of -1 is one power s = c^((p-1)/4), c the least nonresidue:
+    Euler's criterion gives c^((p-1)/2) = -1 for prime p, and s^2 = -1 is
+    checked. Euclid's remainders on (p, s), down to the first below
+    sqrt(p), give x. Either root gives the same x: for the root r < p/2,
+    Euclid on (p, p - r) passes p - r > sqrt(p) and then runs on as Euclid
+    on (p, r).
+    """
+    c = 2
+    while _jacobi(c, p) == 1:  # stops at the latest at p's least prime factor
+        c += 1
+    s = pow(c, (p - 1) // 4, p)
+    if s * s % p != p - 1:
         # p can run past the int-to-str digit limit, so name its size only
         raise InternalInconsistency(f"no square root of -1 modulo a {p.bit_length()}-bit p")
-    a, b = p, roots[1]
+    a, b = p, s
     limit = math.isqrt(p)
     while b > limit:
         a, b = b, a % b

@@ -283,7 +283,8 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     _require_admissible(q, a=a, b=b, c=c)
     factors = {p: 2 * e for p, e in q.factors.items()}
     factors[2] = factors.get(2, 0) + 2
-    four_q2 = FactoredInteger.from_factors(factors)
+    # q's primes are proved, and so are the blocking primes from the prime table
+    four_q2 = FactoredInteger._proven(4 * qv * qv, dict(sorted(factors.items())))
     half = 1 << (four_q2.exponent(2) - 1)
 
     def lift(cls: int) -> int:
@@ -305,8 +306,8 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     congruences = [ResidueClass(a3 % mod4q2, mod4q2)]
     congruences += [ResidueClass((p - i) % (p * p), p * p) for i, p in blocking.items()]
     a_T = crt_combine(congruences)
-    # the constructor checks that these factors multiply to the CRT modulus
-    T_blk = FactoredInteger(
+    # _proven checks that these factors multiply to the CRT modulus
+    T_blk = FactoredInteger._proven(
         a_T.modulus, dict(sorted((four_q2.factors | {p: 2 for p in blocking.values()}).items()))
     )
     system = BlockingSystem(

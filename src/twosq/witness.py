@@ -142,8 +142,14 @@ class WitnessFamily:
     def verify(self) -> None:
         """Exact verification of every family invariant; raises on failure.
 
-        Each big quantity is formed once: x(t) and y(t) step from
-        (X0, Y0) = (x_of(0), y_of(0)), and B^2 - 4AC is checked against eta^2.
+        With (X0, Y0) = (x_of(0), y_of(0)), dx = T v/g and dy = T u/g, the
+        identity n(t) = (X0 + dx t)^2 + (Y0 - dy t)^2 holds at every t just
+        when A = dx^2 + dy^2, B = 2(X0 dx - Y0 dy) and C = X0^2 + Y0^2, and
+        n(t) + h = (x(t) + u)^2 + (y(t) + v)^2 just when
+        h = 2(X0 u + Y0 v) + u^2 + v^2, the t term (v/g) u - (u/g) v being 0.
+        Lagrange's identity then gives B^2 - 4AC = -eta^2, and A > 0 as
+        g != 0 and T >= 1, so with k >= 1 the discriminant B^2 - 4A(C + k)
+        is negative.
         """
         q, T, A, B, C = self.q.value, self.T, self.A, self.B, self.C
         u, v = self.u, self.v
@@ -152,26 +158,16 @@ class WitnessFamily:
             raise InternalInconsistency("T != q / (2 gcd(u, v))")
         if (T * T) % q != 0:
             raise InternalInconsistency("q does not divide T^2")
-        if A <= 0:
-            raise InternalInconsistency("leading coefficient not positive")
         if A % q != 0 or B % q != 0 or C % q != self.a % q:
             raise InternalInconsistency("F(t) - k is not constantly a mod q")
-        ub, vb = u // g, v // g
         X0, Y0 = self.x0 + T * self.r0, self.y0 + T * self.s0
-        dx, dy = T * vb, T * ub
-        for t in (0, 1, 2):
-            n = A * t * t + B * t + C
-            x, y = X0 + dx * t, Y0 - dy * t
-            if n != x * x + y * y:
-                raise InternalInconsistency(f"n(t) identity fails at t={t}")
-            if n + self.h != (x + u) ** 2 + (y + v) ** 2:
-                raise InternalInconsistency(f"n(t)+h identity fails at t={t}")
-        d0 = B * B - 4 * A * C
-        eta = 2 * T * abs(X0 * ub + Y0 * vb)
-        if d0 > 0 or eta * eta != -d0:
-            raise InternalInconsistency("B^2 - 4AC is not minus a perfect square")
-        if d0 - 4 * A * self.k > 0:
-            raise InternalInconsistency("positive discriminant")
+        dx, dy = T * (v // g), T * (u // g)
+        if A != dx * dx + dy * dy or B != 2 * (X0 * dx - Y0 * dy) or C != X0 * X0 + Y0 * Y0:
+            raise InternalInconsistency("n(t) identity fails")
+        if 2 * (X0 * u + Y0 * v) + u * u + v * v != self.h:
+            raise InternalInconsistency("n(t)+h identity fails")
+        if self.k < 1:
+            raise InternalInconsistency("k is not positive")
 
 
 @dataclass(frozen=True)
@@ -759,9 +755,14 @@ def scan_family(
     certs: list[TripleCertificate] = []
     skipped: list[int] = []
     tested, end = 0, t_max + 1
+    A, B, Ck = family.A, family.B, family.C + family.k
+    q, a, h, k, u, v, g = family.q.value, family.a, family.h, family.k, family.u, family.v, family.g
+    # x(t) = X0 + dx t and y(t) = Y0 - dy t, as `x_of` and `y_of` give them
+    X0, Y0 = family.x_of(0), family.y_of(0)
+    dx, dy = family.T * (v // g), family.T * (u // g)
     for t, divisors in _sieved_t(family, budget, t_max):
         tested += 1
-        value = family.F(t)
+        value = (A * t + B) * t + Ck
         try:
             fact = factorize(value, budget, divisors)
         except BudgetExceeded:
@@ -770,15 +771,11 @@ def scan_family(
         rep_k = represent_two_squares(fact)
         if rep_k is None:  # F(t) is not a sum of two squares
             continue
+        x, y = X0 + dx * t, Y0 - dy * t
         certs.append(
             TripleCertificate(
-                n=family.n_value(t),
-                q=family.q.value,
-                a=family.a,
-                h=family.h,
-                k=family.k,
-                t=t,
-                reps=(family.rep_n(t), family.rep_n_plus_h(t), rep_k),
+                n=value - k, q=q, a=a, h=h, k=k, t=t,
+                reps=(_canon_pair(x, y), _canon_pair(x + u, y + v), rep_k),
             )
         )
         if stop_after is not None and len(certs) >= stop_after:

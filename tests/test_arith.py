@@ -542,9 +542,28 @@ def test_sqrt_mod_prime_roots_square_back(p, a):
 
 
 def test_cornacchia_without_root_raises(monkeypatch):
-    monkeypatch.setattr(arith, "sqrt_unit_odd", lambda a, p, e: ())
+    # 2 is a residue mod 17, so the power taken as a root of -1 squares to 1
+    monkeypatch.setattr(arith, "_jacobi", lambda a, n: -1)
     with pytest.raises(InternalInconsistency):
-        arith._cornacchia_prime(13)
+        arith._cornacchia_prime(17)
+
+
+def _cornacchia_by_sqrt_unit_odd(p):
+    """Cornacchia's pair for p from the larger root of -1 that
+    `sqrt_unit_odd` finds (Atkin or Tonelli-Shanks)."""
+    a, b = p, sqrt_unit_odd(p - 1, p, 1)[1]
+    while b * b > p:
+        a, b = b, a % b
+    return b, math.isqrt(p - b * b)
+
+
+def test_cornacchia_root_matches_sqrt_unit_odd():
+    for bits in (13, 20, 32, 48, 61, 62, 64, 100):
+        for cls in (1, 5):
+            primes = (n for n in itertools.count((1 << bits) + cls, 8) if is_prime(n))
+            for p in itertools.islice(primes, 12):
+                x, y = arith._cornacchia_prime(p)
+                assert (x, y) == _cornacchia_by_sqrt_unit_odd(p) and x * x + y * y == p, p
 
 
 def test_cornacchia_non_square_remainder_raises(monkeypatch):
@@ -695,3 +714,31 @@ def test_factorize_with_known_trial_divisors():
             assert factorize(n, budget, divisors).factors == factorize(n, budget).factors, (n, bound)
     with pytest.raises(ValueError):
         factorize(9, FactorBudget(), ())
+    # 13 * 17 * 53: the loop stops with the trial prime 53 as the cofactor
+    assert factorize(11713, FactorBudget(), [13, 17, 53]).factors == {13: 1, 17: 1, 53: 1}
+    assert factorize(11713, FactorBudget(), [13, 17]).factors == {13: 1, 17: 1, 53: 1}
+
+
+@pytest.mark.parametrize(
+    "n,divisors",
+    [
+        (11713, [13, 53]),  # misses 17; the cofactor 901 = 17 * 53 is below stop^2
+        (7 * 10007 * 10009, []),  # misses 7; the cofactor is above stop^2
+        (7 * 10007 * 10009, [3, 5]),
+        (2 * 3 * 10007, [3]),
+        (16 * 7, [4]),  # names a non-prime that divides n
+        (9 * 1009, [9]),
+        (313 * 1009, [313]),  # a prime, but not a trial prime
+    ],
+)
+def test_factorize_rejects_a_wrong_trial_list(n, divisors):
+    with pytest.raises(ValueError):
+        factorize(n, FactorBudget(), divisors)
+
+
+def test_proven_checks_product_and_exponents():
+    assert FactoredInteger._proven(12, {2: 2, 3: 1}) == FactoredInteger(12, {2: 2, 3: 1})
+    with pytest.raises(ValueError):
+        FactoredInteger._proven(10, {2: 1})
+    with pytest.raises(ValueError):
+        FactoredInteger._proven(6, {2: 1, 3: 1, 5: 0})

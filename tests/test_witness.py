@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twosq.arith as arith
 import twosq.witness as witness
 from twosq.admissibility import admissible_classes, is_admissible_value
 from twosq.arith import (
@@ -19,6 +20,7 @@ from twosq.arith import (
     ResidueClass,
     crt_combine,
     factorize,
+    is_prime,
     is_sum_two_squares,
     represent_two_squares,
     small_primes,
@@ -317,6 +319,31 @@ def test_sieved_scan_matches_reference(params, t_max):
     assert result.sieved == sum(_once_divided(fam.F(t)) for t in range(t_max + 1))
 
 
+@pytest.mark.parametrize("params,t_max", _POOL)
+def test_scan_proves_each_prime_once(monkeypatch, params, t_max):
+    """`is_prime` runs at most once per prime recorded in a factor map, and
+    never twice on one number within a factorization."""
+    q, a, h, k = params
+    fam = build_witness_family(factorize(q), a, h, k)
+    calls, maps = [], []
+
+    def counting(n):
+        calls[-1].append(n)
+        return is_prime(n)
+
+    def recording(n, *args):
+        calls.append([])
+        fact = factorize(n, *args)
+        maps.append(fact.factors)
+        return fact
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(witness, "factorize", recording)
+    scan_family(fam, t_max)
+    assert maps and sum(map(len, calls)) <= sum(map(len, maps))
+    assert all(len(tested) == len(set(tested)) for tested in calls)
+
+
 @pytest.fixture(scope="module")
 def tamper_sources():
     """A pool family and the family over the q = 5 [1, 2, 3] blocking system."""
@@ -330,8 +357,15 @@ def tamper_sources():
 @pytest.mark.parametrize("source", ["pool", "blocking"])
 @pytest.mark.parametrize(
     "change",
-    [lambda f: {"r0": f.r0 + 1}, lambda f: {"C": f.C + f.q.value}, lambda f: {"B": -f.B}],
-    ids=["r0+1", "C+q", "-B"],
+    [
+        lambda f: {"r0": f.r0 + 1},
+        lambda f: {"C": f.C + f.q.value},
+        lambda f: {"B": -f.B},
+        lambda f: {"h": f.h + 1},
+        lambda f: {"A": f.A + f.q.value},
+        lambda f: {"k": 0},
+    ],
+    ids=["r0+1", "C+q", "-B", "h+1", "A+q", "k=0"],
 )
 def test_family_verify_rejects_tampering(tamper_sources, source, change):
     family = tamper_sources[source]
