@@ -330,7 +330,7 @@ def _rho_brent(n: int, c: int, max_iters: int) -> int | None:
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             g = math.gcd(q, n)
             k += m
         r *= 2
@@ -339,7 +339,7 @@ def _rho_brent(n: int, c: int, max_iters: int) -> int | None:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
     if 1 < g < n:
         return g
     return None
@@ -532,75 +532,47 @@ def is_sum_two_squares(n: FactoredInteger) -> bool:
     return obstructing_prime(n) is None
 
 
-def _tonelli_shanks(a: int, p: int) -> int | None:
-    """A square root of a unit a mod a prime p = 1 mod 8, or None.
-
-    With p - 1 = q 2^s, q odd, one power w = a^((q-1)/2) gives the first
-    guess r = a^((q+1)/2) and t = a^q, and s - 1 squarings of t give
-    Euler's criterion.
-    """
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> s
-    w = pow(a, (q - 1) // 2, p)
-    r = a * w % p
-    t = r * w % p
-    x = t
-    for _ in range(s - 1):
-        x = x * x % p
-    if x != 1:
-        return None
-    z = 3  # 2 is a residue mod p = 1 mod 8
-    while _jacobi(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    m = s
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
 def sqrt_unit_odd(a: int, p: int, e: int) -> tuple[int, ...]:
     """Sorted roots of x^2 = a mod p^e for odd p and a a unit; () when a is a nonresidue.
 
-    For p = 3 mod 4 the units form a cyclic group of order 2m, m = phi(p^e)/2
-    odd, so a residue a has a^m = 1 and r = a^((m+1)/2) squares to a: one
-    power, checked by squaring. Other p take a root mod p, by Atkin's formula
-    for p = 5 mod 8 and Tonelli-Shanks for p = 1 mod 8, and Hensel-lift it.
+    Tonelli-Shanks in the units mod p^e, a cyclic group of order
+    phi(p^e) = m 2^s with m odd. One power w = a^((m-1)/2) gives the first
+    guess r = a^((m+1)/2) and t = a^m with r^2 = a t, so r is a root when
+    t = 1. Otherwise s - 1 squarings of t give Euler's criterion, and while
+    t != 1 a power of c = z^m, z the least nonresidue mod p, cuts the order
+    of t. For p = 3 mod 4, s = 1 and a residue has t = 1: one power, with no
+    search for z.
     """
     mod = p**e
     a %= mod
-    if p % 4 == 3:
-        r = pow(a, (mod // p * (p - 1) // 2 + 1) // 2, mod)
-        if r * r % mod != a:
+    m, s = mod // p * (p - 1) >> 1, 1  # p - 1 is even
+    while not m & 1:
+        m >>= 1
+        s += 1
+    w = pow(a, m >> 1, mod)  # m is odd: m >> 1 = (m - 1)/2
+    r = a * w % mod
+    t = r * w % mod
+    if t != 1:
+        x = t
+        for _ in range(s - 1):
+            x = x * x % mod
+        if x != 1:
             return ()
-    else:
-        if p % 8 == 5:
-            # Atkin: with b = (2a)^((p-5)/8), i = 2ab^2 squares to -1 when a is
-            # a residue, and then ab(i - 1) squares to a.
-            ap = a % p
-            b = pow(2 * ap, (p - 5) // 8, p)
-            r = ap * b * (2 * ap * b * b - 1) % p
-            if r * r % p != ap:
-                return ()
-        else:
-            r = _tonelli_shanks(a % p, p)
-            if r is None:
-                return ()
-        pk = p
-        while pk < mod:
-            # Hensel step doubles the precision: r <- r - (r^2 - a) / (2r).
-            pk_next = min(pk * pk, mod)
-            inv = pow(2 * r % pk_next, -1, pk_next)
-            r = (r - (r * r - a) * inv) % pk_next
-            pk = pk_next
+        z = 2
+        while _jacobi(z, p) != -1:
+            z += 1
+        c = pow(z, m, mod)
+        while t != 1:
+            # the least i with t^(2^i) = 1; then b = c^(2^(s-i-1)) has order 2^(i+1)
+            i, x = 0, t
+            while x != 1:
+                x = x * x % mod
+                i += 1
+            b = pow(c, 1 << (s - i - 1), mod)
+            r = r * b % mod
+            c = b * b % mod
+            t = t * c % mod
+            s = i
     # r is a unit, so r and mod - r are the two distinct roots.
     return (r, mod - r) if 2 * r < mod else (mod - r, r)
 

@@ -207,7 +207,10 @@ class BlockingSystem:
         intermediate offsets other than h must be blocked, and the first
         offset that breaks this is named.
         """
-        q2_4 = 4 * self.q.value**2
+        qv = self.q.value
+        if (self.a3 - self.a) % qv or (self.b3 - self.b) % qv or (self.c3 - self.c) % qv:
+            raise InternalInconsistency("lifts do not reduce to the pattern mod q")
+        q2_4 = 4 * qv**2
         if (self.a3 + self.h - self.b3) % q2_4 != 0 or (self.a3 + self.k - self.c3) % q2_4 != 0:
             raise InternalInconsistency("offset congruences fail")
         if not 0 < self.h < self.k:

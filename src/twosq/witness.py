@@ -66,6 +66,13 @@ BASE_CAP = 12
 SIEVE_BLOCK = 4096
 
 
+def _brief(n: int) -> str:
+    """n in decimal, or named by its bit length above 256 bits: a blocking
+    modulus can run past the int-to-str digit limit, and no reader wants its
+    digits in a message."""
+    return str(n) if n.bit_length() <= 256 else f"a {n.bit_length()}-bit number"
+
+
 @dataclass(frozen=True)
 class HypothesisVerdict:
     ok: bool
@@ -290,12 +297,12 @@ def check_hypotheses(q: FactoredInteger, a: int, h: int, k: int) -> HypothesisVe
     0 mod 2^(v2 - 1). Returns the first violated clause.
     """
     if h < 1 or k < 1:
-        return HypothesisVerdict(False, "offsets_positive", f"h={h}, k={k}")
+        return HypothesisVerdict(False, "offsets_positive", f"h={_brief(h)}, k={_brief(k)}")
     if h == k:
-        return HypothesisVerdict(False, "offsets_distinct", f"h = k = {h}")
+        return HypothesisVerdict(False, "offsets_distinct", f"h = k = {_brief(h)}")
     p = obstructing_prime(q)
     if p is not None:
-        return HypothesisVerdict(False, "odd_prime_valuation", f"nu_{p} = {q.factors[p]} is odd")
+        return HypothesisVerdict(False, "odd_prime_valuation", f"nu_{_brief(p)} = {q.factors[p]} is odd")
     nu2 = q.exponent(2)
     if nu2 % 2 == 1 or nu2 < 2:
         return HypothesisVerdict(
@@ -304,7 +311,9 @@ def check_hypotheses(q: FactoredInteger, a: int, h: int, k: int) -> HypothesisVe
     qv = q.value
     for label, value in (("a", a), ("a+h", a + h), ("a+k", a + k)):
         if not is_admissible_value(value % qv, q):
-            return HypothesisVerdict(False, f"admissible_{label}", f"{label} = {value % qv} mod {qv}")
+            return HypothesisVerdict(
+                False, f"admissible_{label}", f"{label} = {_brief(value % qv)} mod {_brief(qv)}"
+            )
     half = 1 << (nu2 - 1)
     for label, value in (("a", a), ("a+h", a + h), ("a+k", a + k)):
         if value % half == 0:
@@ -360,12 +369,13 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
                 yield u, v
 
 
-def _iter_crt_pairs(q: FactoredInteger, local, missing: str):
+def _iter_crt_pairs(q: FactoredInteger, local, missing: str, value: int):
     """Pairs mod q glued by CRT from per-prime local pairs, in product order.
 
     `local(p, e)` enumerates the local pairs at each p^e || q; the first
     LOCAL_CANDIDATES of each are used and at most COMBO_CAP combinations
-    are glued. Raises SearchExhausted naming the first prime with none.
+    are glued. Raises SearchExhausted naming the first prime with none, as
+    "{missing}={value}", the value formatted only then.
 
     The product is walked as an odometer whose last prime turns fastest, and
     a prime's next local pair is drawn only when the odometer first reaches
@@ -378,7 +388,7 @@ def _iter_crt_pairs(q: FactoredInteger, local, missing: str):
     for p, source in zip(primes, sources):
         first = next(source, None)
         if first is None:
-            raise SearchExhausted(f"{missing} at prime power {p}^{q.factors[p]}")
+            raise SearchExhausted(f"{missing}={_brief(value)} at prime power {p}^{q.factors[p]}")
         drawn.append([first])
     # Garner's mixed radix: each p^e with the product M of the moduli before
     # it and M^-1 mod p^e, shared by both coordinates of every combination.
@@ -422,7 +432,7 @@ def iter_base_solutions(a: int, q: FactoredInteger):
         c = a % p**e  # one big reduction serves the target and the enumerator
         return _iter_uv_local(0, 0, c, p, e, _base_target(c, p, e))
 
-    pairs = _iter_crt_pairs(q, local, f"no base solution for a={a}")
+    pairs = _iter_crt_pairs(q, local, "no base solution for a", a)
     for x0, y0 in pairs:
         if x0 == 0 and y0 == 0:
             continue
@@ -511,7 +521,7 @@ def iter_shift_pairs(base: BaseSolution, h: int):
     a = base.a.value
     target_cls = (a + h) % qv
     if not is_admissible_value(target_cls, q):
-        raise HypothesisViolation(f"a+h = {target_cls} mod {qv} is not admissible")
+        raise HypothesisViolation(f"a+h = {_brief(target_cls)} mod {_brief(qv)} is not admissible")
 
     def local(p: int, e: int):
         c = a % p**e  # one big reduction serves the target and the enumerator
@@ -521,7 +531,7 @@ def iter_shift_pairs(base: BaseSolution, h: int):
             return found
         return (uv for uv in found if _two_adic_feasible(base.x0, base.y0, h, e, target, *uv))
 
-    pairs = _iter_crt_pairs(q, local, f"no shift solution for h={h}")
+    pairs = _iter_crt_pairs(q, local, "no shift solution for h", h)
     gbound = _gcd_bound(q)
     g0_twice = 2 * math.gcd(base.x0, base.y0)
     for u0, v0 in pairs:
@@ -595,7 +605,9 @@ def build_witness_family(q: FactoredInteger, a: int, h: int, k: int) -> WitnessF
                     continue
         except SearchExhausted:
             continue
-    raise SearchExhausted(f"no verified family for (q, a, h, k) = ({q.value}, {a}, {h}, {k})")
+    raise SearchExhausted(
+        f"no verified family for (q, a, h, k) = ({', '.join(map(_brief, (q.value, a, h, k)))})"
+    )
 
 
 def _roots_mod_p(A: int, B: int, C: int, p: int) -> list[int] | None:
@@ -730,7 +742,10 @@ def check_local_obstructions(family: WitnessFamily) -> None:
         if q.value % p
     )
     if obstructed:
-        raise ObstructionFound(f"local obstruction for family {family}")
+        raise ObstructionFound(
+            "local obstruction for the family with (q, a, h, k) = "
+            f"({', '.join(map(_brief, (q.value, family.a, family.h, family.k)))})"
+        )
 
 
 def scan_family(

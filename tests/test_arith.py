@@ -520,7 +520,7 @@ def test_sqrt_mod_examples():
     assert sqrt_mod_prime_power(4 * 49, 7, 3) == _brute_sqrt(4 * 49, 7**3)
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2), (7, 3), (11, 1), (13, 2), (17, 2), (19, 2), (23, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2), (7, 3), (11, 1), (13, 2), (17, 2), (19, 2), (23, 2), (41, 2)])
 def test_sqrt_mod_exhaustive(p, e):
     mod = p**e
     for a in range(mod):
@@ -541,6 +541,25 @@ def test_sqrt_mod_prime_roots_square_back(p, a):
         assert (r * r - a) % (p * p) == 0
 
 
+@pytest.mark.parametrize("p", [257, 641, 65537])
+@pytest.mark.parametrize("e", [2, 3])
+def test_sqrt_unit_odd_prime_powers_with_many_steps(p, e):
+    # p - 1 = 2^8, 2^7 * 5 and 2^16: up to s - 1 rounds of Tonelli-Shanks
+    mod = p**e
+    rng = random.Random(p * e)
+    samples = [1, mod - 1, *(rng.randrange(1, mod) for _ in range(150))]
+    samples += [pow(rng.randrange(1, mod), 2, mod) for _ in range(150)]
+    for a in samples:
+        if a % p == 0:
+            continue
+        roots = sqrt_unit_odd(a, p, e)
+        if pow(a, (p - 1) // 2, p) == 1:
+            assert len(roots) == 2 and 0 < roots[0] < roots[1] < mod, (a, p, e)
+            assert roots[0] + roots[1] == mod and all(r * r % mod == a for r in roots), (a, p, e)
+        else:
+            assert roots == (), (a, p, e)
+
+
 def test_cornacchia_without_root_raises(monkeypatch):
     # 2 is a residue mod 17, so the power taken as a root of -1 squares to 1
     monkeypatch.setattr(arith, "_jacobi", lambda a, n: -1)
@@ -550,7 +569,7 @@ def test_cornacchia_without_root_raises(monkeypatch):
 
 def _cornacchia_by_sqrt_unit_odd(p):
     """Cornacchia's pair for p from the larger root of -1 that
-    `sqrt_unit_odd` finds (Atkin or Tonelli-Shanks)."""
+    `sqrt_unit_odd` finds by Tonelli-Shanks."""
     a, b = p, sqrt_unit_odd(p - 1, p, 1)[1]
     while b * b > p:
         a, b = b, a % b
@@ -594,7 +613,7 @@ def test_sqrt_mod_prime_large_primes_in_every_class():
     for bits in (40, 64, 127, 200):
         for cls in (1, 3, 5, 7):
             p = next(n for n in itertools.count((1 << bits) + cls, 8) if is_prime(n))
-            # p - 1 and -1 cover the Atkin and Tonelli-Shanks edge cases
+            # 1 needs no Tonelli-Shanks round; p - 1 is refused at p = 3 mod 4, else needs one
             for a in [1, 2, p - 1, *(rng.randrange(1, p) for _ in range(40))]:
                 roots = sqrt_unit_odd(a, p, 1)
                 if pow(a, (p - 1) // 2, p) == 1:

@@ -333,6 +333,14 @@ def test_blocking_system_invariants_spot():
     bs.verify()
 
 
+def test_blocking_verify_checks_lifts_against_pattern():
+    system = build_blocking_system(factorize(5), 1, 2, 3)
+    assert (system.a3, system.b3, system.c3) == (1, 17, 13)
+    for changes in ({"a": 4, "b": 0, "c": 0}, {"a": 2}, {"b": 3}, {"c": 4}):
+        with pytest.raises(InternalInconsistency, match="pattern"):
+            dataclasses.replace(system, **changes).verify()
+
+
 def test_blocking_rejects_inadmissible():
     with pytest.raises(HypothesisViolation):
         build_blocking_system(factorize(4), 3, 0, 0)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -71,6 +72,36 @@ def test_hypotheses_clause_order():
     assert check_hypotheses(factorize(27), 1, 4, 8).failed_clause == "odd_prime_valuation"
     assert check_hypotheses(factorize(16), 3, 4, 8).failed_clause == "admissible_a"
     assert check_hypotheses(factorize(16), 1, 2, 8).failed_clause == "admissible_a+h"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run at the interpreter's default int-to-str digit limit (4,300), which
+    no earlier test may have lifted; Python before 3.10.7 has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_family_over_a_modulus_past_the_digit_limit(default_digit_limit):
+    # T_blk of the q = 9 pattern [0, 0, 0] has 15,810 bits, about 4,760 digits
+    system = build_blocking_system(factorize(9), 0, 0, 0)
+    T, a_T, h, k = system.T_blk, system.a_T.value, system.h, system.k
+    assert T.value.bit_length() == 15810
+    family = build_witness_family(T, a_T, h, k)
+    family.verify()
+    # a_T + 1 is p_1 times a unit mod p_1^2; the verdict names both sides by size
+    verdict = check_hypotheses(T, a_T + 1, h, k)
+    assert not verdict.ok and verdict.failed_clause == "admissible_a"
+    assert verdict.detail.endswith("mod a 15810-bit number")
+    with pytest.raises(ObstructionFound, match="15810-bit"):
+        check_local_obstructions(dataclasses.replace(family, k=1))
 
 
 def _assert_base_targets(base):
@@ -558,17 +589,18 @@ def test_base_enumerator_matches_reference(p, e):
             assert list(got) == list(want), (x0, y0, c, target)
 
 
-def _reference_crt_pairs(q: FactoredInteger, local, missing: str):
+def _reference_crt_pairs(q: FactoredInteger, local, missing: str, value: int):
     """The former eager CRT enumerator, kept verbatim as the reference for the
     odometer: it lists the first LOCAL_CANDIDATES local pairs at every prime
-    before it glues the first combination."""
+    before it glues the first combination; only its message now takes the
+    value apart from the label, as `_iter_crt_pairs` does."""
     primes = q.primes()
     locals_: list[list[tuple[int, int]]] = []
     for p in primes:
         e = q.factors[p]
         cands = list(itertools.islice(local(p, e), witness.LOCAL_CANDIDATES))
         if not cands:
-            raise SearchExhausted(f"{missing} at prime power {p}^{e}")
+            raise SearchExhausted(f"{missing}={value} at prime power {p}^{e}")
         locals_.append(cands)
     moduli = [p ** q.factors[p] for p in primes]
     for combo in itertools.islice(itertools.product(*locals_), witness.COMBO_CAP):
@@ -581,7 +613,7 @@ def _reference_crt_pairs(q: FactoredInteger, local, missing: str):
 def _crt_outcome(enumerate_pairs, q, local):
     """Every pair the enumerator glues, or the SearchExhausted message it raises."""
     try:
-        return list(enumerate_pairs(q, local, "nothing"))
+        return list(enumerate_pairs(q, local, "nothing for x", 0))
     except SearchExhausted as exc:
         return str(exc)
 
@@ -620,7 +652,7 @@ def test_crt_odometer_matches_eager_reference(monkeypatch, qv, blocked, local_ca
         assert outcome == _crt_outcome(_reference_crt_pairs, q, local)
         outcomes.append(outcome)
     messages = [o for o in outcomes if isinstance(o, str)]
-    assert f"nothing at prime power {p}^{e}" in messages
+    assert f"nothing for x=0 at prime power {p}^{e}" in messages
     capped = [o for o in outcomes if isinstance(o, list) and len(o) == combo_cap]
     assert bool(capped) == (local_candidates ** len(q.factors) > combo_cap)
 
@@ -634,7 +666,7 @@ def test_crt_odometer_draws_lazily():
             drawn[p] += 1
             yield pair
 
-    pairs = _iter_crt_pairs(q, local, "nothing")
+    pairs = _iter_crt_pairs(q, local, "nothing for x", 0)
     next(pairs)
     assert drawn == {2: 1, 3: 1, 7: 1, 13: 1}
     list(itertools.islice(pairs, 2))  # the next two combinations turn only the last prime
