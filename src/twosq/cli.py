@@ -308,7 +308,8 @@ def _cmd_verify(args) -> int:
             continue
         try:
             cert = TripleCertificate.from_json_dict(json.loads(line))
-        except (KeyError, TypeError, ValueError) as exc:
+        # json.loads raises RecursionError on arrays or objects nested too deep
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             _diagnose("malformed_certificate", f"{type(exc).__name__}: {exc}", line=str(lineno))
             return EXIT_INTERNAL
         if not cert.verify():

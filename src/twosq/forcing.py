@@ -180,9 +180,20 @@ def construct_two_class_tuple(
     return design
 
 
-@dataclass
+def _four_q_squared(q: FactoredInteger) -> FactoredInteger:
+    """4q^2 with its factor map; q's primes are proved."""
+    factors = {p: 2 * e for p, e in q.factors.items()}
+    factors[2] = factors.get(2, 0) + 2
+    return FactoredInteger._proven(4 * q.value**2, dict(sorted(factors.items())))
+
+
+@dataclass(frozen=True)
 class BlockingSystem:
-    """The full data of a verified consecutiveness-forcing construction."""
+    """A consecutiveness-forcing construction, stored as its choices: the
+    pattern, its lifts mod 4q^2, h < k and a blocking prime p_i per offset i.
+    Derived once, on construction, and not settable: T_blk = 4q^2 prod p_i^2,
+    a_T (the CRT of a3 mod 4q^2 and p_i - i mod p_i^2, so a repeated prime or
+    one of q raises NonCoprimeModuli) and lift_window_widened (a lift > q^2)."""
 
     q: FactoredInteger
     a: int
@@ -194,18 +205,30 @@ class BlockingSystem:
     h: int
     k: int
     blocking_primes: dict[int, int]
-    T_blk: FactoredInteger
-    a_T: ResidueClass
-    lift_window_widened: bool = False
+    T_blk: FactoredInteger = field(init=False)
+    a_T: ResidueClass = field(init=False)
+    lift_window_widened: bool = field(init=False)
+
+    def __post_init__(self):
+        four_q2 = _four_q_squared(self.q)
+        congruences = [ResidueClass(self.a3, four_q2.value)]
+        congruences += [ResidueClass(p - i, p * p) for i, p in self.blocking_primes.items()]
+        a_T = crt_combine(congruences)
+        # primes of q and of the prime table; _proven checks the product
+        squares = {p: 2 for p in self.blocking_primes.values()}
+        T_blk = FactoredInteger._proven(a_T.modulus, dict(sorted((four_q2.factors | squares).items())))
+        object.__setattr__(self, "T_blk", T_blk)
+        object.__setattr__(self, "a_T", a_T)
+        object.__setattr__(self, "lift_window_widened", max(self.a3, self.b3, self.c3) > self.q.value**2)
 
     def verify(self) -> None:
-        """Recheck every invariant with exact arithmetic; raises on failure.
+        """Check the theorem's conditions exactly; raises on failure.
 
-        Admissibility of every a_T + i, 0 <= i <= k, is decided by
-        `_blocked_offsets` from the retained factorization of T_blk in one
-        pass over its prime powers, so nothing is factored here; exactly the
-        intermediate offsets other than h must be blocked, and the first
-        offset that breaks this is named.
+        The lifts reduce to the pattern mod q and the offsets to the lifts
+        mod 4q^2, with 0 < h < k. `_blocked_offsets`, one pass over the prime
+        powers of T_blk, so nothing is factored, must give exactly 1..k-1
+        less h; the first offset that breaks this is named. Last comes
+        `check_hypotheses`.
         """
         qv = self.q.value
         if (self.a3 - self.a) % qv or (self.b3 - self.b) % qv or (self.c3 - self.c) % qv:
@@ -215,22 +238,11 @@ class BlockingSystem:
             raise InternalInconsistency("offset congruences fail")
         if not 0 < self.h < self.k:
             raise InternalInconsistency("need 0 < h < k")
-        primes = list(self.blocking_primes.values())
-        if len(set(primes)) != len(primes):
-            raise InternalInconsistency("blocking primes are not distinct")
-        for i, p in self.blocking_primes.items():
-            if p % 4 != 3 or p <= self.k or self.q.value % p == 0:
-                raise InternalInconsistency(f"prime p_{i} = {p} violates side conditions")
-            if (self.a_T.value - (p - i)) % (p * p) != 0:
-                raise InternalInconsistency(f"a_T wrong mod p_{i}^2")
-        if (self.a_T.value - self.a3) % q2_4 != 0:
-            raise InternalInconsistency("a_T wrong mod 4q^2")
-        if sorted(self.blocking_primes) != [i for i in range(1, self.k) if i != self.h]:
-            raise InternalInconsistency("blocking index set is not 1..k-1 minus h")
-        wrong = self._blocked_offsets() ^ self.blocking_primes.keys()
+        intermediate = set(range(1, self.k)) - {self.h}
+        wrong = self._blocked_offsets() ^ intermediate
         if wrong:
             i = min(wrong)
-            if i in self.blocking_primes:
+            if i in intermediate:
                 raise InternalInconsistency(f"a_T + {i} should not be admissible")
             raise InternalInconsistency(f"a_T + {i} should be admissible")
         verdict = check_hypotheses(self.T_blk, self.a_T.value, self.h, self.k)
@@ -276,18 +288,14 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
 
     Lifts each class to its least admissible representative in [0, 4q^2)
     that is not 0 mod 2^(v2-1), which the downstream hypotheses need (so
-    the lift is positive), and records whether any lift lies above q^2.
-    Offsets h < k are the least positive solutions, with 4q^2 added to
-    restore order or break a tie. Blocking primes are the smallest valid
-    choices in ascending index order, so the whole construction is
-    deterministic.
+    the lift is positive). Offsets h < k are the least positive solutions,
+    with 4q^2 added to restore order or break a tie. Blocking primes are the
+    least primes = 3 (mod 4) above k not dividing q, in ascending index
+    order, so the whole construction is deterministic.
     """
     qv = q.value
     _require_admissible(q, a=a, b=b, c=c)
-    factors = {p: 2 * e for p, e in q.factors.items()}
-    factors[2] = factors.get(2, 0) + 2
-    # q's primes are proved, and so are the blocking primes from the prime table
-    four_q2 = FactoredInteger._proven(4 * qv * qv, dict(sorted(factors.items())))
+    four_q2 = _four_q_squared(q)
     half = 1 << (four_q2.exponent(2) - 1)
 
     def lift(cls: int) -> int:
@@ -300,25 +308,13 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     k = (c3 - a3) % mod4q2 or mod4q2
     if h >= k:
         k += mod4q2
-    # The k - 2 least primes = 3 (mod 4) above k not dividing q, one per
-    # intermediate offset in ascending order.
     bound = 2 * k
     while len(primes := [p for p in primes_3_mod_4(bound).tolist() if p > k and qv % p]) < k - 2:
         bound *= 2
-    blocking = dict(zip((i for i in range(1, k) if i != h), primes))
-    congruences = [ResidueClass(a3 % mod4q2, mod4q2)]
-    congruences += [ResidueClass((p - i) % (p * p), p * p) for i, p in blocking.items()]
-    a_T = crt_combine(congruences)
-    # _proven checks that these factors multiply to the CRT modulus
-    T_blk = FactoredInteger._proven(
-        a_T.modulus, dict(sorted((four_q2.factors | {p: 2 for p in blocking.values()}).items()))
-    )
     system = BlockingSystem(
         q=q, a=a % qv, b=b % qv, c=c % qv,
         a3=a3, b3=b3, c3=c3, h=h, k=k,
-        blocking_primes=blocking, T_blk=T_blk,
-        a_T=a_T,
-        lift_window_widened=max(a3, b3, c3) > qv * qv,
+        blocking_primes=dict(zip((i for i in range(1, k) if i != h), primes)),
     )
     system.verify()
     return system
@@ -328,13 +324,19 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
 class TripleSearchReport:
     """Blocking system plus desk-scale census evidence for one pattern."""
 
-    q: int
-    pattern: tuple[int, int, int]
     x_budget: int
     blocking: BlockingSystem
     count: int
     occurrences: tuple[Occurrence, ...]
     certificates: list[TripleCertificate] = field(default_factory=list)
+
+    @property
+    def q(self) -> int:
+        return self.blocking.q.value
+
+    @property
+    def pattern(self) -> tuple[int, int, int]:
+        return (self.blocking.a, self.blocking.b, self.blocking.c)
 
 
 def _consecutive_certificate(q: int, a: int, values: tuple[int, ...]) -> TripleCertificate:
@@ -376,8 +378,7 @@ def end_to_end_triple(
     budget statement, not a refutation).
     """
     blocking = build_blocking_system(q, a, b, c)
-    pattern = (a % q.value, b % q.value, c % q.value)
-    spec = PatternSpec(q, pattern)
+    spec = PatternSpec(q, (blocking.a, blocking.b, blocking.c))
     result = match_pattern(spec, x_budget, cache_dir=cache_dir)
     if result.count == 0:
         raise NoneFoundWithinBudget(
@@ -391,8 +392,6 @@ def end_to_end_triple(
         if not cert.verify():
             raise InternalInconsistency("certificate failed self-verification")
     return TripleSearchReport(
-        q=q.value,
-        pattern=pattern,
         x_budget=x_budget,
         blocking=blocking,
         count=result.count,

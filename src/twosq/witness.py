@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,12 +96,22 @@ class ShiftPair:
 
     u: int
     v: int
-    gcd_uv: int
     h: int
 
+    @property
+    def gcd_uv(self) -> int:
+        return math.gcd(self.u, self.v)
 
-@dataclass
+
+@dataclass(frozen=True)
 class WitnessFamily:
+    """The family n(t) = x_of(t)^2 + y_of(t)^2, stored as its choices: the
+    base point (x0, y0), the shift (u, v) and (r0, s0), for offsets h, k.
+    T = q / 2g with g = gcd(u, v), and A, B, C are derived once, on
+    construction, and cannot be set: with (X0, Y0) = (x_of(0), y_of(0)),
+    dx = T v/g and dy = T u/g, n(t) = (X0 + dx t)^2 + (Y0 - dy t)^2, so
+    A = dx^2 + dy^2, B = 2(X0 dx - Y0 dy) and C = X0^2 + Y0^2."""
+
     q: FactoredInteger
     a: int
     h: int
@@ -110,12 +120,24 @@ class WitnessFamily:
     y0: int
     u: int
     v: int
-    T: int
+    T: int = field(init=False)
     r0: int
     s0: int
-    A: int
-    B: int
-    C: int
+    A: int = field(init=False)
+    B: int = field(init=False)
+    C: int = field(init=False)
+
+    def __post_init__(self):
+        g = self.g
+        if g == 0 or self.q.value % (2 * g) != 0:
+            raise InternalInconsistency("2 gcd(u, v) does not divide q")
+        T = self.q.value // (2 * g)
+        X0, Y0 = self.x0 + T * self.r0, self.y0 + T * self.s0
+        dx, dy = T * (self.v // g), T * (self.u // g)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "A", dx * dx + dy * dy)
+        object.__setattr__(self, "B", 2 * (X0 * dx - Y0 * dy))
+        object.__setattr__(self, "C", X0 * X0 + Y0 * Y0)
 
     @property
     def g(self) -> int:
@@ -147,31 +169,19 @@ class WitnessFamily:
         return _canon_pair(self.x_of(t) + self.u, self.y_of(t) + self.v)
 
     def verify(self) -> None:
-        """Exact verification of every family invariant; raises on failure.
-
-        With (X0, Y0) = (x_of(0), y_of(0)), dx = T v/g and dy = T u/g, the
-        identity n(t) = (X0 + dx t)^2 + (Y0 - dy t)^2 holds at every t just
-        when A = dx^2 + dy^2, B = 2(X0 dx - Y0 dy) and C = X0^2 + Y0^2, and
-        n(t) + h = (x(t) + u)^2 + (y(t) + v)^2 just when
-        h = 2(X0 u + Y0 v) + u^2 + v^2, the t term (v/g) u - (u/g) v being 0.
-        Lagrange's identity then gives B^2 - 4AC = -eta^2, and A > 0 as
-        g != 0 and T >= 1, so with k >= 1 the discriminant B^2 - 4A(C + k)
-        is negative.
+        """Check the conditions the certificates rest on, exactly; raises on
+        failure: q | T^2, and A = B = 0 and C = a mod q, so n(t) = a mod q;
+        h = 2(X0 u + Y0 v) + u^2 + v^2, so n(t) + h = (x(t) + u)^2 +
+        (y(t) + v)^2 at every t, the t terms cancelling; and k >= 1. As
+        Lagrange's identity gives B^2 - 4AC = -eta^2 and A > 0, the
+        discriminant B^2 - 4A(C + k) is then negative.
         """
-        q, T, A, B, C = self.q.value, self.T, self.A, self.B, self.C
-        u, v = self.u, self.v
-        g = self.g
-        if g == 0 or q % (2 * g) != 0 or T != q // (2 * g):
-            raise InternalInconsistency("T != q / (2 gcd(u, v))")
-        if (T * T) % q != 0:
+        q, u, v = self.q.value, self.u, self.v
+        if (self.T * self.T) % q != 0:
             raise InternalInconsistency("q does not divide T^2")
-        if A % q != 0 or B % q != 0 or C % q != self.a % q:
+        if self.A % q != 0 or self.B % q != 0 or self.C % q != self.a % q:
             raise InternalInconsistency("F(t) - k is not constantly a mod q")
-        X0, Y0 = self.x0 + T * self.r0, self.y0 + T * self.s0
-        dx, dy = T * (v // g), T * (u // g)
-        if A != dx * dx + dy * dy or B != 2 * (X0 * dx - Y0 * dy) or C != X0 * X0 + Y0 * Y0:
-            raise InternalInconsistency("n(t) identity fails")
-        if 2 * (X0 * u + Y0 * v) + u * u + v * v != self.h:
+        if 2 * (self.x_of(0) * u + self.y_of(0) * v) + u * u + v * v != self.h:
             raise InternalInconsistency("n(t)+h identity fails")
         if self.k < 1:
             raise InternalInconsistency("k is not positive")
@@ -546,39 +556,27 @@ def iter_shift_pairs(base: BaseSolution, h: int):
             g = math.gcd(u, v)
             if gbound % g != 0 or g0_twice % g != 0:
                 continue
-            yield ShiftPair(u, v, g, h)
+            yield ShiftPair(u, v, h)
 
 
 def build_family(base: BaseSolution, shift: ShiftPair, k: int) -> WitnessFamily:
     """Assemble and fully verify the quadratic family for offsets (h, k).
 
-    Solves (u/g) r0 + (v/g) s0 = (h - u^2 - v^2 - 2(u x0 + v y0)) / q exactly
-    and expands the coefficients. Raises InternalInconsistency when the
-    right-hand side is not an integer or any family invariant fails.
+    Solves (u/g) r0 + (v/g) s0 = (h - u^2 - v^2 - 2(u x0 + v y0)) / q
+    exactly. Raises InternalInconsistency when 2g does not divide q, the
+    right-hand side is not an integer or `WitnessFamily.verify` fails.
     """
     q = base.q.value
-    u, v, g, h = shift.u, shift.v, shift.gcd_uv, shift.h
-    if g == 0 or q % (2 * g) != 0:
-        raise InternalInconsistency("2 gcd(u, v) does not divide q")
-    T = q // (2 * g)
+    u, v, h = shift.u, shift.v, shift.h
     rhs_num = h - u * u - v * v - 2 * (u * base.x0 + v * base.y0)
     if rhs_num % q != 0:
         raise InternalInconsistency("linear equation right-hand side is not integral")
     R = rhs_num // q
-    ub, vb = u // g, v // g
-    d, sx, sy = ext_gcd(ub, vb)
-    if d != 1:
-        raise InternalInconsistency("u/g and v/g are not coprime")
-    r0, s0 = sx * R, sy * R
-    X0 = base.x0 + T * r0
-    Y0 = base.y0 + T * s0
-    A = T * T * (ub * ub + vb * vb)
-    B = 2 * T * (X0 * vb - Y0 * ub)
-    C = X0 * X0 + Y0 * Y0
+    # (u/g) sx + (v/g) sy = 1: scaling by g leaves Euclid's quotients alone
+    _, sx, sy = ext_gcd(u, v)
     family = WitnessFamily(
         q=base.q, a=base.a.value, h=h, k=k,
-        x0=base.x0, y0=base.y0, u=u, v=v,
-        T=T, r0=r0, s0=s0, A=A, B=B, C=C,
+        x0=base.x0, y0=base.y0, u=u, v=v, r0=sx * R, s0=sy * R,
     )
     family.verify()
     return family
@@ -685,13 +683,13 @@ def _word_primes(word: int) -> list[int]:
     return primes
 
 
-def _sieved_t(family: WitnessFamily, budget: FactorBudget, t_max: int):
+def _sieved_t(A: int, B: int, C: int, budget: FactorBudget, t_max: int):
     """(t, trial primes dividing F(t)) for the t in [0, t_max] that no strike
-    class strikes, ascending. F's roots mod each trial prime up to
-    max(trial_bound, 2) are found once and also seed the strike classes of
-    the primes 3 mod 4. Each block of SIEVE_BLOCK values of t then fills the
-    strike count and the divisor words in one pass over the primes."""
-    A, B, C = family.A, family.B, family.C + family.k
+    class strikes, ascending, for F(t) = A t^2 + B t + C. F's roots mod each
+    trial prime up to max(trial_bound, 2) are found once and also seed the
+    strike classes of the primes 3 mod 4. Each block of SIEVE_BLOCK values of
+    t then fills the strike count and the divisor words in one pass over the
+    primes."""
     sieve = []  # (p, its divisor-word bit, the t mod p where p | F(t), strike classes)
     for i, p in enumerate(_TRIAL_PRIMES):
         if p > max(budget.trial_bound, 2):
@@ -775,7 +773,7 @@ def scan_family(
     # x(t) = X0 + dx t and y(t) = Y0 - dy t, as `x_of` and `y_of` give them
     X0, Y0 = family.x_of(0), family.y_of(0)
     dx, dy = family.T * (v // g), family.T * (u // g)
-    for t, divisors in _sieved_t(family, budget, t_max):
+    for t, divisors in _sieved_t(A, B, Ck, budget, t_max):
         tested += 1
         value = (A * t + B) * t + Ck
         try:

@@ -145,6 +145,17 @@ def test_verify_rejects_bad_certificate(capsys, tmp_path):
         assert (diagnostic["error"], diagnostic["line"]) == (error, "3"), case
 
 
+def test_verify_diagnoses_deeply_nested_json(capsys, monkeypatch):
+    # json.loads gives up on this line with a RecursionError
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 200_000 + "\n"))
+    code, out, err = run_capture(capsys, ["verify", "-"])
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    diagnostic = json.loads(line)
+    assert (diagnostic["error"], diagnostic["line"]) == ("malformed_certificate", "1")
+    assert diagnostic["detail"].startswith("RecursionError")
+
+
 def test_witness_rejects_equal_offsets(capsys):
     code, out, err = run_capture(capsys, ["witness", "4", "1", "4", "4", "--tmax", "5"])
     assert code == 2 and out == ""

@@ -17,6 +17,7 @@ from twosq.errors import (
     DomainError,
     HypothesisViolation,
     InternalInconsistency,
+    NonCoprimeModuli,
     NoneFoundWithinBudget,
     SearchExhausted,
 )
@@ -367,11 +368,17 @@ def _family_digest(system, family) -> str:
 
 def _check_family_battery(qv):
     """Build every pattern's blocking system and the family over it, verify
-    both, and compare them with the recorded digest."""
+    both, and compare them with the recorded digest. The system's JSON must
+    agree with itself: T_blk = 4q^2 prod p_i^2, and the lift window is
+    widened just when a lift lies above q^2."""
     fq = factorize(qv)
     adm = [c.value for c in admissible_classes(fq)]
     for a, b, c in itertools.product(adm, repeat=3):
         system = build_blocking_system(fq, a, b, c)  # verify() runs inside
+        data = system.to_json_dict()
+        primes = map(int, data["blocking_primes"].values())
+        assert int(data["T_blk"]) == 4 * qv**2 * math.prod(p * p for p in primes), (a, b, c)
+        assert data["lift_window_widened"] == (max(map(int, data["lifts"])) > qv**2), (a, b, c)
         family = build_witness_family(system.T_blk, system.a_T.value, system.h, system.k)
         family.verify()
         assert _family_digest(system, family) == FAMILY_DIGESTS[f"{qv}:{a},{b},{c}"], (a, b, c)
@@ -387,13 +394,22 @@ def test_blocking_family_digests_q5():
     _check_family_battery(5)
 
 
-def _retarget(system, i, residue):
-    """The system with a_T moved to a_T + i = residue mod p_i^2, and kept
-    mod every other prime power of T_blk."""
-    p2 = system.blocking_primes[i] ** 2
-    rest = system.T_blk.value // p2
-    a_T = crt_combine([ResidueClass(system.a_T.value, rest), ResidueClass(residue - i, p2)])
-    return dataclasses.replace(system, a_T=a_T)
+def test_blocking_derived_fields_are_not_settable():
+    """T_blk, a_T and lift_window_widened follow from the system's choices,
+    and `dataclasses.replace` refuses them: neither a T_blk widened by 13^2
+    nor a widened lift window with every lift below q^2 can be set."""
+    system = build_blocking_system(factorize(5), 1, 2, 3)
+    assert max(system.a3, system.b3, system.c3) < 25 and not system.lift_window_widened
+    T = system.T_blk
+    wider = FactoredInteger(T.value * 13**2, T.factors | {13: 2})
+    for changes in (
+        {"T_blk": wider, "a_T": ResidueClass(system.a_T.value, wider.value)},
+        {"T_blk": wider},
+        {"a_T": ResidueClass(system.a_T.value + 1, T.value)},
+        {"lift_window_widened": True},
+    ):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(system, **changes)
 
 
 def test_blocker_first_verdicts_and_tampering():
@@ -406,27 +422,42 @@ def test_blocker_first_verdicts_and_tampering():
 
     def verdicts(tampered):
         blocked = tampered._blocked_offsets()
-        return [i not in blocked for i in range(system.k + 1)]
+        return [i not in blocked for i in range(tampered.k + 1)]
 
     def swept(tampered):
-        return [is_admissible_value(tampered.a_T.value + i, tampered.T_blk) for i in range(system.k + 1)]
+        return [is_admissible_value(tampered.a_T.value + i, tampered.T_blk) for i in range(tampered.k + 1)]
+
+    def without_prime(i):
+        primes = {j: p for j, p in system.blocking_primes.items() if j != i}
+        return dataclasses.replace(system, blocking_primes=primes)
 
     assert verdicts(system) == swept(system)
     assert [i for i, ok in enumerate(verdicts(system)) if ok] == [0, system.h, system.k]
-    # p_i no longer blocks i: the sweep decides, and finds a_T + i admissible
-    # exactly when 4q^2 does not block it either.
-    for i in (free[0], held[0]):
-        tampered = _retarget(system, i, 1)
+    # 4q^2 alone blocks a free offset, so the system stays sound without
+    # its prime, and verify() passes.
+    lean = without_prime(free[0])
+    lean.verify()
+    assert verdicts(lean) == verdicts(system)
+    assert lean.T_blk.value * system.blocking_primes[free[0]] ** 2 == system.T_blk.value
+    # A held offset without its prime, or with a prime = 1 (mod 4), is
+    # admissible: 4q^2 does not block it, and the sweep agrees.
+    i = held[0]
+    p1 = next(p for p in itertools.count(system.k + 1) if p % 4 == 1 and is_prime(p))
+    with_p1 = dataclasses.replace(system, blocking_primes=system.blocking_primes | {i: p1})
+    for tampered in (without_prime(i), with_p1):
         assert verdicts(tampered) == swept(tampered)
-        assert verdicts(tampered)[i] == (i in held)
-        with pytest.raises(InternalInconsistency, match=f"a_T wrong mod p_{i}"):
+        assert verdicts(tampered)[i]
+        with pytest.raises(InternalInconsistency, match=rf"a_T \+ {i} should not be admissible"):
             tampered.verify()
-    # p_i still divides a_T + i once, but a_T is off its class mod p_i^2.
-    i = held[-1]
-    tampered = _retarget(system, i, 2 * system.blocking_primes[i])
-    assert not verdicts(tampered)[i]
-    with pytest.raises(InternalInconsistency, match=f"a_T wrong mod p_{i}"):
+    # k moved up by 4q^2: the old k is now an intermediate offset, and no
+    # prime blocks it.
+    tampered = dataclasses.replace(system, k=system.k + four_q2.value)
+    with pytest.raises(InternalInconsistency, match=rf"a_T \+ {system.k} should not be admissible"):
         tampered.verify()
+    # A prime given to two offsets fails in the CRT.
+    twice = system.blocking_primes | {i: system.blocking_primes[held[1]]}
+    with pytest.raises(NonCoprimeModuli):
+        dataclasses.replace(system, blocking_primes=twice)
 
 
 def test_end_to_end_example():

@@ -155,6 +155,15 @@ def test_local_obstructions_fixture():
     assert check_local_obstructions(fam) is None
 
 
+def _with_changes(family, k, **coefficients):
+    """A copy of the family with offset k, and with the given coefficients
+    set past the frozen dataclass: no built family has A = 56 and B = 28."""
+    family = dataclasses.replace(family, k=k)
+    for name, value in coefficients.items():
+        object.__setattr__(family, name, value)
+    return family
+
+
 @pytest.mark.parametrize(
     "q,a,h,k,changes",
     [
@@ -167,7 +176,7 @@ def test_local_obstructions_fixture():
     ],
 )
 def test_local_obstructions_raise(q, a, h, k, changes):
-    fam = dataclasses.replace(build_witness_family(factorize(q), a, h, k), **changes)
+    fam = _with_changes(build_witness_family(factorize(q), a, h, k), **changes)
     with pytest.raises(ObstructionFound):
         check_local_obstructions(fam)
 
@@ -175,7 +184,7 @@ def test_local_obstructions_raise(q, a, h, k, changes):
 def test_local_obstructions_allow_square_of_small_prime():
     # F(t) = 56t^2 + 28t + 14 vanishes identically mod 7, yet
     # F(1) = 98 = 7^2 + 7^2 and F(9) = 4802 = 2 * 7^4
-    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=56, B=28, k=13)
+    fam = _with_changes(build_witness_family(factorize(4), 1, 4, 8), A=56, B=28, k=13)
     assert (fam.F(1), fam.F(9)) == (98, 4802)
     assert check_local_obstructions(fam) is None
 
@@ -387,22 +396,25 @@ def tamper_sources():
 
 @pytest.mark.parametrize("source", ["pool", "blocking"])
 @pytest.mark.parametrize(
-    "change",
+    "change,error",
     [
-        lambda f: {"r0": f.r0 + 1},
-        lambda f: {"C": f.C + f.q.value},
-        lambda f: {"B": -f.B},
-        lambda f: {"h": f.h + 1},
-        lambda f: {"A": f.A + f.q.value},
-        lambda f: {"k": 0},
+        (lambda f: {"r0": f.r0 + 1}, InternalInconsistency),
+        (lambda f: {"C": f.C + f.q.value}, ValueError),
+        (lambda f: {"B": -f.B}, ValueError),
+        (lambda f: {"h": f.h + 1}, InternalInconsistency),
+        (lambda f: {"A": f.A + f.q.value}, ValueError),
+        (lambda f: {"k": 0}, InternalInconsistency),
+        (lambda f: {"T": f.T + 1}, ValueError),
     ],
-    ids=["r0+1", "C+q", "-B", "h+1", "A+q", "k=0"],
+    ids=["r0+1", "C+q", "-B", "h+1", "A+q", "k=0", "T+1"],
 )
-def test_family_verify_rejects_tampering(tamper_sources, source, change):
+def test_family_verify_rejects_tampering(tamper_sources, source, change, error):
+    """A change of the family's choices fails `verify()`; T, A, B and C are
+    derived from them, and `dataclasses.replace` refuses to set them."""
     family = tamper_sources[source]
     family.verify()
     assert family.B != 0
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(error):
         dataclasses.replace(family, **change(family)).verify()
 
 
@@ -459,26 +471,26 @@ def _positive_quadratics(draw):
 
 
 def _sieved_in_blocks(coeffs, block):
-    """`_sieved_t` over t <= 300 for F = A t^2 + B t + C, SIEVE_BLOCK = block."""
+    """`_sieved_t` over t <= 300 for F = A t^2 + B t + C, SIEVE_BLOCK = block,
+    with F as a function."""
     A, B, C = coeffs
-    fam = dataclasses.replace(build_witness_family(factorize(4), 1, 4, 8), A=A, B=B, C=C, k=0)
     with mock.patch.object(witness, "SIEVE_BLOCK", block):
-        return fam, list(_sieved_t(fam, DEFAULT_BUDGET, 300))
+        return (lambda t: (A * t + B) * t + C), list(_sieved_t(A, B, C, DEFAULT_BUDGET, 300))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_positive_quadratics(), st.integers(1, 300))
 def test_sieve_strikes_exactly_single_valuations(coeffs, split):
-    fam, kept = _sieved_in_blocks(coeffs, split)
-    assert [t for t, _ in kept] == [t for t in range(301) if not _once_divided(fam.F(t))]
+    F, kept = _sieved_in_blocks(coeffs, split)
+    assert [t for t, _ in kept] == [t for t in range(301) if not _once_divided(F(t))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_positive_quadratics(), st.integers(1, 300))
 def test_divisor_words_mark_exactly_the_dividing_trial_primes(coeffs, split):
-    fam, kept = _sieved_in_blocks(coeffs, split)
+    F, kept = _sieved_in_blocks(coeffs, split)
     for t, divisors in kept:
-        assert divisors == [p for p in _TRIAL_PRIMES if fam.F(t) % p == 0], t
+        assert divisors == [p for p in _TRIAL_PRIMES if F(t) % p == 0], t
 
 
 @pytest.mark.parametrize("budget,calls", [(DEFAULT_BUDGET, 64), (FactorBudget(trial_bound=20), 8)])
@@ -719,7 +731,7 @@ def _assembles(base, h, local_pairs):
         if _gcd_bound(q) % g or 2 * math.gcd(base.x0, base.y0) % g:
             continue
         try:
-            build_family(base, ShiftPair(u, v, g, h), h + 1)
+            build_family(base, ShiftPair(u, v, h), h + 1)
         except InternalInconsistency:
             continue
         return True
