@@ -12,10 +12,12 @@ import bisect
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, DegenerateInput, InternalInconsistency, NonCoprimeModuli
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Miller-Rabin uses the first k prime bases for n below the k-th bound: each
 # bound is psi_k, the smallest strong pseudoprime to those bases (psi_7 = psi_8
@@ -38,15 +40,15 @@ _PSI_13 = 3317044064679887385961981
 
 # The package's prime tables: every prime up to _prime_limit, and those of
 # them = 3 (mod 4), as read-only int32 arrays, sieved together in segments of
-# _PRIME_SEGMENT integers when a caller first asks past their end.
+# _PRIME_SEGMENT integers when a caller first asks past their end. They start
+# empty, so importing this module does not import numpy; the first build does.
 # `iter_primes_3_mod_4` reads them only up to PRIME_CAP (about 4 and 2 MB
 # there), in chunks of _TABLE_CHUNK primes, and sieves the segments above it
 # afresh without keeping them.
 _PRIME_SEGMENT = 1 << 20
 PRIME_CAP = 1 << 24
 _TABLE_CHUNK = 1 << 16
-_primes = np.zeros(0, dtype=np.int32)
-_primes_3_mod_4 = np.zeros(0, dtype=np.int32)
+_primes = _primes_3_mod_4 = ()
 _prime_limit = 1
 
 
@@ -148,6 +150,8 @@ def _sieve_primes(lo: int, hi: int, base: list[int]) -> np.ndarray:
     """The primes in [lo, hi) (2 <= lo) as int64, by a sieve of Eratosthenes
     over the segment's odd integers, entry i standing for (lo | 1) + 2i;
     base holds every prime up to isqrt(hi - 1) in order."""
+    import numpy as np
+
     start = lo | 1
     seg = np.ones(max(hi - start + 1, 0) // 2, dtype=bool)
     for p in base[1:]:  # 2 strikes no odd integer
@@ -167,10 +171,14 @@ def _extend_primes(limit: int) -> None:
     global _primes, _primes_3_mod_4, _prime_limit
     if limit <= _prime_limit:
         return
+    import numpy as np
+
     root = math.isqrt(limit)
     _extend_primes(root)
-    base = _primes[: np.searchsorted(_primes, np.int32(root), "right")].tolist()
-    parts, parts_3_mod_4 = [_primes], [_primes_3_mod_4]
+    base = [int(p) for p in _primes[: bisect.bisect_right(_primes, root)]]
+    # the empty tables are () until the first segment is sieved
+    parts = [np.asarray(_primes, dtype=np.int32)]
+    parts_3_mod_4 = [np.asarray(_primes_3_mod_4, dtype=np.int32)]
     for lo in range(_prime_limit + 1, limit + 1, _PRIME_SEGMENT):
         fresh = _sieve_primes(lo, min(lo + _PRIME_SEGMENT, limit + 1), base).astype(np.int32)
         parts.append(fresh)
@@ -187,6 +195,8 @@ def prime_array(bound: int) -> np.ndarray:
     The tables grow to the power of two at or above bound (at least 16), so
     nearby bounds share one extension.
     """
+    import numpy as np
+
     _extend_primes(1 << max((bound - 1).bit_length(), 4))
     # an int32 key, so that numpy does not convert the whole table to search it
     return _primes[: np.searchsorted(_primes, np.int32(bound), "right")]
@@ -194,6 +204,8 @@ def prime_array(bound: int) -> np.ndarray:
 
 def primes_3_mod_4(bound: int) -> np.ndarray:
     """The primes p = 3 (mod 4) <= bound, from a table grown with `prime_array`'s."""
+    import numpy as np
+
     _extend_primes(1 << max((bound - 1).bit_length(), 4))
     return _primes_3_mod_4[: np.searchsorted(_primes_3_mod_4, np.int32(bound), "right")]
 
@@ -203,6 +215,8 @@ def iter_primes_3_mod_4(lo: int, hi: int) -> Iterator[np.ndarray]:
     ascending int64 chunks: up to PRIME_CAP, slices of _TABLE_CHUNK primes
     of the table; above it, those of each segment of _PRIME_SEGMENT
     integers, sieved afresh and not kept."""
+    import numpy as np
+
     table = primes_3_mod_4(min(hi, PRIME_CAP))
     # an int32 key, so that numpy does not convert the whole table to search it
     first = int(np.searchsorted(table, np.int32(min(lo, PRIME_CAP)), "right"))
@@ -220,8 +234,9 @@ def small_primes(bound: int) -> list[int]:
     return prime_array(bound).tolist()
 
 
-# `factorize` divides by these first 64 primes before any primality test.
-_TRIAL_PRIMES = tuple(small_primes(311))
+# `factorize` divides by these first 64 primes before any primality test;
+# found by trial division, so that no prime table is built on import.
+_TRIAL_PRIMES = tuple(n for n in range(2, 312) if all(n % d for d in range(2, math.isqrt(n) + 1)))
 _TRIAL_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_NEXT = 313
 # _TRIAL_STOPS[i] is the least prime above the first i trial primes, and

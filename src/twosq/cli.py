@@ -21,13 +21,12 @@ import json
 import os
 import sys
 
-from . import __version__, sieve
+# Each command imports the layers it runs when it runs, so `verify` and
+# `admissible` start without numpy and the sieve, census and forcing layers.
+from . import __version__
 from .admissibility import admissible_classes
 from .arith import FactoredInteger, factorize
-from .census import PatternSpec, census_report, match_pattern
 from .errors import HypothesisViolation, TwoSqError
-from .forcing import bin_plan, construct_two_class_tuple, delta_constant, end_to_end_triple
-from .witness import TripleCertificate, build_witness_family, check_local_obstructions, scan_family
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -91,6 +90,8 @@ def _modulus(q: int) -> FactoredInteger:
 
 
 def _member_bound(x: int, name: str) -> None:
+    from . import sieve
+
     # the member stream sieves upward from 0 through x, and the sieve ends at 2^62
     if x >= sieve.MAX_HI:
         raise _UsageError(f"{name} must be < 2^62, got {x}")
@@ -111,6 +112,8 @@ def _sieve_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_sieve(args) -> int:
+    from . import sieve
+
     # checked whole, before sieving any segment of the range
     if not 0 <= args.lo < args.hi <= sieve.MAX_HI:
         raise _UsageError(f"need 0 <= lo < hi <= 2^62, got [{args.lo}, {args.hi})")
@@ -149,11 +152,13 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import census
+
     q = _modulus(args.q)
     if args.r < 1:
         raise _UsageError(f"r must be >= 1, got {args.r}")
     _member_bound(args.x, "x")
-    report = census_report(q, args.r, args.x, cache_dir=args.cache_dir)
+    report = census.census_report(q, args.r, args.x, cache_dir=args.cache_dir)
     if args.format == "json":
         patterns = []
         for tup in report.pattern_universe():
@@ -189,14 +194,16 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
+    from . import census
+
     q = _modulus(args.q)
     classes = _parse_ints(args.classes)
     try:
-        spec = PatternSpec(q, classes)
+        spec = census.PatternSpec(q, classes)
     except ValueError as exc:  # a class outside [0, q)
         raise _UsageError(str(exc)) from exc
     _member_bound(args.x, "x")
-    result = match_pattern(spec, args.x, cache_dir=args.cache_dir)
+    result = census.match_pattern(spec, args.x, cache_dir=args.cache_dir)
     if args.format == "json":
         _emit(
             _json_dumps(
@@ -221,15 +228,17 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import witness
+
     q = _modulus(args.q)
     if args.tmax < 0:
         raise _UsageError(f"--tmax must be >= 0, got {args.tmax}")
-    family = build_witness_family(q, args.a, args.h, args.k)
-    check_local_obstructions(family)
+    family = witness.build_witness_family(q, args.a, args.h, args.k)
+    witness.check_local_obstructions(family)
     _status(
         f"family: T={family.T} F(t) = {family.A}t^2 + {family.B}t + {family.C + family.k}"
     )
-    result = scan_family(family, args.tmax)
+    result = witness.scan_family(family, args.tmax)
     lines = [json.dumps(c.to_json_dict(), sort_keys=True) for c in result.certificates]
     _emit("".join(line + "\n" for line in lines), args.output)
     _status(
@@ -240,11 +249,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_force_triple(args) -> int:
+    from . import forcing
+
     q = _modulus(args.q)
     if args.xbudget < 0:
         raise _UsageError(f"--xbudget must be >= 0, got {args.xbudget}")
     _member_bound(args.xbudget, "--xbudget")
-    report = end_to_end_triple(
+    report = forcing.end_to_end_triple(
         q,
         args.a,
         args.b,
@@ -272,14 +283,16 @@ def _cmd_force_triple(args) -> int:
 
 
 def _cmd_tuple(args) -> int:
+    from . import forcing
+
     q = _modulus(args.q)
     if args.sizes is not None:
         sizes = list(_parse_ints(args.sizes))
         delta = None
     else:
-        sizes = bin_plan(args.M, args.theta1, args.theta2)
-        delta = delta_constant(args.theta1, args.theta2)
-    design = construct_two_class_tuple(q, args.a, args.b, args.j, sizes)
+        sizes = forcing.bin_plan(args.M, args.theta1, args.theta2)
+        delta = forcing.delta_constant(args.theta1, args.theta2)
+    design = forcing.construct_two_class_tuple(q, args.a, args.b, args.j, sizes)
     payload = {
         "q": str(design.q),
         "a": str(design.a),
@@ -297,17 +310,25 @@ def _cmd_tuple(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.path != "-":
-        with open(args.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
+    if args.path == "-":
+        return _verify_lines(sys.stdin)
+    with open(args.path, "r", encoding="utf-8") as fh:
+        return _verify_lines(fh)
+
+
+def _verify_lines(fh) -> int:
+    """Verify the certificates of fh one line at a time, stopping at the
+    first malformed or failing one. Each line read is cut as str.splitlines
+    would cut the whole text, so line numbers count the same boundaries."""
+    from . import witness
+
+    lines = (line for chunk in fh for line in chunk.splitlines())
     total = 0
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            cert = TripleCertificate.from_json_dict(json.loads(line))
+            cert = witness.TripleCertificate.from_json_dict(json.loads(line))
         # json.loads raises RecursionError on arrays or objects nested too deep
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             _diagnose("malformed_certificate", f"{type(exc).__name__}: {exc}", line=str(lineno))

@@ -16,6 +16,8 @@ is ever factored).
 from __future__ import annotations
 
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,10 +192,11 @@ def _four_q_squared(q: FactoredInteger) -> FactoredInteger:
 @dataclass(frozen=True)
 class BlockingSystem:
     """A consecutiveness-forcing construction, stored as its choices: the
-    pattern, its lifts mod 4q^2, h < k and a blocking prime p_i per offset i.
-    Derived once, on construction, and not settable: T_blk = 4q^2 prod p_i^2,
-    a_T (the CRT of a3 mod 4q^2 and p_i - i mod p_i^2, so a repeated prime or
-    one of q raises NonCoprimeModuli) and lift_window_widened (a lift > q^2)."""
+    pattern, its lifts mod 4q^2, h < k and a blocking prime p_i per offset i
+    (kept as a read-only copy of the mapping given). Derived once, on
+    construction, and not settable: T_blk = 4q^2 prod p_i^2, a_T (the CRT of
+    a3 mod 4q^2 and p_i - i mod p_i^2, so a repeated prime or one of q raises
+    NonCoprimeModuli) and lift_window_widened (a lift > q^2)."""
 
     q: FactoredInteger
     a: int
@@ -204,12 +207,14 @@ class BlockingSystem:
     c3: int
     h: int
     k: int
-    blocking_primes: dict[int, int]
+    blocking_primes: Mapping[int, int]
     T_blk: FactoredInteger = field(init=False)
     a_T: ResidueClass = field(init=False)
     lift_window_widened: bool = field(init=False)
 
     def __post_init__(self):
+        # a read-only copy, so that the caller's dict cannot leave T_blk and a_T stale
+        object.__setattr__(self, "blocking_primes", types.MappingProxyType(dict(self.blocking_primes)))
         four_q2 = _four_q_squared(self.q)
         congruences = [ResidueClass(self.a3, four_q2.value)]
         congruences += [ResidueClass(p - i, p * p) for i, p in self.blocking_primes.items()]

@@ -27,8 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .admissibility import admissibility_reason, class_exponent, is_admissible_value
 from .arith import (
     _TRIAL_PRIMES,
@@ -690,6 +688,8 @@ def _sieved_t(A: int, B: int, C: int, budget: FactorBudget, t_max: int):
     strike classes of the primes 3 mod 4. Each block of SIEVE_BLOCK values of
     t then fills the strike count and the divisor words in one pass over the
     primes."""
+    import numpy as np  # here only, so that verifying certificates does not import it
+
     sieve = []  # (p, its divisor-word bit, the t mod p where p | F(t), strike classes)
     for i, p in enumerate(_TRIAL_PRIMES):
         if p > max(budget.trial_bound, 2):

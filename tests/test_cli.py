@@ -156,6 +156,82 @@ def test_verify_diagnoses_deeply_nested_json(capsys, monkeypatch):
     assert diagnostic["detail"].startswith("RecursionError")
 
 
+def test_verify_stops_reading_at_the_first_bad_line(capsys, monkeypatch):
+    class OneLineStdin(io.StringIO):
+        """Serves its first line; any further read fails the test."""
+
+        served = 0
+
+        def readline(self, size=-1):  # iteration over a StringIO subclass calls this
+            self.served += 1
+            if self.served > 1:
+                raise AssertionError("verify read past the bad first line")
+            return super().readline(size)
+
+        def read(self, size=-1):
+            raise AssertionError("verify read the whole input")
+
+        def readlines(self, hint=-1):
+            raise AssertionError("verify read the whole input")
+
+    monkeypatch.setattr(sys, "stdin", OneLineStdin("not json\n" + "{}\n" * 3))
+    code, out, err = run_capture(capsys, ["verify"])
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    diagnostic = json.loads(line)
+    assert (diagnostic["error"], diagnostic["line"]) == ("malformed_certificate", "1")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_verify_numbers_lines_as_splitlines_cuts_them(capsys, monkeypatch, tmp_path, source):
+    """A form feed or a lone carriage return ends a line, as str.splitlines
+    has it, though neither ends a line of a file read line by line."""
+    _, out, _ = run_capture(capsys, ["witness", "4", "1", "4", "8", "--tmax", "4"])
+    first, second, _ = out.splitlines()
+    text = first + "\x0c" + second + "\r\n\r" + "not json" + "\n"
+    path = tmp_path / "certs.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text, newline="\n"))
+    code, _, err = run_capture(capsys, ["verify", str(path) if source == "file" else "-"])
+    assert code == 1
+    (line,) = err.splitlines()
+    assert json.loads(line)["line"] == "4"
+
+
+# Runs one command with numpy unimportable, and exits with a message naming
+# any of the numpy-backed layers that the command loaded.
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from twosq.cli import run
+code = run(sys.argv[1:])
+loaded = [m for m in ("twosq.sieve", "twosq.census", "twosq.forcing") if m in sys.modules]
+sys.exit(f"loaded {loaded}" if loaded else code)
+"""
+
+
+def _run_without_numpy(argv: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(twosq.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120, check=False,
+    )
+
+
+def test_verify_runs_without_numpy(capsys, tmp_path):
+    _, out, _ = run_capture(capsys, ["witness", "4", "1", "4", "8", "--tmax", "4000"])
+    path = tmp_path / "certs.jsonl"
+    path.write_text(out, encoding="utf-8")
+    assert run_capture(capsys, ["verify", str(path)]) == (0, "", "776 certificates verified\n")
+    proc = _run_without_numpy(["verify", str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "776 certificates verified\n")
+
+
+def test_admissible_runs_without_numpy():
+    proc = _run_without_numpy(["admissible", "5"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0,1,2,3,4\n", "")
+
+
 def test_witness_rejects_equal_offsets(capsys):
     code, out, err = run_capture(capsys, ["witness", "4", "1", "4", "4", "--tmax", "5"])
     assert code == 2 and out == ""
@@ -322,7 +398,7 @@ def test_library_value_error_exits_1(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("raised inside the library")
 
-    monkeypatch.setattr(twosq.cli, "census_report", broken)
+    monkeypatch.setattr("twosq.census.census_report", broken)
     code, out, err = run_capture(capsys, ["census", "5", "2", "100"])
     assert code == 1 and out == ""
     (line,) = err.splitlines()

@@ -412,6 +412,22 @@ def test_blocking_derived_fields_are_not_settable():
             dataclasses.replace(system, **changes)
 
 
+def test_blocking_primes_are_a_read_only_copy():
+    """Neither an assignment into the system's blocking primes nor a change to
+    the caller's dict afterwards reaches the system, whose T_blk and a_T were
+    derived from the primes it was given."""
+    system = build_blocking_system(factorize(5), 1, 2, 3)
+    assert system.blocking_primes[1] == 127
+    with pytest.raises(TypeError):
+        system.blocking_primes[1] = 10007
+    primes = dict(system.blocking_primes)
+    copy = dataclasses.replace(system, blocking_primes=primes)
+    primes[1] = 10007
+    assert copy.blocking_primes[1] == 127 and copy == system
+    assert copy.to_json_dict() == system.to_json_dict()
+    copy.verify()
+
+
 def test_blocker_first_verdicts_and_tampering():
     system = build_blocking_system(factorize(4), 2, 2, 0)
     four_q2 = factorize(4 * 4**2)
