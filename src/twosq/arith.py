@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterator, Sequence
+import types
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -86,18 +87,21 @@ class ResidueClass:
         return f"{self.value} mod {self.modulus}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactoredInteger:
     """A nonnegative integer carried together with its full factorization.
 
     `factors` maps each prime to its positive exponent; the empty map
-    represents 1, and 0 is represented by value 0 with an empty map.
+    represents 1, and 0 is represented by value 0 with an empty map. The
+    object is frozen and `factors` is a read-only copy of the mapping given,
+    so neither can drift from the other once checked.
     """
 
     value: int
-    factors: dict[int, int] = field(default_factory=dict)
+    factors: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", types.MappingProxyType(dict(self.factors)))
         if self.value < 0:
             raise ValueError("FactoredInteger is nonnegative")
         if self.value == 0:
@@ -113,9 +117,11 @@ class FactoredInteger:
     def _proven(cls, value: int, factors: dict[int, int]) -> "FactoredInteger":
         """value >= 1 with a factor map whose primes the caller has proved
         (`factorize`, or primes read from the prime table): the exponents
-        and the product are checked, primality is not."""
+        and the product are checked, primality is not. The map is wrapped,
+        not copied: every caller passes a dict it built for the call."""
         out = cls.__new__(cls)
-        out.value, out.factors = value, factors
+        object.__setattr__(out, "value", value)
+        object.__setattr__(out, "factors", types.MappingProxyType(factors))
         out._check_product()
         return out
 

@@ -21,10 +21,10 @@ import json
 import os
 import sys
 
-# Each command imports the layers it runs when it runs, so `verify` and
-# `admissible` start without numpy and the sieve, census and forcing layers.
+# Each command imports the layers it runs when it runs: `verify` loads only
+# `certificate`, `arith` and `errors`, and `admissible` adds `admissibility`,
+# so neither starts numpy or the sieve, census, witness and forcing layers.
 from . import __version__
-from .admissibility import admissible_classes
 from .arith import FactoredInteger, factorize
 from .errors import HypothesisViolation, TwoSqError
 
@@ -142,6 +142,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
+    from .admissibility import admissible_classes
+
     q = _modulus(args.q)
     classes = [str(c.value) for c in admissible_classes(q)]
     if args.format == "json":
@@ -320,7 +322,7 @@ def _verify_lines(fh) -> int:
     """Verify the certificates of fh one line at a time, stopping at the
     first malformed or failing one. Each line read is cut as str.splitlines
     would cut the whole text, so line numbers count the same boundaries."""
-    from . import witness
+    from . import certificate
 
     lines = (line for chunk in fh for line in chunk.splitlines())
     total = 0
@@ -328,7 +330,7 @@ def _verify_lines(fh) -> int:
         if not line.strip():
             continue
         try:
-            cert = witness.TripleCertificate.from_json_dict(json.loads(line))
+            cert = certificate.TripleCertificate.from_json_dict(json.loads(line))
         # json.loads raises RecursionError on arrays or objects nested too deep
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             _diagnose("malformed_certificate", f"{type(exc).__name__}: {exc}", line=str(lineno))

@@ -35,6 +35,7 @@ from .arith import (
     small_primes,
 )
 from .census import Occurrence, PatternSpec, match_pattern
+from .certificate import TripleCertificate
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -42,7 +43,7 @@ from .errors import (
     NoneFoundWithinBudget,
     SearchExhausted,
 )
-from .witness import TripleCertificate, check_hypotheses
+from .witness import check_hypotheses
 
 DELTA_COEFF_NUM = math.sqrt(2.0) * (math.pi + 2.0)
 DELTA_COEFF_DEN = 32.0 * math.pi

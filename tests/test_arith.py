@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -753,6 +754,22 @@ def test_factorize_with_known_trial_divisors():
 def test_factorize_rejects_a_wrong_trial_list(n, divisors):
     with pytest.raises(ValueError):
         factorize(n, FactorBudget(), divisors)
+
+
+def test_factored_integer_is_frozen():
+    """Neither the value nor the factor map can be changed once checked, and
+    a later change to the caller's dict does not reach the object."""
+    twelve = factorize(12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        twelve.value = 7
+    with pytest.raises(TypeError):
+        twelve.factors[127] = 4
+    assert twelve == FactoredInteger(12, {2: 2, 3: 1})
+    factors = {2: 2, 3: 1}
+    built = FactoredInteger(12, factors)
+    factors[5] = 1
+    assert built.factors == {2: 2, 3: 1}
+    assert built.factors | {5: 1} == {2: 2, 3: 1, 5: 1} and sorted(built.factors) == [2, 3]
 
 
 def test_proven_checks_product_and_exponents():

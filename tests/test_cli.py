@@ -109,6 +109,7 @@ BAD_CERTIFICATE_LINES = {
         "malformed_certificate",
         lambda data: json.dumps(dict(data, consecutive="no")),
     ),
+    "two_reps": ("malformed_certificate", lambda data: json.dumps(dict(data, reps=data["reps"][:2]))),
     "reps_strings": (
         "malformed_certificate",
         lambda data: json.dumps(dict(data, reps=["".join(pair) for pair in data["reps"]])),

@@ -428,6 +428,19 @@ def test_blocking_primes_are_a_read_only_copy():
     copy.verify()
 
 
+def test_blocking_moduli_are_read_only():
+    """q and T_blk cannot drift from the factorizations the system's JSON
+    lists: neither their factor maps nor their values can be set."""
+    system = build_blocking_system(factorize(5), 1, 2, 3)
+    before = system.to_json_dict()
+    with pytest.raises(TypeError):
+        system.T_blk.factors[127] = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.q.value = 7
+    system.verify()
+    assert system.to_json_dict() == before
+
+
 def test_blocker_first_verdicts_and_tampering():
     system = build_blocking_system(factorize(4), 2, 2, 0)
     four_q2 = factorize(4 * 4**2)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twosq.arith as arith
+import twosq.certificate as certificate
 import twosq.witness as witness
 from twosq.admissibility import admissible_classes, is_admissible_value
 from twosq.arith import (
@@ -28,6 +29,7 @@ from twosq.arith import (
     sqrt_mod_prime_power,
     valuation,
 )
+from twosq.certificate import TripleCertificate
 from twosq.errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -38,7 +40,6 @@ from twosq.forcing import build_blocking_system
 from twosq.witness import (
     ScanResult,
     ShiftPair,
-    TripleCertificate,
     _base_target,
     _gcd_bound,
     _iter_crt_pairs,
@@ -805,8 +806,8 @@ def test_forged_negative_prime_evidence():
 def test_evidence_prime_must_divide_m_before_it_is_tested(monkeypatch):
     # 2^127 - 1 is a prime = 3 mod 4 that divides neither 6 nor 7: the item is
     # rejected before the primality test runs
-    real, calls = witness.is_prime, []
-    monkeypatch.setattr(witness, "is_prime", lambda p: calls.append(p) or real(p))
+    real, calls = certificate.is_prime, []
+    monkeypatch.setattr(certificate, "is_prime", lambda p: calls.append(p) or real(p))
     reps = ((0, 2), (1, 2), (2, 2))  # 4, 5, 8 with 6 and 7 between
     assert not _consecutive_cert(4, 1, 4, reps, ((6, 2**127 - 1), (7, 7))).verify()
     assert calls == []
