@@ -71,6 +71,31 @@ def admissible_classes(q: FactoredInteger) -> list[ResidueClass]:
     ]
 
 
+def admissible_count(q: FactoredInteger) -> int:
+    """len(admissible_classes(q)) without enumerating the classes.
+
+    Admissibility is a condition at each prime power p^e || q, so the count
+    is the product of per-prime-power counts, summed over f = f_p (there are
+    phi(p^(e-f)) classes mod p^e with f_p = f < e, and one with f_p = e):
+     - p = 1 mod 4: every class, p^e;
+     - p = 3 mod 4: phi(p^(e-f)) for each even f < e, plus 1 for the class 0;
+     - p = 2: 2 for f >= e - 1 (the classes 0 and 2^(e-1)), plus, for each
+       f <= e - 2, the phi(2^(e-f)) / 2 = 2^(e-f-2) classes whose odd part
+       is 1 mod 4; in all 2^(e-1) + 1.
+    """
+    if q.value < 1:
+        raise ValueError("q must be >= 1")
+    count = 1
+    for p, e in q.factors.items():
+        if p == 2:
+            count *= 2 ** (e - 1) + 1
+        elif p % 4 == 3:
+            count *= 1 + sum((p - 1) * p ** (e - f - 1) for f in range(0, e, 2))
+        else:
+            count *= p**e
+    return count
+
+
 def lift_admissible(
     a: ResidueClass,
     Q: FactoredInteger,

@@ -7,10 +7,17 @@ so the stream is extended past x far enough to complete every window.
 
 Counting is vectorized: member values arrive as numpy arrays per sieve
 segment, residues are taken in bulk, and `census_report` serves every
-pattern in one pass. It replaces each residue by its index among the
+pattern in one pass. It first checks the size of the pattern universe,
+counted in closed form by `admissible_count`, against PATTERN_CAP, so an
+oversized q is refused before any class is listed. It then takes each
+member's residue in int32, from its offset to a multiple of q at or below
+the block's first member, and replaces it by its index among the
 admissible classes mod q (every member is x^2 + y^2, so its class is
-admissible), encodes each window as a base-len(adm) integer, and counts the
-codes with `np.bincount`. First hits come from one loop, in ascending n,
+admissible) through a table in the smallest unsigned dtype that holds the
+indices. Each window becomes a base-len(adm) code, built in place in the
+smallest unsigned dtype that holds every code, and the codes are counted
+with `np.bincount` over fixed slices, so no block-sized int64 array is made
+after the member values. First hits come from one loop, in ascending n,
 over the windows whose pattern still needs hits. `census_report`,
 `match_pattern` and `find_first_occurrence` read one window stream.
 """
@@ -23,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .admissibility import admissible_classes
+from .admissibility import admissible_classes, admissible_count
 from .arith import FactoredInteger
 from .errors import InternalInconsistency, TooManyPatterns
 from .sieve import iter_member_arrays
@@ -31,6 +38,8 @@ from .sieve import iter_member_arrays
 # First matches kept per pattern, and the most patterns one census counts.
 MAX_OCCURRENCES = 10
 PATTERN_CAP = 1 << 20
+# Fewest codes per np.bincount call in census_report.
+_BINCOUNT_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -153,36 +162,46 @@ def census_report(
     """One pass computing counts for every r-tuple of classes simultaneously,
     with the first MAX_OCCURRENCES matches of each.
 
-    Each member's class is replaced by its index among the sorted admissible
-    classes, and a window is encoded in base len(adm) (first class most
-    significant). Codes then lie in [0, len(adm)^r), below PATTERN_CAP, sort
-    lexicographically like their tuples, and are counted with one bincount
-    per block. A member whose class is not admissible raises
-    InternalInconsistency.
+    The size of the pattern universe, admissible_count(q)^r, is checked
+    against PATTERN_CAP before any class is enumerated. Each member's class
+    is replaced by its index among the sorted admissible classes, read from
+    its int32 residue through a table in the smallest unsigned dtype that
+    holds len(adm), which also marks the inadmissible classes; a member
+    whose class is not admissible raises InternalInconsistency. A window is
+    encoded in base len(adm) (first class most significant), so codes lie in
+    [0, len(adm)^r) and sort lexicographically like their tuples; they are
+    built in place in the smallest unsigned dtype that holds them (uint8 for
+    q=5, r=3) and counted with `np.bincount` over slices of at least
+    _BINCOUNT_SLICE codes, which bounds the intp copy bincount makes of its
+    input.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    adm = tuple(c.value for c in admissible_classes(q))
-    k = len(adm)
+    k = admissible_count(q)
     universe = k**r
     if universe > PATTERN_CAP:
         raise TooManyPatterns(f"{k}^{r} admissible tuples exceed cap {PATTERN_CAP}")
+    adm = tuple(c.value for c in admissible_classes(q))
     qv = q.value
-    index = np.full(qv, -1, dtype=np.int64)
+    index = np.full(qv, k, dtype=np.min_scalar_type(k))
     index[list(adm)] = np.arange(k)
+    code_dtype = np.min_scalar_type(universe - 1)
+    step = max(_BINCOUNT_SLICE, universe)
     counts = np.zeros(universe, dtype=np.int64)
     need = np.full(universe, MAX_OCCURRENCES, dtype=np.int64)
     occ: dict[int, list[Occurrence]] = {}
     total = 0
     for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
-        idx = index[block % qv]
-        if idx.min() < 0:
+        idx = index[_residues(block, qv)]
+        if idx.max() == k:
             raise InternalInconsistency(f"a member of E has an inadmissible class mod {qv}")
-        codes = idx[:starts]
+        codes = idx[:starts].astype(code_dtype)
         for i in range(1, r):
-            codes = codes * k
+            codes *= k
             codes += idx[i : starts + i]
-        block_counts = np.bincount(codes, minlength=universe)
+        block_counts = np.zeros(universe, dtype=np.int64)
+        for lo in range(0, starts, step):
+            block_counts += np.bincount(codes[lo : lo + step], minlength=universe)
         counts += block_counts
         total += starts
         want = np.minimum(need, block_counts)
@@ -206,6 +225,21 @@ def census_report(
         total_windows=total,
         admissible=adm,
     )
+
+
+def _residues(block: np.ndarray, q: int) -> np.ndarray:
+    """block % q, computed in int32 from offsets to a multiple of q.
+
+    The offsets are exact whenever the block spans less than 2^31: a block
+    is one segment (at most 2^27 integers) plus r - 1 carried members. Only
+    a window of about 10^8 members, which PATTERN_CAP allows only for q = 1,
+    spans more, and takes int64 residues.
+    """
+    origin = int(block[0]) - int(block[0]) % q
+    dtype = np.int32 if int(block[-1]) - origin < 2**31 else np.int64
+    res = np.subtract(block, np.int64(origin), dtype=dtype)
+    res %= q
+    return res
 
 
 def _collect_first_hits(

@@ -5,6 +5,7 @@ import pytest
 from twosq.admissibility import (
     admissibility_reason,
     admissible_classes,
+    admissible_count,
     class_exponent,
     is_admissible_value,
     lift_admissible,
@@ -85,6 +86,21 @@ def test_admissible_classes_examples():
     assert [c.value for c in admissible_classes(factorize(4))] == [0, 1, 2]
     assert [c.value for c in admissible_classes(factorize(1))] == [0]
     assert [c.value for c in admissible_classes(factorize(5))] == [0, 1, 2, 3, 4]
+
+
+def test_admissible_count_matches_enumeration():
+    for q in range(1, 1001):
+        fq = factorize(q)
+        assert admissible_count(fq) == len(admissible_classes(fq)), q
+
+
+def test_admissible_count_large_prime_powers():
+    # Past the enumerated range. 2^e: 0, 2^(e-1) and the classes whose odd
+    # part is 1 mod 4; 7^4: valuations 0 and 2, and 0; 5^3: every class.
+    assert admissible_count(factorize(2**20)) == 2**19 + 1
+    assert admissible_count(factorize(7**4 * 5**3)) == (2058 + 42 + 1) * 125
+    with pytest.raises(ValueError):
+        admissible_count(FactoredInteger(0, {}))
 
 
 def test_lift_examples():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +209,29 @@ def test_matches_reference_kernel_for_rare_patterns(monkeypatch):
 def test_matches_reference_kernel_long_windows():
     # 3^12 admissible tuples fit PATTERN_CAP although 4^12 would not.
     _assert_same_report(4, 12, 50_000)
+
+
+@pytest.mark.parametrize(
+    "q, r",
+    [
+        (289, 1),  # 289 class indices and codes: past uint8
+        (289, 2),  # 83,521 codes: past uint16
+        (4, 5),  # 243 codes: the last r for uint8 codes
+        (4, 6),  # 729 codes: past uint8
+    ],
+)
+def test_matches_reference_kernel_at_dtype_boundaries(q, r):
+    _assert_same_report(q, r, 40_000)
+
+
+def test_pattern_cap_checked_before_enumerating_classes():
+    # 10000019 = 3 (mod 4) is prime, so every one of its classes is admissible;
+    # listing them takes seconds, counting them does not.
+    fq = factorize(10_000_019)
+    start = time.perf_counter()
+    with pytest.raises(TooManyPatterns):
+        census_report(fq, 1, 100)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_inadmissible_member_raises(monkeypatch):
