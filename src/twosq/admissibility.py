@@ -71,6 +71,35 @@ def admissible_classes(q: FactoredInteger) -> list[ResidueClass]:
     ]
 
 
+def admissible_mask(q: FactoredInteger):
+    """Boolean numpy array whose entry a says whether a mod q is admissible,
+    for every a in [0, q), without a Python loop over the classes.
+
+    Admissibility is a condition at each p^e || q, and only 2 and the primes
+    3 mod 4 can fail it, so the mask is the AND over those p^e of each one's
+    local mask, read at a mod p^e. A local mask takes f_p of every class mod
+    p^e from strided counts, one per power p^j, j = 1..e, that divides it.
+    """
+    import numpy as np  # here only, so that `twosq admissible` does not import it
+
+    if q.value < 1:
+        raise ValueError("q must be >= 1")
+    mask = np.ones(q.value, dtype=bool)
+    for p, e in q.factors.items():
+        if p % 4 == 1:
+            continue
+        local = np.arange(p**e)
+        f = np.zeros(p**e, dtype=local.dtype)  # f_p of each class, e for the class 0
+        for j in range(1, e + 1):
+            f[:: p**j] += 1
+        if p == 2:
+            fails = (e - f >= 2) & ((local >> f) % 4 == 3)
+        else:
+            fails = (f % 2 == 1) & (f != e)
+        mask &= ~fails[np.arange(q.value) % p**e]
+    return mask
+
+
 def admissible_count(q: FactoredInteger) -> int:
     """len(admissible_classes(q)) without enumerating the classes.
 

@@ -9,12 +9,12 @@ Counting is vectorized: member values arrive as numpy arrays per sieve
 segment, residues are taken in bulk, and `census_report` serves every
 pattern in one pass. It first checks the size of the pattern universe,
 counted in closed form by `admissible_count`, against PATTERN_CAP, so an
-oversized q is refused before any class is listed. It then takes each
-member's residue in int32, from its offset to a multiple of q at or below
-the block's first member, and replaces it by its index among the
-admissible classes mod q (every member is x^2 + y^2, so its class is
-admissible) through a table in the smallest unsigned dtype that holds the
-indices. Each window becomes a base-len(adm) code, built in place in the
+oversized q is refused before any class is listed, and then lists the
+classes with `admissible_mask`, in numpy. It takes each member's residue
+in int32, from its offset to a multiple of q at or below the block's
+first member, and replaces it by its index among the admissible classes
+mod q (every member is x^2 + y^2, so its class is admissible) through a
+table in the smallest unsigned dtype that holds the indices. Each window becomes a base-len(adm) code, built in place in the
 smallest unsigned dtype that holds every code, and the codes are counted
 with `np.bincount` over fixed slices, so no block-sized int64 array is made
 after the member values. First hits come from one loop, in ascending n,
@@ -30,7 +30,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .admissibility import admissible_classes, admissible_count
+from .admissibility import (
+    admissible_classes,  # no longer called here, but perfbench/tracing.py wraps census.admissible_classes
+    admissible_count,
+    admissible_mask,
+)
 from .arith import FactoredInteger
 from .errors import InternalInconsistency, TooManyPatterns
 from .sieve import iter_member_arrays
@@ -129,14 +133,15 @@ def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> Ma
 
     Also reports the first MAX_OCCURRENCES matches. A count of 0 is the
     legitimate output for patterns containing a non-admissible class.
-    Classes are compared elementwise rather than encoded as base-q codes,
+    Residues come from `_residues`, in int32 for every q below 2^31, and
+    classes are compared elementwise rather than encoded as base-q codes,
     which would overflow int64 once q^r exceeds 2^63.
     """
     q, r = spec.q.value, spec.r
     count = 0
     occurrences: list[Occurrence] = []
     for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
-        res = block % q
+        res = _residues(block, q)
         mask = res[:starts] == spec.classes[0]
         for i in range(1, r):
             mask &= res[i : starts + i] == spec.classes[i]
@@ -163,17 +168,17 @@ def census_report(
     with the first MAX_OCCURRENCES matches of each.
 
     The size of the pattern universe, admissible_count(q)^r, is checked
-    against PATTERN_CAP before any class is enumerated. Each member's class
-    is replaced by its index among the sorted admissible classes, read from
-    its int32 residue through a table in the smallest unsigned dtype that
-    holds len(adm), which also marks the inadmissible classes; a member
-    whose class is not admissible raises InternalInconsistency. A window is
-    encoded in base len(adm) (first class most significant), so codes lie in
-    [0, len(adm)^r) and sort lexicographically like their tuples; they are
-    built in place in the smallest unsigned dtype that holds them (uint8 for
-    q=5, r=3) and counted with `np.bincount` over slices of at least
-    _BINCOUNT_SLICE codes, which bounds the intp copy bincount makes of its
-    input.
+    against PATTERN_CAP before `admissible_mask` lists any class. Each
+    member's class is replaced by its index among the sorted admissible
+    classes, read from its int32 residue through a table in the smallest
+    unsigned dtype that holds len(adm), which also marks the inadmissible
+    classes; a member whose class is not admissible raises
+    InternalInconsistency. A window is encoded in base len(adm) (first class
+    most significant), so codes lie in [0, len(adm)^r) and sort
+    lexicographically like their tuples; they are built in place in the
+    smallest unsigned dtype that holds them (uint8 for q=5, r=3) and counted
+    with `np.bincount` over slices of at least _BINCOUNT_SLICE codes, which
+    bounds the intp copy bincount makes of its input.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -181,10 +186,11 @@ def census_report(
     universe = k**r
     if universe > PATTERN_CAP:
         raise TooManyPatterns(f"{k}^{r} admissible tuples exceed cap {PATTERN_CAP}")
-    adm = tuple(c.value for c in admissible_classes(q))
+    admissible = admissible_mask(q)
+    adm = tuple(np.flatnonzero(admissible).tolist())
     qv = q.value
     index = np.full(qv, k, dtype=np.min_scalar_type(k))
-    index[list(adm)] = np.arange(k)
+    index[admissible] = np.arange(k)
     code_dtype = np.min_scalar_type(universe - 1)
     step = max(_BINCOUNT_SLICE, universe)
     counts = np.zeros(universe, dtype=np.int64)
@@ -233,10 +239,11 @@ def _residues(block: np.ndarray, q: int) -> np.ndarray:
     The offsets are exact whenever the block spans less than 2^31: a block
     is one segment (at most 2^27 integers) plus r - 1 carried members. Only
     a window of about 10^8 members, which PATTERN_CAP allows only for q = 1,
-    spans more, and takes int64 residues.
+    spans more, and a q of 2^31 or more does not fit int32; both take int64
+    residues.
     """
     origin = int(block[0]) - int(block[0]) % q
-    dtype = np.int32 if int(block[-1]) - origin < 2**31 else np.int64
+    dtype = np.int32 if max(int(block[-1]) - origin, q) < 2**31 else np.int64
     res = np.subtract(block, np.int64(origin), dtype=dtype)
     res %= q
     return res

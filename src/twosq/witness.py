@@ -39,7 +39,6 @@ from .arith import (
     ext_gcd,
     factorize,
     obstructing_prime,
-    primes_3_mod_4,
     represent_two_squares,
     sqrt_mod_prime_power,
     sqrt_unit_odd,
@@ -523,18 +522,19 @@ def _roots_mod_p(A: int, B: int, C: int, p: int) -> list[int] | None:
 
 def _odd_valuation_classes(
     A: int, B: int, C: int, p: int, roots: list[int] | None, valuations: tuple[int, ...] = (1, 3)
-) -> list[tuple[int, int, int]]:
-    """Progressions (r, m, sign), t = r mod m, whose signed indicators sum to 1
-    where v_p(F(t)) is one of `valuations`, for F(t) = A t^2 + B t + C and an
-    odd prime p, and to 0 elsewhere. `roots` is `_roots_mod_p(A, B, C, p)`.
+) -> list[tuple[int, int]]:
+    """Progressions (r, m), t = r mod m, such that a t lies in an odd number
+    of them just where v_p(F(t)) is one of `valuations`, for F(t) = A t^2 +
+    B t + C and an odd prime p. `roots` is `_roots_mod_p(A, B, C, p)`.
 
     The default is the odd valuations 1 and 3: a simple root r mod p lifts
-    by Newton steps to one class mod p^2, p^3 and p^4 each, with signs +1
-    mod p, -1 mod p^2, +1 mod p^3 and -1 mod p^4. The recursion covers every
-    other shape too: F is divided by the p-power of its content, and t = r +
-    p x at each root r mod p substitutes a polynomial in x whose content is
-    at least p. At every t, the running sum over the list in order stays 0
-    or 1.
+    by Newton steps to one class mod p^2, p^3 and p^4 each, and a t lies in
+    the classes of r mod p^j for the j <= v_p(F(t)), an odd number of them
+    just when v_p(F(t)) is 1 or 3. Each valuation j asked for adds the
+    nested pair mod p^j and p^(j+1), which holds t just when v_p(F(t)) = j.
+    The recursion covers every other shape too: F is divided by the p-power
+    of its content, and t = r + p x at each root r mod p substitutes a
+    polynomial in x whose content is at least p.
     """
     if not valuations:
         return []
@@ -545,7 +545,7 @@ def _odd_valuation_classes(
     if roots is None:  # every coefficient is 0 mod p
         A, B, C, valuations = A // p, B // p, C // p, tuple(v - 1 for v in valuations if v)
         return _odd_valuation_classes(A, B, C, p, _roots_mod_p(A, B, C, p), valuations)
-    classes = [(0, 1, 1)] + [(r, p, -1) for r in roots] if 0 in valuations else []
+    classes = [(0, 1)] + [(r, p) for r in roots] if 0 in valuations else []
     for r in roots:
         slope = (2 * A * r + B) % p
         if slope:
@@ -557,56 +557,80 @@ def _odd_valuation_classes(
                 pk *= p
             for j in valuations:
                 if j:
-                    classes += [(*lifts[j - 1], 1), (*lifts[j], -1)]
+                    classes += [lifts[j - 1], lifts[j]]
             continue
         # F(r + p x) = A p^2 x^2 + (2 A r + B) p x + F(r), every coefficient 0 mod p
         lifted = _odd_valuation_classes(
             A * p * p, (2 * A * r + B) * p, (A * r + B) * r + C, p, None, valuations
         )
-        classes += [(r + p * s, p * m, sign) for s, m, sign in lifted]
+        classes += [(r + p * s, p * m) for s, m in lifted]
     return classes
 
 
-def _word_primes(word: int) -> list[int]:
-    """The trial primes whose bits are set in a divisor word, ascending."""
-    primes = []
-    while word:
-        low = word & -word
-        primes.append(_TRIAL_PRIMES[low.bit_length() - 1])
-        word ^= low
-    return primes
-
-
 def _sieved_t(A: int, B: int, C: int, budget: FactorBudget, t_max: int):
-    """(t, trial primes dividing F(t)) for the t in [0, t_max] that no strike
-    class strikes, ascending, for F(t) = A t^2 + B t + C. F's roots mod each
-    trial prime up to max(trial_bound, 2) are found once and also seed the
-    strike classes of the primes 3 mod 4. Each block of SIEVE_BLOCK values of
-    t then fills the strike count and the divisor words in one pass over the
-    primes."""
-    import numpy as np  # here only, so that verifying certificates does not import it
+    """(t, trial primes dividing F(t)) for the t in [0, t_max] that no prime
+    p = 3 mod 4 strikes, ascending, for F(t) = A t^2 + B t + C. F's roots mod
+    each trial prime up to max(trial_bound, 2) are found once and also seed
+    the strike classes of the primes 3 mod 4.
 
-    sieve = []  # (p, its divisor-word bit, the t mod p where p | F(t), strike classes)
-    for i, p in enumerate(_TRIAL_PRIMES):
+    Each block of SIEVE_BLOCK values of t is a Python int with bit i for
+    t = lo + i. A class t = r mod m is a comb of bits m apart, built once a
+    scan per modulus and shifted to the class's first t in the block. A
+    prime strikes the XOR of its classes' combs, which holds t just where
+    v_p(F(t)) is 1 or 3 (`_odd_valuation_classes`), so no count of strikes
+    can overflow, and the kept t are the bits no prime strikes. Written out
+    as a string, the kept bits give each root r mod p its kept t as every
+    p-th character from r on, and p is appended to the list of each.
+    """
+    width = min(SIEVE_BLOCK, t_max + 1)
+    combs: dict[int, int] = {}
+
+    def comb(m: int) -> int:
+        """Bits 0, m, 2m, ..., at least as many as a block of width t needs,
+        by doubling: a shift and an OR double the number of teeth."""
+        if m not in combs:
+            teeth, reach = 1, m
+            while reach < width:
+                teeth |= teeth << reach
+                reach *= 2
+            combs[m] = teeth
+        return combs[m]
+
+    # per trial prime, (p, its classes t = r mod p where p | F(t), or t = 0 mod 1 when
+    # p divides every F(t)); per prime 3 mod 4, its strike classes
+    divisors, strikes = [], []
+    for p in _TRIAL_PRIMES:
         if p > max(budget.trial_bound, 2):
             break
         roots = _roots_mod_p(A, B, C, p)
-        classes = _odd_valuation_classes(A, B, C, p, roots) if p % 4 == 3 else []
-        sieve.append((p, np.uint64(1 << i), range(p) if roots is None else roots, classes))
-    for lo in range(0, t_max + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, t_max + 1)
-        # each prime's running sum stays 0 or 1: int8 holds the 34 primes 3 mod 4
-        count = np.zeros(hi - lo, dtype=np.int8)
-        words = np.zeros(hi - lo, dtype=np.uint64)
-        for p, bit, roots, classes in sieve:
-            for r in roots:
-                words[(r - lo) % p :: p] |= bit
-            for r, m, sign in classes:
+        divisors.append((p, [(0, 1)] if roots is None else [(r, p) for r in roots]))
+        if p % 4 == 3:
+            strikes.append(_odd_valuation_classes(A, B, C, p, roots))
+    for lo in range(0, t_max + 1, width):
+        span = min(width, t_max + 1 - lo)
+        struck = 0
+        for classes in strikes:
+            odd = 0
+            for r, m in classes:
                 start = (r - lo) % m
-                if start < hi - lo:  # most classes mod p^3 and p^4 miss a block
-                    count[start::m] += sign
-        kept = np.flatnonzero(count <= 0)
-        yield from zip((lo + kept).tolist(), map(_word_primes, words[kept].tolist()))
+                if start < span:  # most classes mod p^3 and p^4 miss a block
+                    odd ^= comb(m) << start
+            struck |= odd
+        bits = format(~struck & ((1 << span) - 1), "b")[::-1]  # character i is t = lo + i
+        kept: dict[int, list[int]] = {}  # i -> the trial primes dividing F(lo + i)
+        i = bits.find("1")
+        while i >= 0:
+            kept[i] = []
+            i = bits.find("1", i + 1)
+        for p, classes in divisors:
+            for r, m in classes:
+                start = (r - lo) % m
+                hits = bits[start::m]
+                j = hits.find("1")
+                while j >= 0:
+                    kept[start + j * m].append(p)
+                    j = hits.find("1", j + 1)
+        yield from zip([lo + i for i in kept], kept.values())
 
 
 def check_local_obstructions(family: WitnessFamily) -> None:
@@ -632,8 +656,8 @@ def check_local_obstructions(family: WitnessFamily) -> None:
         for alpha in range(2, q.exponent(2) + 3)
     ) or any(
         _roots_mod_p(*coeffs, p) is None and _roots_mod_p(*(c // p for c in coeffs), p) == []
-        for p in primes_3_mod_4(47).tolist()
-        if q.value % p
+        for p in _TRIAL_PRIMES
+        if p <= 47 and p % 4 == 3 and q.value % p
     )
     if obstructed:
         raise ObstructionFound(

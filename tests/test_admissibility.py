@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from twosq.admissibility import (
     admissibility_reason,
     admissible_classes,
     admissible_count,
+    admissible_mask,
     class_exponent,
     is_admissible_value,
     lift_admissible,
@@ -92,6 +94,18 @@ def test_admissible_count_matches_enumeration():
     for q in range(1, 1001):
         fq = factorize(q)
         assert admissible_count(fq) == len(admissible_classes(fq)), q
+
+
+@pytest.mark.parametrize("qs", [range(1, 301), [289, 1024, 1048573]])
+def test_admissible_mask_matches_enumeration(qs):
+    """The numpy mask lists the classes `admissible_classes` lists, and as
+    many as `admissible_count` counts."""
+    for q in qs:
+        fq = factorize(q)
+        mask = admissible_mask(fq)
+        assert mask.shape == (q,), q
+        assert np.flatnonzero(mask).tolist() == [c.value for c in admissible_classes(fq)], q
+        assert int(mask.sum()) == admissible_count(fq), q
 
 
 def test_admissible_count_large_prime_powers():

@@ -30,6 +30,15 @@ def test_match_examples():
     assert match_pattern(PatternSpec(q4, (3,)), 5000).count == 0
 
 
+def test_match_with_modulus_past_int32():
+    # q = 2^32 and 2^31 + 11 (prime) exceed int32, so residues go through
+    # int64, and every member up to x is its own residue
+    for q in (2**32, 2**31 + 11):
+        r = match_pattern(PatternSpec(factorize(q), (9, 10)), 100)
+        assert r.count == 1 and [o.values for o in r.occurrences] == [(9, 10)]
+        assert match_pattern(PatternSpec(factorize(q), (q - 1,)), 100).count == 0
+
+
 def test_match_counts_window_past_x():
     # start 10 <= x, continuation 13 > x must still be examined
     r = match_pattern(PatternSpec(factorize(4), (2, 1)), 10)

@@ -486,3 +486,12 @@ def test_stdout_matches_recorded_hash(command):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == RECORDED_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", sorted(c for c in RECORDED_STDOUT if c.startswith("witness ")))
+def test_pinned_witness_runs_without_numpy(command):
+    """Each pinned `witness` command, run with numpy unimportable, exits 0
+    with its recorded stdout and loads none of the numpy-backed layers."""
+    proc = _run_without_numpy(command.split())
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RECORDED_STDOUT[command]
