@@ -5,31 +5,30 @@ classes mod q match a prescribed tuple, for all starts with E_n <= x. The
 bound is one-sided: a window whose later members exceed x still counts,
 so the stream is extended past x far enough to complete every window.
 
-Counting is vectorized: member values arrive as numpy arrays per sieve
-segment, residues are taken in bulk, and `census_report` serves every
-pattern in one pass. It first checks the size of the pattern universe,
-counted in closed form by `admissible_count`, against PATTERN_CAP, so an
-oversized q is refused before any class is listed, and then lists the
-classes with `admissible_mask`, in numpy. It takes each member's residue
-in int32, from its offset to a multiple of q at or below the block's
-first member, and replaces it by its index among the admissible classes
-mod q (every member is x^2 + y^2, so its class is admissible) through a
-table in the smallest unsigned dtype that holds the indices. Each window becomes a base-len(adm) code, built in place in the
-smallest unsigned dtype that holds every code, and the codes are counted
-with `np.bincount` over fixed slices, so no block-sized int64 array is made
-after the member values. First hits come from one loop, in ascending n,
-over the windows whose pattern still needs hits. `census_report`,
-`match_pattern` and `find_first_occurrence` read one window stream.
+Counting reads the sieve's bitmaps, not arrays of member values. A
+member's label depends only on n mod q, so the labels of a bitmap block's
+members are the block's bitmap compressing a period-q row of labels: one
+`np.compress` per block of _LABEL_BLOCK entries, with r - 1 labels carried
+between blocks. `census_report` serves every pattern in one pass: it
+checks the size of the pattern universe, counted in closed form by
+`admissible_count`, against PATTERN_CAP before `admissible_mask` lists any
+class, labels each member by its class's index among the admissible
+classes, codes each window in base len(adm) in the smallest unsigned dtype
+that holds every code, and counts the codes with `np.bincount`. Values are
+read only where needed: the x bound counts the bitmap up to x, first hits
+read a doubling prefix of it and the carry a tail of it. `census_report`,
+`match_pattern` and `find_first_occurrence` read one label stream.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
+from . import sieve
 from .admissibility import (
     admissible_classes,  # no longer called here, but perfbench/tracing.py wraps census.admissible_classes
     admissible_count,
@@ -37,13 +36,15 @@ from .admissibility import (
 )
 from .arith import FactoredInteger
 from .errors import InternalInconsistency, TooManyPatterns
-from .sieve import iter_member_arrays
+from .sieve import iter_member_arrays  # no longer called here, but perfbench/tracing.py wraps census.iter_member_arrays
 
 # First matches kept per pattern, and the most patterns one census counts.
 MAX_OCCURRENCES = 10
 PATTERN_CAP = 1 << 20
 # Fewest codes per np.bincount call in census_report.
 _BINCOUNT_SLICE = 1 << 16
+# Bitmap entries labelled per np.compress.
+_LABEL_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -98,34 +99,63 @@ class CensusReport:
         return itertools.product(self.admissible, repeat=self.r)
 
 
-def _iter_window_blocks(
-    x: int, r: int, cache_dir: str | None
-) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Yield (block, n_start, starts) with block carrying r-1 values of overlap.
+@dataclass
+class _LabelBlock:
+    """Labels of one bitmap block's members after the carried ones; windows
+    n_start.. start at positions [0, starts). `values`, the carried values at
+    first, grows by the members of a prefix of `bits`, the bitmap from lo,
+    that doubles from 4096 entries until it holds the window asked for."""
 
-    `starts` is the number of window starts in this block whose value is <= x;
-    the generator stops once a start value exceeds x.
-    """
-    carry = np.empty(0, dtype=np.int64)
-    n_start = 1
-    for values in iter_member_arrays(x, cache_dir):
-        block = np.concatenate([carry, values]) if carry.size else values
-        if block.size < r:
-            carry = block
-            continue
-        starts = block.size - r + 1
-        within = int(np.searchsorted(block[:starts], x, "right"))
-        if within < starts:
-            if within:
-                yield block, n_start, within
-            return
-        yield block, n_start, starts
-        carry = block[starts:]
-        n_start += starts
+    labels: np.ndarray
+    n_start: int
+    starts: int
+    bits: np.ndarray
+    lo: int
+    values: list[int]
+    span: int = 0
+
+    def occurrence(self, pos: int, r: int) -> Occurrence:
+        while len(self.values) < pos + r:
+            start, self.span = self.span, max(2 * self.span, 4096)
+            self.values += (np.flatnonzero(self.bits[start : self.span]) + (self.lo + start)).tolist()
+        return Occurrence(self.n_start + pos, tuple(self.values[pos : pos + r]))
 
 
-def _occurrence(block: np.ndarray, n_start: int, pos: int, r: int) -> Occurrence:
-    return Occurrence(n_start + pos, tuple(block[pos : pos + r].tolist()))
+def _iter_label_blocks(
+    x: int, r: int, labels: Callable[[int, int], np.ndarray], cache_dir: str | None
+) -> Iterator[_LabelBlock]:
+    """A _LabelBlock per bitmap block of up to _LABEL_BLOCK entries that
+    completes a window, labelled by labels(lo, n) for [lo, lo + n). The labels
+    and values after the last window start carry into the next block. Stops
+    at the first window that starts past x."""
+    carry, carry_labels, n_start = [], None, 1
+    for seg in sieve.iter_segments(x, cache_dir):
+        for b in range(0, seg.bits.size, _LABEL_BLOCK):
+            bits, lo = seg.bits[b : b + _LABEL_BLOCK], seg.lo + b
+            lab = np.compress(bits, labels(lo, bits.size))
+            if carry:
+                lab = np.concatenate((carry_labels, lab))
+            starts = max(lab.size - r + 1, 0)
+            if lo + bits.size > x + 1:  # the block reaches past x
+                within = sum(v <= x for v in carry) + int(np.count_nonzero(bits[: max(x + 1 - lo, 0)]))
+                if within < starts:
+                    if within:
+                        yield _LabelBlock(lab, n_start, within, bits, lo, list(carry))
+                    return
+            if starts:
+                yield _LabelBlock(lab, n_start, starts, bits, lo, list(carry))
+            carry, carry_labels = _last_values(carry, bits, lo, lab.size - starts), lab[starts:]
+            n_start += starts
+
+
+def _last_values(carry: list[int], bits: np.ndarray, lo: int, k: int) -> list[int]:
+    """The last k of carry and the members of bits, the bitmap from lo, read
+    from a tail of bits that grows fourfold until it holds k or all of bits."""
+    span = 64 * k
+    while (start := max(bits.size - span, 0)) and np.count_nonzero(bits[start:]) < k:
+        span *= 4
+    tail = (np.flatnonzero(bits[start:]) + (lo + start)).tolist()
+    return (carry + tail)[len(carry) + len(tail) - k :]
 
 
 def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> MatchResult:
@@ -133,22 +163,32 @@ def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> Ma
 
     Also reports the first MAX_OCCURRENCES matches. A count of 0 is the
     legitimate output for patterns containing a non-admissible class.
-    Residues come from `_residues`, in int32 for every q below 2^31, and
-    classes are compared elementwise rather than encoded as base-q codes,
-    which would overflow int64 once q^r exceeds 2^63.
+    Members are labelled 1..d by their class's place among the spec's d
+    distinct classes, else 0: each class marks one strided slice of a row,
+    from an offset taken in Python ints, so numpy never sees q, which may
+    pass int64, and no O(q) table is built.
     """
     q, r = spec.q.value, spec.r
+    distinct = list(dict.fromkeys(spec.classes))
+    targets = [distinct.index(c) + 1 for c in spec.classes]
+
+    def labels(lo: int, n: int) -> np.ndarray:
+        row = np.zeros(n, dtype=np.min_scalar_type(len(distinct)))
+        for label, c in enumerate(distinct, 1):
+            row[(c - lo) % q :: q] = label
+        return row
+
     count = 0
     occurrences: list[Occurrence] = []
-    for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
-        res = _residues(block, q)
-        mask = res[:starts] == spec.classes[0]
+    for block in _iter_label_blocks(x, r, labels, cache_dir):
+        lab, starts = block.labels, block.starts
+        mask = lab[:starts] == targets[0]
         for i in range(1, r):
-            mask &= res[i : starts + i] == spec.classes[i]
+            mask &= lab[i : starts + i] == targets[i]
         block_count = int(np.count_nonzero(mask))
         if block_count and len(occurrences) < MAX_OCCURRENCES:
             for pos in np.flatnonzero(mask)[: MAX_OCCURRENCES - len(occurrences)].tolist():
-                occurrences.append(_occurrence(block, n_start, pos, r))
+                occurrences.append(block.occurrence(pos, r))
         count += block_count
     return MatchResult(count, tuple(occurrences))
 
@@ -168,17 +208,16 @@ def census_report(
     with the first MAX_OCCURRENCES matches of each.
 
     The size of the pattern universe, admissible_count(q)^r, is checked
-    against PATTERN_CAP before `admissible_mask` lists any class. Each
-    member's class is replaced by its index among the sorted admissible
-    classes, read from its int32 residue through a table in the smallest
-    unsigned dtype that holds len(adm), which also marks the inadmissible
-    classes; a member whose class is not admissible raises
-    InternalInconsistency. A window is encoded in base len(adm) (first class
-    most significant), so codes lie in [0, len(adm)^r) and sort
-    lexicographically like their tuples; they are built in place in the
-    smallest unsigned dtype that holds them (uint8 for q=5, r=3) and counted
-    with `np.bincount` over slices of at least _BINCOUNT_SLICE codes, which
-    bounds the intp copy bincount makes of its input.
+    against PATTERN_CAP before `admissible_mask` lists any class. A member's
+    label is its class's index among the sorted admissible classes, read
+    from a table in the smallest unsigned dtype that holds len(adm), which
+    marks the inadmissible classes with len(adm) and is tiled once per call
+    over _LABEL_BLOCK entries plus one period; a member whose class is not
+    admissible raises InternalInconsistency. A window is encoded in base
+    len(adm) (first class most significant), so codes sort like their tuples;
+    they are built in place in the smallest unsigned dtype that holds them
+    (uint8 for q=5, r=3) and counted with `np.bincount` over slices of at
+    least _BINCOUNT_SLICE codes, which bounds the intp copy it makes.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -191,14 +230,15 @@ def census_report(
     qv = q.value
     index = np.full(qv, k, dtype=np.min_scalar_type(k))
     index[admissible] = np.arange(k)
+    tiled = np.tile(index, _LABEL_BLOCK // qv + 2)
     code_dtype = np.min_scalar_type(universe - 1)
     step = max(_BINCOUNT_SLICE, universe)
     counts = np.zeros(universe, dtype=np.int64)
     need = np.full(universe, MAX_OCCURRENCES, dtype=np.int64)
     occ: dict[int, list[Occurrence]] = {}
     total = 0
-    for block, n_start, starts in _iter_window_blocks(x, r, cache_dir):
-        idx = index[_residues(block, qv)]
+    for block in _iter_label_blocks(x, r, lambda lo, n: tiled[lo % qv : lo % qv + n], cache_dir):
+        idx, starts = block.labels, block.starts
         if idx.max() == k:
             raise InternalInconsistency(f"a member of E has an inadmissible class mod {qv}")
         codes = idx[:starts].astype(code_dtype)
@@ -212,7 +252,7 @@ def census_report(
         total += starts
         want = np.minimum(need, block_counts)
         need -= want
-        _collect_first_hits(codes, want, block, n_start, r, occ)
+        _collect_first_hits(codes, want, block, r, occ)
 
     def decode(code: int) -> tuple[int, ...]:
         out = []
@@ -233,35 +273,15 @@ def census_report(
     )
 
 
-def _residues(block: np.ndarray, q: int) -> np.ndarray:
-    """block % q, computed in int32 from offsets to a multiple of q.
-
-    The offsets are exact whenever the block spans less than 2^31: a block
-    is one segment (at most 2^27 integers) plus r - 1 carried members. Only
-    a window of about 10^8 members, which PATTERN_CAP allows only for q = 1,
-    spans more, and a q of 2^31 or more does not fit int32; both take int64
-    residues.
-    """
-    origin = int(block[0]) - int(block[0]) % q
-    dtype = np.int32 if max(int(block[-1]) - origin, q) < 2**31 else np.int64
-    res = np.subtract(block, np.int64(origin), dtype=dtype)
-    res %= q
-    return res
-
-
 def _collect_first_hits(
-    codes: np.ndarray,
-    want: np.ndarray,
-    block: np.ndarray,
-    n_start: int,
-    r: int,
-    occ: dict[int, list[Occurrence]],
+    codes: np.ndarray, want: np.ndarray, block: _LabelBlock, r: int, occ: dict[int, list[Occurrence]]
 ) -> None:
     """Append to occ[code] the first want[code] windows of this block with that code.
 
     Scans prefixes that double from 4096 windows and stops once every wanted
-    hit is taken. In each stretch it loops in ascending n over the windows
-    whose code still wants hits. `want` is consumed in place.
+    hit is taken, looping in ascending n over the windows whose code still
+    wants hits; their values come from `block.occurrence`, which reads only
+    a prefix of the bitmap. `want` is consumed in place.
     """
     remaining = int(want.sum())
     lo, hi = 0, 4096
@@ -272,5 +292,5 @@ def _collect_first_hits(
             if want[code] > 0:
                 want[code] -= 1
                 remaining -= 1
-                occ.setdefault(code, []).append(_occurrence(block, n_start, p, r))
+                occ.setdefault(code, []).append(block.occurrence(p, r))
         lo, hi = hi, 2 * hi

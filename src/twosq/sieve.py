@@ -251,16 +251,23 @@ def sieve_segment(lo: int, hi: int, cache_dir: str | None = None) -> TwoSqSegmen
     return seg
 
 
-def iter_member_arrays(x: int, cache_dir: str | None = None) -> Iterator[np.ndarray]:
-    """Member values of E in ascending order, one array per segment, from 0
-    on without end; the census and `count_N` read it up to about x.
+def iter_segments(x: int, cache_dir: str | None = None) -> Iterator[TwoSqSegment]:
+    """Consecutive segments of E from 0 on without end; the census reads
+    their bitmaps up to about x.
 
     Segments shrink to the scale of a scan up to about x, so small bounds
     do not pay for a full DEFAULT_SEGMENT_LEN segment.
     """
     segment_len = min(DEFAULT_SEGMENT_LEN, max(x + 4096, 4096))
     for lo in itertools.count(0, segment_len):
-        yield sieve_segment(lo, lo + segment_len, cache_dir).members()
+        yield sieve_segment(lo, lo + segment_len, cache_dir)
+
+
+def iter_member_arrays(x: int, cache_dir: str | None = None) -> Iterator[np.ndarray]:
+    """Member values of E in ascending order, one array per segment of
+    `iter_segments`; `count_N` reads it up to about x."""
+    for seg in iter_segments(x, cache_dir):
+        yield seg.members()
 
 
 def count_N(x: int, cache_dir: str | None = None) -> int:

@@ -61,8 +61,8 @@ def test_partition_identity_small(monkeypatch):
         x = 20_000
         rep = census_report(factorize(q), r, x)
         assert sum(rep.counts.values()) == rep.total_windows == count_N(x)
-    # count_N reads the member arrays, not the census's window blocks, so it
-    # checks where the window stream stops: at, just below and just above
+    # count_N reads the member arrays, not the census's label blocks, so it
+    # checks where the label stream stops: at, just below and just above
     # the last window start of the second block.
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", 999)
     for q, r in ((4, 1), (4, 2), (5, 2), (3, 3)):
@@ -134,16 +134,42 @@ def test_pattern_spec_validation():
         PatternSpec(factorize(4), (4,))
 
 
+def _reference_window_blocks(x, r):
+    """Yield (block, n_start, starts): member values per segment with r - 1
+    carried before them, and the number of window starts <= x; stops at the
+    first start past x. Reads member arrays, not the census's label stream."""
+    carry = np.empty(0, dtype=np.int64)
+    n_start = 1
+    for values in sieve.iter_member_arrays(x):
+        block = np.concatenate([carry, values])
+        starts = block.size - r + 1
+        if starts < 1:
+            carry = block
+            continue
+        within = int(np.searchsorted(block[:starts], x, "right"))
+        if within < starts:
+            if within:
+                yield block, n_start, within
+            return
+        yield block, n_start, starts
+        carry = block[starts:]
+        n_start += starts
+
+
+def _reference_occurrence(block, n_start, pos, r):
+    return Occurrence(n_start + pos, tuple(block[pos : pos + r].tolist()))
+
+
 def _reference_census_report(q, r, x):
-    """The earlier kernel: base-q codes, np.unique counts, and a stable
-    argsort of every block's codes for the first occurrences."""
+    """The earlier kernel: base-q codes from block % q, np.unique counts,
+    and a stable argsort of every block's codes for the first occurrences."""
     adm = tuple(c.value for c in admissible_classes(q))
     qv = q.value
     weights = [qv ** (r - 1 - i) for i in range(r)]
     counts: dict[int, int] = {}
     occ: dict[int, list[Occurrence]] = {}
     total = 0
-    for block, n_start, starts in census._iter_window_blocks(x, r, None):
+    for block, n_start, starts in _reference_window_blocks(x, r):
         res = block % qv
         codes = res[:starts] * weights[0]
         for i in range(1, r):
@@ -158,7 +184,7 @@ def _reference_census_report(q, r, x):
             lst = occ.setdefault(int(codes[grp[0]]), [])
             need = census.MAX_OCCURRENCES - len(lst)
             for pos in grp[:need].tolist():
-                lst.append(census._occurrence(block, n_start, pos, r))
+                lst.append(_reference_occurrence(block, n_start, pos, r))
 
     def decode(code):
         out = []
@@ -244,9 +270,62 @@ def test_pattern_cap_checked_before_enumerating_classes():
 
 
 def test_inadmissible_member_raises(monkeypatch):
-    def fake_members(x, cache_dir=None):
-        yield np.array([0, 1, 2, 3, 4, 5], dtype=np.int64)
+    # A bitmap with 0..5 set holds 3, whose class mod 4 is not admissible.
+    def fake_segment(lo, hi, cache_dir=None):
+        bits = np.zeros(hi - lo, dtype=bool)
+        bits[:6] = True
+        return sieve.TwoSqSegment(lo, hi, bits)
 
-    monkeypatch.setattr(census, "iter_member_arrays", fake_members)
+    monkeypatch.setattr(sieve, "sieve_segment", fake_segment)
     with pytest.raises(InternalInconsistency):
         census_report(factorize(4), 2, 10)
+
+
+def test_match_with_modulus_past_int64():
+    # q = 2^70: every member up to x is its own class, and numpy never sees q.
+    r = match_pattern(PatternSpec(factorize(2**70), (1,)), 100)
+    assert r.count == 1 and r.occurrences == (Occurrence(2, (1,)),)
+
+
+def test_pattern_longer_than_a_label_block():
+    # q = 1048573 (prime, 1 mod 4): one period of class labels spans four
+    # label blocks of 2^18 entries, and x = 2.2e6 runs into a third period.
+    _assert_same_report(1_048_573, 1, 2_200_000)
+
+
+def _assert_same_match(q, classes, x):
+    """match_pattern against a count of block % q over the reference windows."""
+    got = match_pattern(PatternSpec(factorize(q), classes), x)
+    count, first = 0, []
+    for block, n_start, starts in _reference_window_blocks(x, len(classes)):
+        res = block % q
+        mask = np.ones(starts, dtype=bool)
+        for i, c in enumerate(classes):
+            mask &= res[i : starts + i] == c
+        count += int(np.count_nonzero(mask))
+        for pos in np.flatnonzero(mask)[: census.MAX_OCCURRENCES].tolist():
+            first.append(_reference_occurrence(block, n_start, pos, len(classes)))
+    assert got.count == count > 0
+    assert list(got.occurrences) == first[: census.MAX_OCCURRENCES]
+
+
+def test_period_not_dividing_the_label_block():
+    # The label blocks of 2^18 entries start at a new phase mod 7 or 1001 each
+    # time. The second, a full block from 2^18 = 883 (mod 1001), reads the
+    # tiled table of 1001 labels into its last period.
+    x = (1 << 21) + 300_000
+    _assert_same_report(7, 2, x)
+    _assert_same_report(1001, 1, x)
+    for classes in ((1, 2), (0, 4, 2), (2,)):
+        _assert_same_match(7, classes, x)
+
+
+@pytest.mark.parametrize("seg_len", [3, 7])
+def test_carry_across_segments_shorter_than_a_window(monkeypatch, seg_len):
+    # Segments of 3 or 7 entries often hold fewer than r = 3 members, so the
+    # carried members span several segments.
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LEN", seg_len)
+    monkeypatch.setattr(census, "MAX_OCCURRENCES", 50)
+    for q in (4, 5):
+        _assert_same_report(q, 3, 3_000)
+        _assert_same_match(q, (1, 2, 0), 3_000)

@@ -26,6 +26,13 @@ def test_pattern_example(capsys):
     assert out == 'pattern,count\n"[1,2]",2\n'
 
 
+def test_pattern_with_modulus_past_int64(capsys):
+    # q = 2^70; a one-class label holds no comma, so it is written unquoted.
+    code, out, _ = run_capture(capsys, ["pattern", str(2**70), "1", "100"])
+    assert code == 0
+    assert out == "pattern,count\n[1],1\n"
+
+
 def test_admissible_example(capsys):
     code, out, _ = run_capture(capsys, ["admissible", "4"])
     assert code == 0
