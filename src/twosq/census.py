@@ -16,8 +16,8 @@ class, labels each member by its class's index among the admissible
 classes, codes each window in base len(adm) in the smallest unsigned dtype
 that holds every code, and counts the codes with `np.bincount`. Values are
 read only where needed: the x bound counts the bitmap up to x, first hits
-read a doubling prefix of it and the carry a tail of it. `census_report`,
-`match_pattern` and `find_first_occurrence` read one label stream.
+read a doubling prefix of it and the carry a tail of it. `census_report`
+and `match_pattern` share one label stream and one first-hit collector.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> Ma
     Members are labelled 1..d by their class's place among the spec's d
     distinct classes, else 0: each class marks one strided slice of a row,
     from an offset taken in Python ints, so numpy never sees q, which may
-    pass int64, and no O(q) table is built.
+    pass int64, and no O(q) table is built. First hits are code 1 of the
+    window mask.
     """
     q, r = spec.q.value, spec.r
     distinct = list(dict.fromkeys(spec.classes))
@@ -179,18 +180,17 @@ def match_pattern(spec: PatternSpec, x: int, cache_dir: str | None = None) -> Ma
         return row
 
     count = 0
-    occurrences: list[Occurrence] = []
+    occ: dict[int, list[Occurrence]] = {}
     for block in _iter_label_blocks(x, r, labels, cache_dir):
         lab, starts = block.labels, block.starts
         mask = lab[:starts] == targets[0]
         for i in range(1, r):
             mask &= lab[i : starts + i] == targets[i]
         block_count = int(np.count_nonzero(mask))
-        if block_count and len(occurrences) < MAX_OCCURRENCES:
-            for pos in np.flatnonzero(mask)[: MAX_OCCURRENCES - len(occurrences)].tolist():
-                occurrences.append(block.occurrence(pos, r))
+        want = np.array([0, min(block_count, MAX_OCCURRENCES - len(occ.get(1, ())))])
+        _collect_first_hits(mask.view(np.uint8), want, block, r, occ)
         count += block_count
-    return MatchResult(count, tuple(occurrences))
+    return MatchResult(count, tuple(occ.get(1, ())))
 
 
 def find_first_occurrence(
@@ -217,7 +217,9 @@ def census_report(
     len(adm) (first class most significant), so codes sort like their tuples;
     they are built in place in the smallest unsigned dtype that holds them
     (uint8 for q=5, r=3) and counted with `np.bincount` over slices of at
-    least _BINCOUNT_SLICE codes, which bounds the intp copy it makes.
+    least _BINCOUNT_SLICE codes, which bounds the intp copy it makes. Seen
+    codes are named in one numpy pass from their base len(adm) digits (not
+    by `np.unravel_index`, whose shape of r axes numpy refuses for q=1, r=70).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -226,7 +228,7 @@ def census_report(
     if universe > PATTERN_CAP:
         raise TooManyPatterns(f"{k}^{r} admissible tuples exceed cap {PATTERN_CAP}")
     admissible = admissible_mask(q)
-    adm = tuple(np.flatnonzero(admissible).tolist())
+    adm = np.flatnonzero(admissible)
     qv = q.value
     index = np.full(qv, k, dtype=np.min_scalar_type(k))
     index[admissible] = np.arange(k)
@@ -254,22 +256,17 @@ def census_report(
         need -= want
         _collect_first_hits(codes, want, block, r, occ)
 
-    def decode(code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(r):
-            code, i = divmod(code, k)
-            out.append(adm[i])
-        return tuple(reversed(out))
-
-    seen = np.flatnonzero(counts).tolist()
+    seen = np.flatnonzero(counts)
+    digits = seen[:, None] // k ** np.arange(r - 1, -1, -1) % k
+    patterns = list(map(tuple, adm[digits].tolist()))
     return CensusReport(
         q=qv,
         r=r,
         x=x,
-        counts={decode(c): int(counts[c]) for c in seen},
-        occurrences={decode(c): occ.get(c, []) for c in seen},
+        counts=dict(zip(patterns, counts[seen].tolist())),
+        occurrences={p: occ.get(c, []) for p, c in zip(patterns, seen.tolist())},
         total_windows=total,
-        admissible=adm,
+        admissible=tuple(adm.tolist()),
     )
 
 
@@ -293,4 +290,6 @@ def _collect_first_hits(
                 want[code] -= 1
                 remaining -= 1
                 occ.setdefault(code, []).append(block.occurrence(p, r))
+                if not remaining:
+                    return
         lo, hi = hi, 2 * hi

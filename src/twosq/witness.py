@@ -13,12 +13,13 @@ scanning t for F(t) itself a sum of two squares yields certificate triples.
 
 The base and shift must satisfy prime-by-prime valuation patterns (four
 cases: primes away from q, primes 1 mod 4, primes 3 mod 4, and 2). Local
-solutions are enumerated in a fixed order and combined by CRT, drawing each
-prime's next local solution only when the product order reaches it. At 2
-the divisibility bookkeeping alone is not sufficient: shift pairs whose B
-or C would miss their class mod 2^v2(q) are dropped before the CRT step. A
-candidate is accepted only after the assembled family verifies exactly.
-First verified candidate wins, so families are reproducible.
+solutions are enumerated in a fixed order and combined by CRT in a product
+order that turns the 2-adic solution fastest, drawing each prime's next
+local solution only when that order reaches it. At 2 the divisibility
+bookkeeping alone is not sufficient: shift pairs whose B or C would miss
+their class mod 2^v2(q) are dropped before the CRT step. A candidate is
+accepted only after the assembled family verifies exactly. First verified
+candidate wins, so families are reproducible.
 """
 
 from __future__ import annotations
@@ -280,12 +281,14 @@ def _iter_crt_pairs(q: FactoredInteger, local, missing: str, value: int):
     are glued. Raises SearchExhausted naming the first prime with none, as
     "{missing}={value}", the value formatted only then.
 
-    The product is walked as an odometer whose last prime turns fastest, and
-    a prime's next local pair is drawn only when the odometer first reaches
+    The product is walked as an odometer over the odd primes ascending and
+    then 2, the last turning fastest, so a first pair at 2 that builds no
+    family is not held through every combination of the odd primes. A
+    prime's next local pair is drawn only when the odometer first reaches
     it: the first combinations move only the last one or two primes, so the
     other enumerators stop after their first pair.
     """
-    primes = q.primes()
+    primes = sorted(q.primes(), key=lambda p: p == 2)
     sources = [itertools.islice(local(p, q.factors[p]), LOCAL_CANDIDATES) for p in primes]
     drawn: list[list[tuple[int, int]]] = []
     for p, source in zip(primes, sources):

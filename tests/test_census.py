@@ -51,6 +51,9 @@ def test_census_examples():
     assert rep.total_windows == 8
     rep = census_report(factorize(1), 3, 10)
     assert rep.counts == {(0, 0, 0): 8} and rep.total_windows == 8
+    # one pattern of 70 classes, named without an array of 70 dimensions
+    rep = census_report(factorize(1), 70, 100)
+    assert rep.counts == {(0,) * 70: 44} and rep.total_windows == 44
     rep = census_report(factorize(4), 2, 10)
     assert rep.count_for((1, 2)) == 2
     assert rep.total_windows == 8
@@ -307,6 +310,7 @@ def _assert_same_match(q, classes, x):
             first.append(_reference_occurrence(block, n_start, pos, len(classes)))
     assert got.count == count > 0
     assert list(got.occurrences) == first[: census.MAX_OCCURRENCES]
+    return got
 
 
 def test_period_not_dividing_the_label_block():
@@ -318,6 +322,18 @@ def test_period_not_dividing_the_label_block():
     _assert_same_report(1001, 1, x)
     for classes in ((1, 2), (0, 4, 2), (2,)):
         _assert_same_match(7, classes, x)
+
+
+@pytest.mark.parametrize("cap,blocks", [(1, 1), (4, 2), (50, 4)])
+def test_match_first_hits_across_label_blocks(monkeypatch, cap, blocks):
+    # Up to x = 1e6 (one segment, so label blocks start at multiples of 2^18)
+    # 11 windows of two members 3 mod 19 fall 3, 2, 2 and 4 to the four
+    # blocks. A cap of 4 takes 3 hits from the first block and 1 of the 2 in
+    # the second; a cap of 50 takes all 11.
+    monkeypatch.setattr(census, "MAX_OCCURRENCES", cap)
+    got = _assert_same_match(19, (3, 3), 1_000_000)
+    assert got.count == 11
+    assert len({o.values[0] >> 18 for o in got.occurrences}) == blocks
 
 
 @pytest.mark.parametrize("seg_len", [3, 7])

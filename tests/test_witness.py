@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -603,11 +604,12 @@ def test_base_enumerator_matches_reference(p, e):
 
 
 def _reference_crt_pairs(q: FactoredInteger, local, missing: str, value: int):
-    """The former eager CRT enumerator, kept verbatim as the reference for the
+    """The former eager CRT enumerator, kept as the reference for the
     odometer: it lists the first LOCAL_CANDIDATES local pairs at every prime
-    before it glues the first combination; only its message now takes the
-    value apart from the label, as `_iter_crt_pairs` does."""
-    primes = q.primes()
+    before it glues the first combination. Only its message, which takes the
+    value apart from the label, and its prime order, odd primes ascending and
+    then 2, follow `_iter_crt_pairs`."""
+    primes = sorted(q.primes(), key=lambda p: p == 2)
     locals_: list[list[tuple[int, int]]] = []
     for p in primes:
         e = q.factors[p]
@@ -682,8 +684,23 @@ def test_crt_odometer_draws_lazily():
     pairs = _iter_crt_pairs(q, local, "nothing for x", 0)
     next(pairs)
     assert drawn == {2: 1, 3: 1, 7: 1, 13: 1}
-    list(itertools.islice(pairs, 2))  # the next two combinations turn only the last prime
-    assert drawn == {2: 1, 3: 1, 7: 1, 13: 3}
+    list(itertools.islice(pairs, 2))  # the next two combinations turn only 2, walked last
+    assert drawn == {2: 3, 3: 1, 7: 1, 13: 1}
+
+
+@pytest.mark.parametrize(
+    "qv,a,b,c,h,k", [(16, 8, 8, 0, 1024, 1032), (16, 8, 8, 8, 1024, 2048), (8, 0, 0, 5, 256, 509)]
+)
+def test_family_over_blocking_system_turns_2_first(qv, a, b, c, h, k):
+    # Over these blocking moduli the first shift pair at 2 builds no family,
+    # so the search must turn 2 before the odd primes' combinations run out.
+    system = build_blocking_system(factorize(qv), a, b, c)
+    assert (system.h, system.k) == (h, k)
+    start = time.perf_counter()
+    family = build_witness_family(system.T_blk, system.a_T.value, system.h, system.k)
+    family.verify()
+    check_local_obstructions(family)
+    assert time.perf_counter() - start < 30
 
 
 _TWO_ADIC_MODULI = (16, 64, 256, 16 * 5, 64 * 9)
