@@ -195,24 +195,34 @@ def _extend_primes(limit: int) -> None:
     _prime_limit = limit
 
 
+def _table_limit(bound: int) -> int:
+    """The power of two at or above bound, and at least 16, that the prime
+    tables grow to; ValueError for a bound of 2^31 or more."""
+    if bound >= 1 << 31:
+        raise ValueError(f"prime tables end below 2^31, got a bound of {bound}")
+    return 1 << max((bound - 1).bit_length(), 4)
+
+
 def prime_array(bound: int) -> np.ndarray:
     """All primes <= bound as a read-only int32 array (bound < 2^31).
 
     The tables grow to the power of two at or above bound (at least 16), so
-    nearby bounds share one extension.
+    nearby bounds share one extension. A bound of 2^31 or more raises
+    ValueError, as its primes would wrap in int32.
     """
     import numpy as np
 
-    _extend_primes(1 << max((bound - 1).bit_length(), 4))
+    _extend_primes(_table_limit(bound))
     # an int32 key, so that numpy does not convert the whole table to search it
     return _primes[: np.searchsorted(_primes, np.int32(bound), "right")]
 
 
 def primes_3_mod_4(bound: int) -> np.ndarray:
-    """The primes p = 3 (mod 4) <= bound, from a table grown with `prime_array`'s."""
+    """The primes p = 3 (mod 4) <= bound (< 2^31), from a table grown with
+    `prime_array`'s."""
     import numpy as np
 
-    _extend_primes(1 << max((bound - 1).bit_length(), 4))
+    _extend_primes(_table_limit(bound))
     return _primes_3_mod_4[: np.searchsorted(_primes_3_mod_4, np.int32(bound), "right")]
 
 

@@ -208,7 +208,8 @@ def census_report(
     with the first MAX_OCCURRENCES matches of each.
 
     The size of the pattern universe, admissible_count(q)^r, is checked
-    against PATTERN_CAP before `admissible_mask` lists any class. A member's
+    against PATTERN_CAP before `admissible_mask` lists any class, and
+    before the power is taken when r alone settles it. A member's
     label is its class's index among the sorted admissible classes, read
     from a table in the smallest unsigned dtype that holds len(adm), which
     marks the inadmissible classes with len(adm) and is tiled once per call
@@ -224,9 +225,10 @@ def census_report(
     if r < 1:
         raise ValueError("r must be >= 1")
     k = admissible_count(q)
-    universe = k**r
-    if universe > PATTERN_CAP:
+    # k^r >= 2^r for k >= 2, so an r past log2 PATTERN_CAP is refused before any power
+    if k > 1 and (r >= PATTERN_CAP.bit_length() or k**r > PATTERN_CAP):
         raise TooManyPatterns(f"{k}^{r} admissible tuples exceed cap {PATTERN_CAP}")
+    universe = k**r
     admissible = admissible_mask(q)
     adm = np.flatnonzero(admissible)
     qv = q.value

@@ -2,10 +2,15 @@
 checks it. A certificate re-verifies by squaring, modular reduction and, for
 its evidence, one primality test per prime, so this module needs nothing from
 the package but `arith`'s `is_prime` and `valuation`.
+
+This module owns the JSON wire form of the whole package: `to_wire` writes
+every payload, the CLI's and `BlockingSystem.to_json_dict`'s too, with each
+integer as a decimal string, and `_decimal` reads one back.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .arith import is_prime, valuation
@@ -59,18 +64,18 @@ class TripleCertificate:
     def to_json_dict(self) -> dict:
         """Wire form: one JSON object per certificate, integers as decimal strings."""
         out = {
-            "n": str(self.n),
-            "q": str(self.q),
-            "a": str(self.a),
-            "h": str(self.h),
-            "k": str(self.k),
-            "t": None if self.t is None else str(self.t),
-            "reps": [[str(x), str(y)] for x, y in self.reps],
+            "n": self.n,
+            "q": self.q,
+            "a": self.a,
+            "h": self.h,
+            "k": self.k,
+            "t": self.t,
+            "reps": self.reps,
             "consecutive": self.consecutive,
         }
         if self.consecutive:
-            out["evidence"] = [[str(m), str(p)] for m, p in self.evidence]
-        return out
+            out["evidence"] = self.evidence
+        return to_wire(out)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TripleCertificate":
@@ -95,6 +100,29 @@ class TripleCertificate:
             consecutive=consecutive,
             evidence=_decimal_pairs(data.get("evidence", []), "evidence"),
         )
+
+
+def to_wire(value):
+    """value in the wire form: an int as its decimal string, a tuple or list as
+    a list and a mapping with its keys as strings, each item in the wire form;
+    None, a bool or a str as itself. Anything else, a numpy integer or a float
+    among them, raises TypeError, so no number reaches JSON as a number."""
+    if type(value) is int:
+        return str(value)
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [to_wire(item) for item in value]
+    if isinstance(value, Mapping):
+        out = {}
+        for key, item in value.items():
+            if type(key) is int:
+                key = str(key)
+            elif not isinstance(key, str):
+                raise TypeError(f"a {type(key).__name__} key has no wire form")
+            out[key] = to_wire(item)
+        return out
+    raise TypeError(f"{type(value).__name__} has no wire form")
 
 
 def _decimal(text) -> int:

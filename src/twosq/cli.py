@@ -4,7 +4,9 @@ Subcommands expose every pipeline with reproducible, machine-readable
 output: identical invocations produce byte-identical bytes. Data goes to
 standard output (or --output), progress and diagnostics to standard error.
 Integers inside JSON are decimal strings throughout, since blocking-system
-values overflow 64-bit words by a wide margin.
+values overflow 64-bit words by a wide margin: each command builds its
+payload from plain values, and `certificate.to_wire`, the one owner of the
+wire form, writes it.
 
 Exit codes: 0 success, 1 internal/budget errors, 2 hypothesis violations,
 64 usage errors.
@@ -26,12 +28,17 @@ import sys
 # so neither starts numpy or the sieve, census, witness and forcing layers.
 from . import __version__
 from .arith import FactoredInteger, factorize
+from .certificate import to_wire
 from .errors import HypothesisViolation, TwoSqError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_HYPOTHESIS = 2
 EXIT_USAGE = 64
+
+# Longest window `census` takes at q = 1, whose one pattern stands for every
+# r, so the census's pattern cap bounds nothing there.
+MAX_Q1_WINDOW = 1 << 16
 
 
 class _UsageError(Exception):
@@ -45,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(to_wire(obj), sort_keys=True, indent=2)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -61,7 +68,7 @@ def _status(msg: str) -> None:
 
 
 def _diagnose(error: str, detail: str, **fields) -> None:
-    print(json.dumps({"error": error, "detail": detail, **fields}), file=sys.stderr)
+    print(json.dumps(to_wire({"error": error, "detail": detail, **fields})), file=sys.stderr)
 
 
 def _csv_field(text: str) -> str:
@@ -77,10 +84,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise _UsageError(f"bad integer list {text!r}") from exc
-
-
-def _occurrence_json(occ) -> dict:
-    return {"n": str(occ.n), "values": [str(v) for v in occ.values]}
 
 
 def _modulus(q: int) -> FactoredInteger:
@@ -124,20 +127,17 @@ def _cmd_sieve(args) -> int:
         )
     # the dump format is a single segment, so --dump builds the range as one
     step = args.hi - args.lo if args.dump is not None else sieve.DEFAULT_SEGMENT_LEN
-    lines = []
+    members = []
     for lo in range(args.lo, args.hi, step):
         seg = sieve.sieve_segment(lo, min(lo + step, args.hi), cache_dir=args.cache_dir)
-        lines.extend(str(v) for v in seg.members().tolist())
+        members += seg.members().tolist()
     if args.dump is not None:
         seg.save(args.dump)
     if args.format == "json":
-        _emit(
-            _json_dumps({"lo": str(args.lo), "hi": str(args.hi), "members": lines}) + "\n",
-            args.output,
-        )
+        _emit(_json_dumps({"lo": args.lo, "hi": args.hi, "members": members}) + "\n", args.output)
     else:
-        _emit("value\n" + "".join(line + "\n" for line in lines), args.output)
-    _status(f"{len(lines)} members in [{args.lo}, {args.hi})")
+        _emit("value\n" + "".join(f"{v}\n" for v in members), args.output)
+    _status(f"{len(members)} members in [{args.lo}, {args.hi})")
     return EXIT_OK
 
 
@@ -145,11 +145,11 @@ def _cmd_admissible(args) -> int:
     from .admissibility import admissible_classes
 
     q = _modulus(args.q)
-    classes = [str(c.value) for c in admissible_classes(q)]
+    classes = [c.value for c in admissible_classes(q)]
     if args.format == "json":
-        _emit(_json_dumps({"q": str(args.q), "admissible": classes}) + "\n", args.output)
+        _emit(_json_dumps({"q": args.q, "admissible": classes}) + "\n", args.output)
     else:
-        _emit(",".join(classes) + "\n", args.output)
+        _emit(",".join(map(str, classes)) + "\n", args.output)
     return EXIT_OK
 
 
@@ -159,33 +159,21 @@ def _cmd_census(args) -> int:
     q = _modulus(args.q)
     if args.r < 1:
         raise _UsageError(f"r must be >= 1, got {args.r}")
+    if q.value == 1 and args.r > MAX_Q1_WINDOW:
+        raise _UsageError(f"r must be <= {MAX_Q1_WINDOW} at q = 1, got {args.r}")
     _member_bound(args.x, "x")
     report = census.census_report(q, args.r, args.x, cache_dir=args.cache_dir)
     if args.format == "json":
         patterns = []
         for tup in report.pattern_universe():
-            entry = {
-                "pattern": [str(c) for c in tup],
-                "count": str(report.count_for(tup)),
-            }
+            entry = {"pattern": tup, "count": report.count_for(tup)}
             occ = report.occurrences.get(tup)
             if occ:
-                entry["first_n"] = str(occ[0].n)
-                entry["first_values"] = [str(v) for v in occ[0].values]
+                entry["first_n"] = occ[0].n
+                entry["first_values"] = occ[0].values
             patterns.append(entry)
-        _emit(
-            _json_dumps(
-                {
-                    "q": str(report.q),
-                    "r": str(report.r),
-                    "x": str(report.x),
-                    "total_windows": str(report.total_windows),
-                    "patterns": patterns,
-                }
-            )
-            + "\n",
-            args.output,
-        )
+        payload = {"q": report.q, "r": report.r, "x": report.x, "total_windows": report.total_windows}
+        _emit(_json_dumps({**payload, "patterns": patterns}) + "\n", args.output)
     else:
         rows = ["pattern,count"]
         for tup in report.pattern_universe():
@@ -207,19 +195,9 @@ def _cmd_pattern(args) -> int:
     _member_bound(args.x, "x")
     result = census.match_pattern(spec, args.x, cache_dir=args.cache_dir)
     if args.format == "json":
-        _emit(
-            _json_dumps(
-                {
-                    "q": str(args.q),
-                    "pattern": [str(c) for c in classes],
-                    "x": str(args.x),
-                    "count": str(result.count),
-                    "occurrences": [_occurrence_json(o) for o in result.occurrences],
-                }
-            )
-            + "\n",
-            args.output,
-        )
+        payload = {"q": args.q, "pattern": classes, "x": args.x, "count": result.count}
+        occurrences = [{"n": o.n, "values": o.values} for o in result.occurrences]
+        _emit(_json_dumps({**payload, "occurrences": occurrences}) + "\n", args.output)
     else:
         _emit(
             "pattern,count\n"
@@ -265,21 +243,16 @@ def _cmd_force_triple(args) -> int:
         x_budget=args.xbudget,
         cache_dir=args.cache_dir,
     )
-    _emit(
-        _json_dumps(
-            {
-                "q": str(report.q),
-                "pattern": [str(v) for v in report.pattern],
-                "x_budget": str(report.x_budget),
-                "count": str(report.count),
-                "occurrences": [_occurrence_json(o) for o in report.occurrences],
-                "certificates": [c.to_json_dict() for c in report.certificates],
-                "blocking_system": report.blocking.to_json_dict(),
-            }
-        )
-        + "\n",
-        args.output,
-    )
+    payload = {
+        "q": report.q,
+        "pattern": report.pattern,
+        "x_budget": report.x_budget,
+        "count": report.count,
+        "occurrences": [{"n": o.n, "values": o.values} for o in report.occurrences],
+        "certificates": [c.to_json_dict() for c in report.certificates],
+        "blocking_system": report.blocking.to_json_dict(),
+    }
+    _emit(_json_dumps(payload) + "\n", args.output)
     _status(f"{report.count} occurrences below {report.x_budget}")
     return EXIT_OK
 
@@ -296,14 +269,14 @@ def _cmd_tuple(args) -> int:
         delta = forcing.delta_constant(args.theta1, args.theta2)
     design = forcing.construct_two_class_tuple(q, args.a, args.b, args.j, sizes)
     payload = {
-        "q": str(design.q),
-        "a": str(design.a),
-        "b": str(design.b),
-        "j": str(design.j),
-        "M": str(design.M),
-        "bins": [str(s) for s in design.bins],
-        "offsets": [str(h) for h in design.offsets],
-        "transition_index": str(design.transition_index),
+        "q": design.q,
+        "a": design.a,
+        "b": design.b,
+        "j": design.j,
+        "M": design.M,
+        "bins": design.bins,
+        "offsets": design.offsets,
+        "transition_index": design.transition_index,
     }
     if delta is not None:
         payload["delta"] = repr(delta)
@@ -333,10 +306,10 @@ def _verify_lines(fh) -> int:
             cert = certificate.TripleCertificate.from_json_dict(json.loads(line))
         # json.loads raises RecursionError on arrays or objects nested too deep
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            _diagnose("malformed_certificate", f"{type(exc).__name__}: {exc}", line=str(lineno))
+            _diagnose("malformed_certificate", f"{type(exc).__name__}: {exc}", line=lineno)
             return EXIT_INTERNAL
         if not cert.verify():
-            _diagnose("verification_failed", "certificate failed verification", line=str(lineno))
+            _diagnose("verification_failed", "certificate failed verification", line=lineno)
             return EXIT_INTERNAL
         total += 1
     _status(f"{total} certificates verified")

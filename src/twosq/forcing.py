@@ -35,42 +35,66 @@ from .arith import (
     small_primes,
 )
 from .census import Occurrence, PatternSpec, match_pattern
-from .certificate import TripleCertificate
+from .certificate import TripleCertificate, to_wire
 from .errors import (
+    BudgetExceeded,
     DomainError,
     HypothesisViolation,
     InternalInconsistency,
     NoneFoundWithinBudget,
     SearchExhausted,
 )
-from .witness import check_hypotheses
+from .witness import _brief, check_hypotheses
 
 DELTA_COEFF_NUM = math.sqrt(2.0) * (math.pi + 2.0)
 DELTA_COEFF_DEN = 32.0 * math.pi
 
-# Largest offset `construct_two_class_tuple` tries, and the census triples
-# `end_to_end_triple` certifies.
+# Largest offset `construct_two_class_tuple` tries, the census triples
+# `end_to_end_triple` certifies, and the largest k `build_blocking_system`
+# builds (k = 8q^2 = 8192 for q=32 [0,0,0], which builds in a few seconds).
 OFFSET_CAP = 10_000_000
 MAX_CERTIFICATES = 3
+MAX_BLOCKING_K = 8192
+
+
+def _finite_positive(value: float, name: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} = {value!r} is not a finite positive float")
+    return value
 
 
 def delta_constant(theta1: float, theta2: float) -> float:
     """The bin-size constant sqrt(2)(pi+2)/(32 pi) * (1+theta1)/sqrt(theta1 theta2).
 
-    Domain: theta1, theta2 > 0 with theta1 + theta2 < 1/18 (strict).
+    Domain: theta1, theta2 > 0 with theta1 + theta2 < 1/18 (strict), and
+    theta1 theta2 not so small that its square root underflows to 0.
     """
     if not (theta1 > 0 and theta2 > 0 and theta1 + theta2 < 1.0 / 18.0):
         raise DomainError(f"need 0 < theta1 + theta2 < 1/18, got {theta1}, {theta2}")
-    return DELTA_COEFF_NUM / DELTA_COEFF_DEN * (1.0 + theta1) / math.sqrt(theta1 * theta2)
+    root = _finite_positive(math.sqrt(theta1 * theta2), "sqrt(theta1 theta2)")
+    return _finite_positive(DELTA_COEFF_NUM / DELTA_COEFF_DEN * (1.0 + theta1) / root, "Delta")
 
 
 def bin_plan(M: int, theta1: float, theta2: float) -> list[int]:
-    """Minimal bin sizes: first at least 2*Delta^3, then strictly above 2^(7i)."""
+    """Minimal bin sizes: first at least 2*Delta^3, then strictly above 2^(7i).
+
+    Raises DomainError when 2*Delta^3 is not a finite float, and
+    SearchExhausted before it adds a size to sizes that already sum past
+    OFFSET_CAP, as no such plan fits its offsets below the cap.
+    """
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
     delta = delta_constant(theta1, theta2)
-    sizes = [math.ceil(2.0 * delta**3)]
+    try:
+        first = 2.0 * delta**3
+    except OverflowError:
+        first = math.inf
+    sizes = [math.ceil(_finite_positive(first, "2 Delta^3"))]
     for i in range(2, M + 1):
+        if sum(sizes) > OFFSET_CAP:
+            raise SearchExhausted(
+                f"bins 1..{i - 1} of {M} sum to {_brief(sum(sizes))}, past the offset cap {OFFSET_CAP}"
+            )
         sizes.append(2 ** (7 * i) + 1)
     return sizes
 
@@ -150,7 +174,7 @@ def construct_two_class_tuple(
     # Offsets of one class are step apart at least, and only the one change
     # of class may close in by less.
     if step * (k - 2) >= OFFSET_CAP:
-        raise SearchExhausted(f"{k} offsets cannot all lie below the offset cap {OFFSET_CAP}")
+        raise SearchExhausted(f"k = {_brief(k)} is too many offsets to lie below the offset cap {OFFSET_CAP}")
     in_use = (a, b) if transition < k else (a,)
     for p in q.factors:
         if p <= k and any(cls % p == 0 for cls in in_use):
@@ -275,18 +299,20 @@ class BlockingSystem:
         return blocked
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": str(self.q.value),
-            "pattern": [str(self.a), str(self.b), str(self.c)],
-            "lifts": [str(self.a3), str(self.b3), str(self.c3)],
-            "h": str(self.h),
-            "k": str(self.k),
-            "blocking_primes": {str(i): str(p) for i, p in sorted(self.blocking_primes.items())},
-            "T_blk": str(self.T_blk.value),
-            "T_blk_factors": {str(p): str(e) for p, e in sorted(self.T_blk.factors.items())},
-            "a_T": str(self.a_T.value),
-            "lift_window_widened": self.lift_window_widened,
-        }
+        return to_wire(
+            {
+                "q": self.q.value,
+                "pattern": (self.a, self.b, self.c),
+                "lifts": (self.a3, self.b3, self.c3),
+                "h": self.h,
+                "k": self.k,
+                "blocking_primes": self.blocking_primes,
+                "T_blk": self.T_blk.value,
+                "T_blk_factors": self.T_blk.factors,
+                "a_T": self.a_T.value,
+                "lift_window_widened": self.lift_window_widened,
+            }
+        )
 
 
 def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> BlockingSystem:
@@ -297,7 +323,8 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     the lift is positive). Offsets h < k are the least positive solutions,
     with 4q^2 added to restore order or break a tie. Blocking primes are the
     least primes = 3 (mod 4) above k not dividing q, in ascending index
-    order, so the whole construction is deterministic.
+    order, so the whole construction is deterministic. A k above
+    MAX_BLOCKING_K raises BudgetExceeded before any prime is listed.
     """
     qv = q.value
     _require_admissible(q, a=a, b=b, c=c)
@@ -314,6 +341,8 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
     k = (c3 - a3) % mod4q2 or mod4q2
     if h >= k:
         k += mod4q2
+    if k > MAX_BLOCKING_K:
+        raise BudgetExceeded(f"k = {k} offsets exceed the blocking build's cap {MAX_BLOCKING_K}")
     bound = 2 * k
     while len(primes := [p for p in primes_3_mod_4(bound).tolist() if p > k and qv % p]) < k - 2:
         bound *= 2

@@ -305,6 +305,16 @@ def test_prime_table_matches_reference_sieve(monkeypatch, segment, top):
         assert arith._prime_limit <= cap, (lo, hi)
 
 
+@pytest.mark.parametrize("accessor", ["prime_array", "primes_3_mod_4"])
+def test_prime_tables_refuse_bounds_past_int32(monkeypatch, accessor):
+    def no_growth(limit):
+        raise AssertionError(f"grew the tables to {limit}")
+
+    monkeypatch.setattr(arith, "_extend_primes", no_growth)
+    with pytest.raises(ValueError, match="2\\^31"):
+        getattr(arith, accessor)(1 << 31)
+
+
 def test_prime_table_built_in_one_jump(monkeypatch):
     empty_prime_tables(monkeypatch)
     bound = (1 << 22) + 1

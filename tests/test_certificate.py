@@ -2,14 +2,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 import twosq
 import twosq.certificate
 import twosq.forcing
 import twosq.witness
-from twosq.certificate import TripleCertificate
+from twosq.certificate import TripleCertificate, to_wire
 from twosq.cli import run
 
 
@@ -59,3 +61,36 @@ def test_verify_loads_no_search_code(capsys, tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120, check=False,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "776 certificates verified\n")
+
+
+def test_to_wire_keeps_bools_and_none():
+    assert to_wire({"consecutive": True, "flag": False, "t": None}) == {"consecutive": True, "flag": False, "t": None}
+    assert to_wire([True, 1, None]) == [True, "1", None]
+
+
+def test_to_wire_writes_negative_ints():
+    assert to_wire([-1, 0, -(2**70)]) == ["-1", "0", "-1180591620717411303424"]
+
+
+def test_to_wire_writes_ints_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert to_wire(10**4999) == "1" + "0" * 4999
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_to_wire_nested_tuples_and_mapping_proxy():
+    value = {"reps": ((0, 2), (1, (2,))), "primes": MappingProxyType({3: 7, 5: 11}), "name": "x"}
+    assert to_wire(value) == {"reps": [["0", "2"], ["1", ["2"]]], "primes": {"3": "7", "5": "11"}, "name": "x"}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(5), [1, np.int64(5)], {"n": np.int32(1)}, {np.int64(3): "7"}, 0.5, {None: "1"}, {(1, 2): "3"}],
+    ids=["int64", "int64_in_list", "int32_value", "int64_key", "float", "none_key", "tuple_key"],
+)
+def test_to_wire_refuses_what_has_no_wire_form(value):
+    with pytest.raises(TypeError):
+        to_wire(value)

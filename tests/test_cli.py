@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,8 @@ def test_sieve_beyond_int64_limit(capsys):
         ["force-triple", "5", "1", "2", "3", "--xbudget", str(2**62)],
         # an empty list is not the bin plan
         ["tuple", "5", "1", "2", "1", "1", "0.025", "0.025", "--sizes", ""],
+        # q = 1 has one pattern at every r, so its window length is capped
+        ["census", "1", str(2**16 + 1), "10"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
@@ -411,6 +414,72 @@ def test_library_value_error_exits_1(capsys, monkeypatch):
     assert code == 1 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["detail"] == "raised inside the library"
+
+
+# argv -> (exit code, the diagnostic's error); each is refused before any
+# search starts.
+REFUSALS = {
+    # sqrt(theta1 theta2) underflows to 0
+    "tuple 5 1 2 1 2 1e-300 1e-300": (1, "DomainError"),
+    # 2 Delta^3 overflows
+    "tuple 5 1 2 1 2 1e-150 1e-150": (1, "DomainError"),
+    # the plan passes the offset cap at its fourth bin
+    "tuple 5 1 2 1 100000 0.025 0.025": (1, "SearchExhausted"),
+    "census 3 30000000 16": (1, "TooManyPatterns"),
+    "census 1 30000000 16": (64, "bad_argument"),
+    # k = 19,208 offsets, past the blocking build's cap
+    "force-triple 49 0 0 0 --xbudget 0": (1, "BudgetExceeded"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSALS))
+def test_refusals_exit_at_once_with_one_diagnostic(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, command.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (REFUSALS[command][0], "")
+    assert json.loads(err.splitlines()[-1])["error"] == REFUSALS[command][1]
+
+
+def _no_json_number(text):
+    raise AssertionError(f"JSON number {text} in the output")
+
+
+def _json_strict(text: str):
+    """text parsed as JSON, failing on any number: every integer the CLI
+    writes is a decimal string."""
+    return json.loads(text, parse_int=_no_json_number, parse_float=_no_json_number, parse_constant=_no_json_number)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "0", "100", "--format", "json"],
+        ["admissible", "12", "--format", "json"],
+        ["census", "5", "2", "1000", "--format", "json"],
+        ["pattern", "5", "1,2", "1000", "--format", "json"],
+        ["witness", "4", "1", "4", "8", "--tmax", "20"],
+        ["force-triple", "5", "1", "2", "3", "--xbudget", "100000"],
+        ["tuple", "5", "1", "2", "1", "1", "0.025", "0.025"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_holds_no_number(capsys, argv):
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    for doc in out.splitlines() if argv[0] == "witness" else [out]:
+        assert _json_strict(doc)
+
+
+def test_verify_diagnostic_holds_no_number(capsys, monkeypatch):
+    _, out, _ = run_capture(capsys, ["witness", "4", "1", "4", "8", "--tmax", "4"])
+    first = json.loads(out.splitlines()[0])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out + json.dumps(dict(first, n="7")) + "\n"))
+    code, _, err = run_capture(capsys, ["verify"])
+    assert code == 1
+    assert _json_strict(err.splitlines()[-1]) == {
+        "error": "verification_failed", "detail": "certificate failed verification", "line": "4"
+    }
 
 
 FILE_ERRORS = {

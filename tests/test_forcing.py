@@ -14,6 +14,7 @@ from twosq.admissibility import admissible_classes, is_admissible_value
 from twosq.arith import FactoredInteger, ResidueClass, crt_combine, factorize, is_prime
 from twosq.cli import run
 from twosq.errors import (
+    BudgetExceeded,
     DomainError,
     HypothesisViolation,
     InternalInconsistency,
@@ -43,6 +44,8 @@ def test_delta_examples():
         delta_constant(1 / 18, 1 / 18)
     with pytest.raises(DomainError):
         delta_constant(-0.01, 0.02)
+    with pytest.raises(DomainError, match="sqrt"):  # theta1 theta2 underflows to 0
+        delta_constant(1e-300, 1e-300)
 
 
 def test_bin_plan_examples():
@@ -51,6 +54,12 @@ def test_bin_plan_examples():
     assert bin_plan(3, 1 / 40, 1 / 40)[2] == 2097153
     with pytest.raises(DomainError):
         bin_plan(0, 1 / 40, 1 / 40)
+    with pytest.raises(DomainError, match="Delta"):  # 2 Delta^3 overflows
+        bin_plan(2, 1e-150, 1e-150)
+    # 53 + 16385 + 2097153 + 268435457 passes the cap after four bins, so a
+    # plan of 10^5 bins is refused without building 2^(7i) + 1 for every i
+    with pytest.raises(SearchExhausted, match="bins 1..4 of 100000"):
+        bin_plan(100_000, 1 / 40, 1 / 40)
 
 
 def test_bin_plan_minimality():
@@ -504,3 +513,18 @@ def test_end_to_end_budget_miss():
     # admissible but absent below a tiny bound
     with pytest.raises(NoneFoundWithinBudget):
         end_to_end_triple(factorize(5), 3, 3, 3, x_budget=10)
+
+
+def test_blocking_build_refuses_k_past_its_cap_before_listing_primes(monkeypatch):
+    def no_primes(bound):
+        raise AssertionError(f"listed primes below {bound}")
+
+    monkeypatch.setattr(forcing, "primes_3_mod_4", no_primes)
+    with pytest.raises(BudgetExceeded, match="k = 19208"):
+        build_blocking_system(factorize(49), 0, 0, 0)
+
+
+def test_blocking_build_takes_q27_000():
+    # k = 5832, the largest k among the blocking systems the project builds
+    system = build_blocking_system(factorize(27), 0, 0, 0)
+    assert system.k == 5832 <= forcing.MAX_BLOCKING_K
