@@ -346,9 +346,8 @@ def _strong_lucas(n: int) -> bool:
 
 
 def _rho_brent(n: int, c: int, max_iters: int) -> int | None:
-    """One Pollard-Brent round with increment c; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
+    """One Pollard-Brent round with increment c on an odd n; returns a
+    nontrivial factor or None."""
     y, m, g, r, q = 2, 128, 1, 1, 1
     x = ys = y
     iters = 0
@@ -508,9 +507,9 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b) > 0.
 
     The triple is the one Euclid's loop ends with, in closed form: (g, a/g, 0)
-    for b = 0 and (g, 0, b/g) for |b|/g = 1. Otherwise x is the inverse of
-    a/g mod m = |b|/g taken in (-m/2, m/2], or in [-m/2, m/2) when b < 0;
-    only m = 2 can tie.
+    for b = 0. Otherwise x is the inverse of a/g mod m = |b|/g taken in
+    (-m/2, m/2], or in [-m/2, m/2) when b < 0; only m = 2 can tie, and m = 1
+    gives x = 0, so (g, 0, b/g).
     """
     if a == 0 and b == 0:
         raise DegenerateInput("ext_gcd(0, 0) is undefined")
@@ -518,8 +517,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if b == 0:
         return g, a // g, 0
     m = abs(b) // g
-    if m == 1:
-        return g, 0, b // g
     x = pow(a // g, -1, m)
     if 2 * x > m or (2 * x == m and b < 0):
         x -= m
@@ -532,14 +529,12 @@ def crt_combine(congruences: list[ResidueClass]) -> ResidueClass:
     Raises NonCoprimeModuli naming the first earlier modulus that clashes.
     """
     x, m = 0, 1
-    seen: list[int] = []
-    for cls in congruences:
+    for i, cls in enumerate(congruences):
         if math.gcd(m, cls.modulus) != 1:
-            prev = next(p for p in seen if math.gcd(p, cls.modulus) != 1)
+            prev = next(c.modulus for c in congruences[:i] if math.gcd(c.modulus, cls.modulus) != 1)
             raise NonCoprimeModuli(prev, cls.modulus)
         x += m * ((cls.value - x) * pow(m, -1, cls.modulus) % cls.modulus)
         m *= cls.modulus
-        seen.append(cls.modulus)
     return ResidueClass(x % m, m)
 
 

@@ -41,8 +41,6 @@ from .sieve import iter_member_arrays  # no longer called here, but perfbench/tr
 # First matches kept per pattern, and the most patterns one census counts.
 MAX_OCCURRENCES = 10
 PATTERN_CAP = 1 << 20
-# Fewest codes per np.bincount call in census_report.
-_BINCOUNT_SLICE = 1 << 16
 # Bitmap entries labelled per np.compress.
 _LABEL_BLOCK = 1 << 18
 
@@ -217,8 +215,7 @@ def census_report(
     admissible raises InternalInconsistency. A window is encoded in base
     len(adm) (first class most significant), so codes sort like their tuples;
     they are built in place in the smallest unsigned dtype that holds them
-    (uint8 for q=5, r=3) and counted with `np.bincount` over slices of at
-    least _BINCOUNT_SLICE codes, which bounds the intp copy it makes. Seen
+    (uint8 for q=5, r=3) and counted with one `np.bincount` per block. Seen
     codes are named in one numpy pass from their base len(adm) digits (not
     by `np.unravel_index`, whose shape of r axes numpy refuses for q=1, r=70).
     """
@@ -236,7 +233,6 @@ def census_report(
     index[admissible] = np.arange(k)
     tiled = np.tile(index, _LABEL_BLOCK // qv + 2)
     code_dtype = np.min_scalar_type(universe - 1)
-    step = max(_BINCOUNT_SLICE, universe)
     counts = np.zeros(universe, dtype=np.int64)
     need = np.full(universe, MAX_OCCURRENCES, dtype=np.int64)
     occ: dict[int, list[Occurrence]] = {}
@@ -249,9 +245,7 @@ def census_report(
         for i in range(1, r):
             codes *= k
             codes += idx[i : starts + i]
-        block_counts = np.zeros(universe, dtype=np.int64)
-        for lo in range(0, starts, step):
-            block_counts += np.bincount(codes[lo : lo + step], minlength=universe)
+        block_counts = np.bincount(codes, minlength=universe)
         counts += block_counts
         total += starts
         want = np.minimum(need, block_counts)
@@ -277,13 +271,14 @@ def _collect_first_hits(
 ) -> None:
     """Append to occ[code] the first want[code] windows of this block with that code.
 
-    Scans prefixes that double from 4096 windows and stops once every wanted
-    hit is taken, looping in ascending n over the windows whose code still
-    wants hits; their values come from `block.occurrence`, which reads only
-    a prefix of the bitmap. `want` is consumed in place.
+    Scans prefixes that double from 64 windows per wanted hit, at most 4096,
+    and stops once every wanted hit is taken, looping in ascending n over the
+    windows whose code still wants hits; their values come from
+    `block.occurrence`, which reads only a prefix of the bitmap. `want` is
+    consumed in place.
     """
     remaining = int(want.sum())
-    lo, hi = 0, 4096
+    lo, hi = 0, min(4096, 64 * remaining)
     while remaining > 0 and lo < codes.size:
         sub = codes[lo:hi]
         pos = np.flatnonzero(want[sub] > 0)

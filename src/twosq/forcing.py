@@ -315,16 +315,16 @@ class BlockingSystem:
         )
 
 
-def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> BlockingSystem:
-    """Construct and verify the blocking system for the pattern [a, b, c] mod q.
+def _lifts_and_offsets(q: FactoredInteger, a: int, b: int, c: int) -> tuple[int, int, int, int, int]:
+    """The lifts a3, b3, c3 and offsets h < k of the blocking system for
+    [a, b, c] mod q.
 
     Lifts each class to its least admissible representative in [0, 4q^2)
     that is not 0 mod 2^(v2-1), which the downstream hypotheses need (so
     the lift is positive). Offsets h < k are the least positive solutions,
-    with 4q^2 added to restore order or break a tie. Blocking primes are the
-    least primes = 3 (mod 4) above k not dividing q, in ascending index
-    order, so the whole construction is deterministic. A k above
-    MAX_BLOCKING_K raises BudgetExceeded before any prime is listed.
+    with 4q^2 added to restore order or break a tie. Raises
+    HypothesisViolation for an inadmissible class and BudgetExceeded for a
+    k above MAX_BLOCKING_K.
     """
     qv = q.value
     _require_admissible(q, a=a, b=b, c=c)
@@ -343,6 +343,19 @@ def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> Blockin
         k += mod4q2
     if k > MAX_BLOCKING_K:
         raise BudgetExceeded(f"k = {k} offsets exceed the blocking build's cap {MAX_BLOCKING_K}")
+    return a3, b3, c3, h, k
+
+
+def build_blocking_system(q: FactoredInteger, a: int, b: int, c: int) -> BlockingSystem:
+    """Construct and verify the blocking system for the pattern [a, b, c] mod q.
+
+    The lifts and offsets come from `_lifts_and_offsets`, whose refusals
+    come before any prime is listed. Blocking primes are the least primes
+    = 3 (mod 4) above k not dividing q, in ascending index order, so the
+    whole construction is deterministic.
+    """
+    qv = q.value
+    a3, b3, c3, h, k = _lifts_and_offsets(q, a, b, c)
     bound = 2 * k
     while len(primes := [p for p in primes_3_mod_4(bound).tolist() if p > k and qv % p]) < k - 2:
         bound *= 2
@@ -406,19 +419,22 @@ def end_to_end_triple(
     x_budget: int = 10_000_000,
     cache_dir: str | None = None,
 ) -> TripleSearchReport:
-    """Build the blocking system, then find actual consecutive triples by
-    census scan up to x_budget and certify the first MAX_CERTIFICATES.
+    """Find actual consecutive triples by census scan up to x_budget, build
+    the blocking system, and certify the first MAX_CERTIFICATES triples.
 
-    Raises NoneFoundWithinBudget when the census finds no occurrence (a
-    budget statement, not a refutation).
+    The blocking build's refusals (`_lifts_and_offsets`) come first, then
+    the census, and the blocking primes are listed only once the census
+    finds the pattern. Raises NoneFoundWithinBudget when it finds no
+    occurrence (a budget statement, not a refutation).
     """
-    blocking = build_blocking_system(q, a, b, c)
-    spec = PatternSpec(q, (blocking.a, blocking.b, blocking.c))
+    _lifts_and_offsets(q, a, b, c)
+    spec = PatternSpec(q, (a % q.value, b % q.value, c % q.value))
     result = match_pattern(spec, x_budget, cache_dir=cache_dir)
     if result.count == 0:
         raise NoneFoundWithinBudget(
             f"pattern {spec.classes} mod {q.value} not seen below {x_budget}"
         )
+    blocking = build_blocking_system(q, a, b, c)
     certs = [
         _consecutive_certificate(q.value, a, occ.values)
         for occ in result.occurrences[:MAX_CERTIFICATES]

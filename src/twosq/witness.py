@@ -96,10 +96,6 @@ class ShiftPair:
     v: int
     h: int
 
-    @property
-    def gcd_uv(self) -> int:
-        return math.gcd(self.u, self.v)
-
 
 @dataclass(frozen=True)
 class WitnessFamily:
@@ -327,21 +323,16 @@ def _iter_crt_pairs(q: FactoredInteger, local, missing: str, value: int):
 
 
 def iter_base_solutions(a: int, q: FactoredInteger):
-    """Base solutions in deterministic order (per-prime (y, x)-lex, CRT-combined)."""
+    """Base solutions in deterministic order (per-prime (y, x)-lex, CRT-combined);
+    q = 1, with no prime to glue, has the one base (0, 0)."""
     qv = q.value
     a %= qv
-    if qv == 1:
-        yield BaseSolution(0, 0, ResidueClass(0, 1), q)
-        return
 
     def local(p: int, e: int):
         c = a % p**e  # one big reduction serves the target and the enumerator
         return _iter_uv_local(0, 0, c, p, e, _base_target(c, p, e))
 
-    pairs = _iter_crt_pairs(q, local, "no base solution for a", a)
-    for x0, y0 in pairs:
-        if x0 == 0 and y0 == 0:
-            continue
+    for x0, y0 in _iter_crt_pairs(q, local, "no base solution for a", a):
         yield BaseSolution(x0, y0, ResidueClass(a, qv), q)
 
 
@@ -442,10 +433,7 @@ def iter_shift_pairs(base: BaseSolution, h: int):
     g0_twice = 2 * math.gcd(base.x0, base.y0)
     for u0, v0 in pairs:
         for du, dv in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
-            u, v = u0 + du * qv, v0 + dv * qv
-            if u == 0 and v == 0:
-                continue
-            stripped = _strip_stray_primes(u, v, qv)
+            stripped = _strip_stray_primes(u0 + du * qv, v0 + dv * qv, qv)
             if stripped is None:
                 continue
             u, v = stripped

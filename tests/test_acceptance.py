@@ -19,6 +19,7 @@ from twosq import sieve
 from twosq.admissibility import admissibility_reason, admissible_classes
 from twosq.arith import FactorBudget, FactoredInteger, factorize, is_sum_two_squares
 from twosq.census import PatternSpec, census_report, match_pattern
+from twosq.certificate import to_wire
 from twosq.forcing import bin_plan, build_blocking_system, delta_constant
 from twosq.sieve import count_N, sieve_segment
 from twosq.witness import build_family, build_witness_family, iter_base_solutions, iter_shift_pairs, scan_family
@@ -182,21 +183,21 @@ def test_criterion_08_blocking_battery():
 def test_criterion_09_q5_census_fixture(monkeypatch):
     t0 = time.time()
     rep = census_report(factorize(5), 3, 10**7)
-    payload = {
-        "q": "5",
-        "r": "3",
-        "x": str(10**7),
-        "total_windows": str(rep.total_windows),
+    payload = to_wire({
+        "q": 5,
+        "r": 3,
+        "x": 10**7,
+        "total_windows": rep.total_windows,
         "patterns": [
             {
-                "pattern": [str(c) for c in tup],
-                "count": str(rep.count_for(tup)),
-                "first_n": str(rep.occurrences[tup][0].n),
-                "first_values": [str(v) for v in rep.occurrences[tup][0].values],
+                "pattern": tup,
+                "count": rep.count_for(tup),
+                "first_n": rep.occurrences[tup][0].n,
+                "first_values": rep.occurrences[tup][0].values,
             }
             for tup in rep.pattern_universe()
         ],
-    }
+    })
     rendered = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     frozen = (DATA / "census_q5_r3_1e7.json").read_text(encoding="utf-8")
     ok = rendered == frozen and all(rep.count_for(t) > 0 for t in rep.pattern_universe())

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -29,6 +30,14 @@ def test_verify_needs_exactly_three_representations(reps):
     # but a certificate built in-process skips the parser's count
     assert TripleCertificate(n=4, q=1, a=0, h=1, k=4, t=None, reps=((0, 2), (1, 2), (2, 2))).verify()
     assert not TripleCertificate(n=4, q=1, a=0, h=1, k=4, t=None, reps=reps).verify()
+
+
+def test_verify_refuses_a_zero_modulus_and_a_class_mismatch():
+    # 4, 5, 8 as above, with n = 4 = 1 (mod 3)
+    cert = TripleCertificate(n=4, q=3, a=1, h=1, k=4, t=None, reps=((0, 2), (1, 2), (2, 2)))
+    assert cert.verify()
+    assert not dataclasses.replace(cert, q=0).verify()
+    assert not dataclasses.replace(cert, a=2).verify()
 
 
 def test_every_layer_reads_one_certificate_class():

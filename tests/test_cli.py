@@ -104,6 +104,8 @@ def _forged_offsets(n, h, k, reps):
 # case -> (the diagnostic's error, the bad third line made from a good certificate)
 BAD_CERTIFICATE_LINES = {
     "tampered": ("verification_failed", lambda data: json.dumps(dict(data, n="7"))),
+    "zero_modulus": ("verification_failed", lambda data: json.dumps(dict(data, q="0"))),
+    "class_mismatch": ("verification_failed", lambda data: json.dumps(dict(data, a="2"))),
     "missing_key": ("malformed_certificate", _without_k),
     "array": ("malformed_certificate", lambda data: json.dumps([data])),
     "non_decimal": ("malformed_certificate", lambda data: json.dumps(dict(data, n="0x29"))),

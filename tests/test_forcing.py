@@ -524,6 +524,36 @@ def test_blocking_build_refuses_k_past_its_cap_before_listing_primes(monkeypatch
         build_blocking_system(factorize(49), 0, 0, 0)
 
 
+def test_blocking_verify_refusals():
+    system = build_blocking_system(factorize(5), 1, 2, 3)
+    assert (system.a3, system.b3, system.c3, system.h, system.k) == (1, 17, 13, 16, 112)
+    with pytest.raises(InternalInconsistency, match="offset congruences fail"):
+        dataclasses.replace(system, k=system.k + 1).verify()
+    # h and b3 moved together keep a3 + h = b3 mod 4q^2, but h passes k
+    with pytest.raises(InternalInconsistency, match="need 0 < h < k"):
+        dataclasses.replace(system, h=system.h + 100, b3=system.b3 + 100).verify()
+    # an unused prime = 3 (mod 4) above k, given offset 0, blocks a_T itself
+    spare = next(
+        p for p in itertools.count(system.k + 1)
+        if p % 4 == 3 and is_prime(p) and p not in system.blocking_primes.values()
+    )
+    with pytest.raises(InternalInconsistency, match=r"a_T \+ 0 should be admissible"):
+        dataclasses.replace(system, blocking_primes=system.blocking_primes | {0: spare}).verify()
+    # lifts that reduce to [1, 2, 3] and keep the offsets, but a3 = 6 = 0 mod 2
+    with pytest.raises(InternalInconsistency, match="two_adic_nonvanishing"):
+        dataclasses.replace(system, a3=6, b3=22, c3=118).verify()
+
+
+def test_end_to_end_census_runs_before_blocking_primes_are_listed(monkeypatch):
+    def no_primes(bound):
+        raise AssertionError(f"listed primes below {bound}")
+
+    monkeypatch.setattr(forcing, "primes_3_mod_4", no_primes)
+    # k = 8192, within the cap: a search that finds nothing lists no prime
+    with pytest.raises(NoneFoundWithinBudget):
+        end_to_end_triple(factorize(32), 0, 0, 0, x_budget=0)
+
+
 def test_blocking_build_takes_q27_000():
     # k = 5832, the largest k among the blocking systems the project builds
     system = build_blocking_system(factorize(27), 0, 0, 0)

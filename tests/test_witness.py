@@ -124,12 +124,15 @@ def test_solve_base_examples():
     base = next(iter_base_solutions(2, factorize(8)))
     assert (base.x0, base.y0) == (1, 1)
     _assert_base_targets(base)
+    # q = 1 has no prime to glue: the CRT odometer yields (0, 0) once
+    bases = [(b.x0, b.y0, b.a) for b in iter_base_solutions(7, factorize(1))]
+    assert bases == [(0, 0, ResidueClass(0, 1))]
 
 
 def test_construct_shift_example():
     base = next(iter_base_solutions(1, factorize(4)))
     shift = next(iter_shift_pairs(base, 4))
-    assert (shift.u, shift.v, shift.gcd_uv) == (1, 1, 1)
+    assert (shift.u, shift.v) == (1, 1)
     assert ((base.x0 + shift.u) ** 2 + (base.y0 + shift.v) ** 2) % 4 == (1 + 4) % 4
 
 
