@@ -132,15 +132,28 @@ def lift_admissible(
 ) -> ResidueClass:
     """Smallest admissible lift of a mod q to a class mod Q (q | Q).
 
-    The scan covers the representatives in [0, Q) ascending. `require` is an
-    extra predicate candidates must satisfy.
+    The scan covers the representatives b = a + j q in [0, Q) ascending.
+    `require` is an extra predicate candidates must satisfy.
+
+    At a prime p = 3 mod 4 with p^e || q, e odd, where the class is 0 mod
+    p^e and p^e is short of p's power in Q, f_p(b) = e would be odd, so
+    p^(e+1) must divide b: one class of j mod p. The scan steps over the
+    other j, so q = 2^62 - 1, with two such primes above 7 * 10^8, lifts 0
+    at once rather than after about q candidates.
 
     Raises NoAdmissibleLift when the scan space contains no candidate.
     """
     q = a.modulus
     if Q.value % q != 0:
         raise ModulusMismatch(f"{q} does not divide Q = {Q.value}")
-    for b in range(a.value, Q.value, q):
+    j0, step = 0, 1  # the j allowed so far: j = j0 mod step
+    for p, E in Q.factors.items():
+        pe = p ** (e := valuation(q, p))
+        if p % 4 == 3 and e % 2 and e < E and a.value % pe == 0:
+            j = -(a.value // pe) * pow(q // pe, -1, p) % p
+            j0 += step * ((j - j0) * pow(step, -1, p) % p)
+            step *= p
+    for b in range(a.value + j0 * q, Q.value, step * q):
         if (require is None or require(b)) and admissibility_reason(b, Q.factors) is None:
             return ResidueClass(b, Q.value)
     raise NoAdmissibleLift(f"no admissible lift of {a} modulo {Q.value}")

@@ -87,6 +87,11 @@ class ResidueClass:
         return f"{self.value} mod {self.modulus}"
 
 
+def _ascending(factors: Mapping[int, int]) -> Mapping[int, int]:
+    """A read-only copy of a factor map with its primes in ascending order."""
+    return types.MappingProxyType(dict(sorted(factors.items())))
+
+
 @dataclass(frozen=True)
 class FactoredInteger:
     """A nonnegative integer carried together with its full factorization.
@@ -94,14 +99,16 @@ class FactoredInteger:
     `factors` maps each prime to its positive exponent; the empty map
     represents 1, and 0 is represented by value 0 with an empty map. The
     object is frozen and `factors` is a read-only copy of the mapping given,
-    so neither can drift from the other once checked.
+    with its primes in ascending order whatever order they were given in,
+    so neither can drift from the other once checked, and every reader of
+    the map can rely on its order.
     """
 
     value: int
     factors: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", types.MappingProxyType(dict(self.factors)))
+        object.__setattr__(self, "factors", _ascending(self.factors))
         if self.value < 0:
             raise ValueError("FactoredInteger is nonnegative")
         if self.value == 0:
@@ -114,14 +121,14 @@ class FactoredInteger:
                 raise ValueError(f"factor {p} is not prime")
 
     @classmethod
-    def _proven(cls, value: int, factors: dict[int, int]) -> "FactoredInteger":
+    def _proven(cls, value: int, factors: Mapping[int, int]) -> "FactoredInteger":
         """value >= 1 with a factor map whose primes the caller has proved
         (`factorize`, or primes read from the prime table): the exponents
-        and the product are checked, primality is not. The map is wrapped,
-        not copied: every caller passes a dict it built for the call."""
+        and the product are checked, primality is not. The map is ordered
+        as the checked constructor orders it."""
         out = cls.__new__(cls)
         object.__setattr__(out, "value", value)
-        object.__setattr__(out, "factors", types.MappingProxyType(factors))
+        object.__setattr__(out, "factors", _ascending(factors))
         out._check_product()
         return out
 
@@ -142,14 +149,14 @@ class FactoredInteger:
         return self.factors.get(p, 0)
 
     def primes(self) -> list[int]:
-        return sorted(self.factors)
+        return list(self.factors)
 
     @classmethod
     def from_factors(cls, factors: dict[int, int]) -> "FactoredInteger":
         value = 1
         for p, e in factors.items():
             value *= p**e
-        return cls(value, dict(sorted(factors.items())))
+        return cls(value, factors)
 
 
 def _sieve_primes(lo: int, hi: int, base: list[int]) -> np.ndarray:
@@ -424,7 +431,7 @@ def factorize(
             factors[m] = 1
     else:
         _split_composite(m, factors, budget, bound, stop)
-    return FactoredInteger._proven(n, dict(sorted(factors.items())))
+    return FactoredInteger._proven(n, factors)
 
 
 def _divide_out(m: int, p: int, factors: dict[int, int]) -> int:
@@ -541,8 +548,8 @@ def crt_combine(congruences: list[ResidueClass]) -> ResidueClass:
 def obstructing_prime(n: FactoredInteger) -> int | None:
     """The least prime p = 3 mod 4 dividing n to an odd power, or None.
 
-    The scan follows the factor map, which `factorize` and `from_factors`
-    keep sorted.
+    The scan follows the factor map, which `FactoredInteger` keeps in
+    ascending order on every construction path.
     """
     for p, e in n.factors.items():
         if p % 4 == 3 and e % 2:

@@ -422,6 +422,10 @@ def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse before Python 3.12 parses `--opt=--` as [], not as "--"
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

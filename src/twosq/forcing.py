@@ -55,6 +55,10 @@ DELTA_COEFF_DEN = 32.0 * math.pi
 OFFSET_CAP = 10_000_000
 MAX_CERTIFICATES = 3
 MAX_BLOCKING_K = 8192
+# Most offsets `construct_two_class_tuple` selects: its greedy grows about as
+# k^2 (k = 16,000 and 32,000 took about 11 s and 55 s at q = 1), and the
+# default M = 2 plan has k = 16,438.
+MAX_TUPLE_K = 1 << 15
 
 
 def _finite_positive(value: float, name: str) -> float:
@@ -157,8 +161,9 @@ def construct_two_class_tuple(
     offsets leave some residue mod p free. A candidate is rejected only by a
     prime whose offsets already take p - 1 residues, and only if it takes
     the last one; a prime dividing q rejects exactly the class 0 mod p.
-    Plans that can only exhaust the search are refused before any prime is
-    listed. q must be odd.
+    Plans that can only exhaust the search, and plans of more than
+    MAX_TUPLE_K offsets, are refused before any prime is listed. q must be
+    odd.
     """
     qv = q.value
     if qv % 2 == 0:
@@ -171,6 +176,8 @@ def construct_two_class_tuple(
     k = sum(sizes)
     transition = sum(sizes[:j])
     step = 4 * qv
+    if k > MAX_TUPLE_K:
+        raise SearchExhausted(f"k = {_brief(k)} offsets exceed the tuple greedy's cap {MAX_TUPLE_K}")
     # Offsets of one class are step apart at least, and only the one change
     # of class may close in by less.
     if step * (k - 2) >= OFFSET_CAP:
@@ -211,7 +218,7 @@ def _four_q_squared(q: FactoredInteger) -> FactoredInteger:
     """4q^2 with its factor map; q's primes are proved."""
     factors = {p: 2 * e for p, e in q.factors.items()}
     factors[2] = factors.get(2, 0) + 2
-    return FactoredInteger._proven(4 * q.value**2, dict(sorted(factors.items())))
+    return FactoredInteger._proven(4 * q.value**2, factors)
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,7 @@ class BlockingSystem:
         a_T = crt_combine(congruences)
         # primes of q and of the prime table; _proven checks the product
         squares = {p: 2 for p in self.blocking_primes.values()}
-        T_blk = FactoredInteger._proven(a_T.modulus, dict(sorted((four_q2.factors | squares).items())))
+        T_blk = FactoredInteger._proven(a_T.modulus, four_q2.factors | squares)
         object.__setattr__(self, "T_blk", T_blk)
         object.__setattr__(self, "a_T", a_T)
         object.__setattr__(self, "lift_window_widened", max(self.a3, self.b3, self.c3) > self.q.value**2)

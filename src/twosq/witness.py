@@ -54,8 +54,9 @@ from .errors import (
     SearchExhausted,
 )
 
-# Bounded-search limits: residue scans per prime power, local candidates kept
-# per prime, CRT combinations tried, and base points tried by the pipeline.
+# Bounded-search limits: residue scans per prime power (and lifts of a unit's
+# square roots per scanned residue), local candidates kept per prime, CRT
+# combinations tried, and base points tried by the pipeline.
 LOCAL_SCAN_CAP = 1 << 20
 LOCAL_CANDIDATES = 48
 COMBO_CAP = 20000
@@ -101,10 +102,14 @@ class ShiftPair:
 class WitnessFamily:
     """The family n(t) = x_of(t)^2 + y_of(t)^2, stored as its choices: the
     base point (x0, y0), the shift (u, v) and (r0, s0), for offsets h, k.
-    T = q / 2g with g = gcd(u, v), and A, B, C are derived once, on
-    construction, and cannot be set: with (X0, Y0) = (x_of(0), y_of(0)),
-    dx = T v/g and dy = T u/g, n(t) = (X0 + dx t)^2 + (Y0 - dy t)^2, so
-    A = dx^2 + dy^2, B = 2(X0 dx - Y0 dy) and C = X0^2 + Y0^2."""
+
+    The line is derived once, on construction, and cannot be set: g =
+    gcd(u, v), T = q / 2g, X0 = x0 + T r0, Y0 = y0 + T s0, dx = T v/g and
+    dy = T u/g, so x_of(t) = X0 + dx t and y_of(t) = Y0 - dy t, and from it
+    A = dx^2 + dy^2, B = 2(X0 dx - Y0 dy) and C = X0^2 + Y0^2. Of these only
+    T, A, B and C are fields; g, X0, Y0, dx and dy are plain attributes, so
+    `dataclasses.fields` lists the choices and T, A, B, C alone (a family's
+    digest hashes them), and `dataclasses.replace` derives them afresh."""
 
     q: FactoredInteger
     a: int
@@ -122,33 +127,29 @@ class WitnessFamily:
     C: int = field(init=False)
 
     def __post_init__(self):
-        g = self.g
+        g = math.gcd(self.u, self.v)
         if g == 0 or self.q.value % (2 * g) != 0:
             raise InternalInconsistency("2 gcd(u, v) does not divide q")
         T = self.q.value // (2 * g)
         X0, Y0 = self.x0 + T * self.r0, self.y0 + T * self.s0
         dx, dy = T * (self.v // g), T * (self.u // g)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "A", dx * dx + dy * dy)
-        object.__setattr__(self, "B", 2 * (X0 * dx - Y0 * dy))
-        object.__setattr__(self, "C", X0 * X0 + Y0 * Y0)
-
-    @property
-    def g(self) -> int:
-        return math.gcd(self.u, self.v)
+        # the instance dict, as the dataclass is frozen
+        vars(self).update(
+            g=g, T=T, X0=X0, Y0=Y0, dx=dx, dy=dy,
+            A=dx * dx + dy * dy, B=2 * (X0 * dx - Y0 * dy), C=X0 * X0 + Y0 * Y0,
+        )
 
     @property
     def eta(self) -> int:
         """sqrt(4AC - B^2). Lagrange's identity gives B^2 - 4AC =
-        -4T^2 (X0 u/g + Y0 v/g)^2 with (X0, Y0) = (x_of(0), y_of(0))."""
-        g = self.g
-        return 2 * self.T * abs(self.x_of(0) * (self.u // g) + self.y_of(0) * (self.v // g))
+        -4 (X0 dy + Y0 dx)^2."""
+        return 2 * abs(self.X0 * self.dy + self.Y0 * self.dx)
 
     def x_of(self, t: int) -> int:
-        return self.x0 + self.T * (self.r0 + (self.v // self.g) * t)
+        return self.X0 + self.dx * t
 
     def y_of(self, t: int) -> int:
-        return self.y0 + self.T * (self.s0 - (self.u // self.g) * t)
+        return self.Y0 - self.dy * t
 
     def F(self, t: int) -> int:
         return self.A * t * t + self.B * t + self.C + self.k
@@ -175,7 +176,7 @@ class WitnessFamily:
             raise InternalInconsistency("q does not divide T^2")
         if self.A % q != 0 or self.B % q != 0 or self.C % q != self.a % q:
             raise InternalInconsistency("F(t) - k is not constantly a mod q")
-        if 2 * (self.x_of(0) * u + self.y_of(0) * v) + u * u + v * v != self.h:
+        if 2 * (self.X0 * u + self.Y0 * v) + u * u + v * v != self.h:
             raise InternalInconsistency("n(t)+h identity fails")
         if self.k < 1:
             raise InternalInconsistency("k is not positive")
@@ -241,6 +242,14 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
     At an odd p with target 0, a unit w = c - (y0+v)^2 has exactly the two
     unit roots of `sqrt_unit_odd`, and min(v_p(u), v_p(v)) = 0 just means
     p does not divide both u and v.
+
+    Otherwise the roots of w are p^(f/2) lifts of each of at most four
+    roots of a unit, f the exponent of w mod p^e (`sqrt_mod_prime_power`).
+    The scan ends before the first v whose roots could number more than
+    LOCAL_SCAN_CAP, counted so before any is listed: at q = 2^64 one
+    w = 2^62 has 2^32 roots. It ends rather than passing over that v, as at
+    such a q the rest of the LOCAL_SCAN_CAP values of v, seconds of work
+    per base point, hold no pair either.
     """
     mod = p**e
     x0, y0, c = x0 % mod, y0 % mod, c % mod
@@ -260,6 +269,8 @@ def _iter_uv_local(x0: int, y0: int, c: int, p: int, e: int, target: int):
         vv = class_exponent(v, p, e)
         if vv < target:
             continue
+        if 4 * p ** (class_exponent(w, p, e) // 2) > LOCAL_SCAN_CAP:
+            return
         us = sqrt_mod_prime_power(w, p, e)
         if x0:  # the roots are sorted; only a nonzero shift can reorder them
             us = sorted([(x - x0) % mod for x in us])
@@ -680,10 +691,8 @@ def scan_family(
     skipped: list[int] = []
     tested, end = 0, t_max + 1
     A, B, Ck = family.A, family.B, family.C + family.k
-    q, a, h, k, u, v, g = family.q.value, family.a, family.h, family.k, family.u, family.v, family.g
-    # x(t) = X0 + dx t and y(t) = Y0 - dy t, as `x_of` and `y_of` give them
-    X0, Y0 = family.x_of(0), family.y_of(0)
-    dx, dy = family.T * (v // g), family.T * (u // g)
+    q, a, h, k, u, v = family.q.value, family.a, family.h, family.k, family.u, family.v
+    X0, Y0, dx, dy = family.X0, family.Y0, family.dx, family.dy
     for t, divisors in _sieved_t(A, B, Ck, budget, t_max):
         tested += 1
         value = (A * t + B) * t + Ck

@@ -12,10 +12,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from twosq import arith
 from twosq.arith import factorize
 from twosq.witness import build_witness_family, check_hypotheses
+
+
+# CI reruns tests/test_contract.py with `--hypothesis-profile=ci` for more
+# examples than the tier-1 suite runs.
+settings.register_profile("ci", max_examples=5000)
 
 
 def brute_two_square_set(limit: int) -> set[int]:

@@ -183,3 +183,35 @@ def test_blocking_lift_one_window_matches_two_windows():
     for cls in admissible_classes(factorize(5)):
         got = lift_admissible(cls, Q, require=lambda m: m > 25).value
         assert (got, got > 25) == _two_window_lift(cls.value, 5, Q, lambda m: m > 25), cls
+
+
+def _scan_lift(a, q, Q, require):
+    """The least b = a mod q in [0, Q) that `require` takes and that is
+    admissible mod Q, by trying every representative; None when none is."""
+    for b in range(a, Q.value, q):
+        if require(b) and admissibility_reason(b, Q.factors) is None:
+            return b
+    return None
+
+
+@pytest.mark.parametrize("q,Q", [(21, 4 * 21**2), (27, 4 * 27**2), (3 * 7 * 11, 3 * 7**3 * 11**2), (28, 28 * 49)])
+def test_lift_matches_the_full_scan(q, Q):
+    # the classes 0 mod p^e at p = 3 mod 4 with e odd are where the scan
+    # steps over all but one class of j mod p
+    fQ = factorize(Q)
+    for cls in admissible_classes(factorize(q)):
+        for require in (lambda m: True, lambda m: m % 2 != 0, lambda m: m > q * q):
+            want = _scan_lift(cls.value, q, fQ, require)
+            try:
+                got = lift_admissible(cls, fQ, require=require).value
+            except NoAdmissibleLift:
+                got = None
+            assert got == want, (q, Q, cls)
+
+
+def test_lift_at_a_modulus_with_large_primes_3_mod_4():
+    # q = 2^62 - 1 = 3 * 715827883 * 2147483647, each prime = 3 (mod 4): the
+    # least odd lift of 0 to 4q^2 is q^2, about q candidates up the scan
+    q = 2**62 - 1
+    got = lift_admissible(ResidueClass(0, q), factorize(4 * q * q), require=lambda m: m % 2 != 0)
+    assert got.value == q * q

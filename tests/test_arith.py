@@ -19,6 +19,7 @@ from twosq.arith import (
     factorize,
     is_prime,
     is_sum_two_squares,
+    obstructing_prime,
     represent_two_squares,
     small_primes,
     sqrt_mod_prime_power,
@@ -780,6 +781,19 @@ def test_factored_integer_is_frozen():
     factors[5] = 1
     assert built.factors == {2: 2, 3: 1}
     assert built.factors | {5: 1} == {2: 2, 3: 1, 5: 1} and sorted(built.factors) == [2, 3]
+
+
+def test_factor_map_is_ascending_whatever_order_it_is_given_in():
+    """The record owns the order of its factor map, on both construction
+    paths, so `primes()` and `obstructing_prime` read it as it stands."""
+    for built in (
+        FactoredInteger(21, {7: 1, 3: 1}),
+        FactoredInteger._proven(21, {7: 1, 3: 1}),
+        FactoredInteger.from_factors({7: 1, 3: 1}),
+    ):
+        assert list(built.factors) == [3, 7]
+        assert built.primes() == [3, 7]
+        assert obstructing_prime(built) == 3
 
 
 def test_proven_checks_product_and_exponents():

@@ -431,6 +431,11 @@ REFUSALS = {
     "census 1 30000000 16": (64, "bad_argument"),
     # k = 19,208 offsets, past the blocking build's cap
     "force-triple 49 0 0 0 --xbudget 0": (1, "BudgetExceeded"),
+    # the least lift of 0 mod 2^62 - 1 is (2^62 - 1)^2, found without
+    # trying the candidates below it, and k is past the cap
+    "force-triple 4611686018427387903 0 1 2 --xbudget 13": (1, "BudgetExceeded"),
+    # k = 2,113,591 offsets, past the tuple greedy's cap
+    "tuple 1 0 0 1 3 0.025 0.025": (1, "SearchExhausted"),
 }
 
 
@@ -441,6 +446,23 @@ def test_refusals_exit_at_once_with_one_diagnostic(capsys, command):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (REFUSALS[command][0], "")
     assert json.loads(err.splitlines()[-1])["error"] == REFUSALS[command][1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tuple", "5", "1", "2", "1", "2", "0.025", "0.025", "--sizes=--"],
+        ["witness", "4", "1", "4", "8", "--tmax=--"],
+        ["admissible", "5", "--output=--"],
+        ["census", "5", "2", "100", "--format=--"],
+    ],
+    ids=lambda argv: argv[-1].split("=")[0],
+)
+def test_option_given_a_double_dash_is_a_usage_error(capsys, argv):
+    # argparse before Python 3.12 hands `--opt=--` over as an empty list
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (64, "")
+    assert err.splitlines()[-1].endswith("expected one argument")
 
 
 def _no_json_number(text):

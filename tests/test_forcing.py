@@ -121,6 +121,23 @@ def test_tuple_search_exhausted(monkeypatch):
         construct_two_class_tuple(factorize(5), 1, 2, 1, [2, 3])
 
 
+def test_tuple_refuses_more_offsets_than_its_cap(monkeypatch):
+    """The greedy grows about as k^2, so a plan of more than MAX_TUPLE_K
+    offsets is refused before any prime is listed: the M = 3 plan at q = 1,
+    whose 2,113,591 offsets lie under the offset cap. The paper's M = 2 plan
+    stays under it."""
+    assert sum(bin_plan(2, 0.025, 0.025)) == 16_438 <= forcing.MAX_TUPLE_K
+    sizes = bin_plan(3, 0.025, 0.025)
+    assert sum(sizes) == 2_113_591 and 4 * (sum(sizes) - 2) < forcing.OFFSET_CAP
+
+    def no_primes(bound):
+        raise AssertionError(f"listed the primes up to {bound}")
+
+    monkeypatch.setattr(forcing, "small_primes", no_primes)
+    with pytest.raises(SearchExhausted, match="tuple greedy's cap 32768"):
+        construct_two_class_tuple(factorize(1), 0, 0, 1, sizes)
+
+
 def _reference_witnesses(design):
     """The former `TupleDesign.form_admissibility_witnesses`, through q^-1 mod p."""
     k = len(design.offsets)

@@ -2,15 +2,19 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twosq
 import twosq.arith as arith
 import twosq.certificate as certificate
 import twosq.witness as witness
@@ -74,6 +78,13 @@ def test_hypotheses_clause_order():
     assert check_hypotheses(factorize(27), 1, 4, 8).failed_clause == "odd_prime_valuation"
     assert check_hypotheses(factorize(16), 3, 4, 8).failed_clause == "admissible_a"
     assert check_hypotheses(factorize(16), 1, 2, 8).failed_clause == "admissible_a+h"
+
+
+def test_hypotheses_name_the_least_obstructing_prime():
+    # the map is given with its primes descending; nu_3 is the first odd one
+    v = check_hypotheses(FactoredInteger(84, {7: 1, 3: 1, 2: 2}), 1, 4, 8)
+    assert not v.ok and v.failed_clause == "odd_prime_valuation"
+    assert "nu_3" in v.detail
 
 
 @pytest.fixture
@@ -421,6 +432,28 @@ def test_family_verify_rejects_tampering(tamper_sources, source, change, error):
     assert family.B != 0
     with pytest.raises(error):
         dataclasses.replace(family, **change(family)).verify()
+
+
+def test_family_derives_its_line_once(monkeypatch, tamper_sources):
+    """x_of, y_of and eta read the line derived on construction, with no
+    gcd; the line stays out of the dataclass fields, and `dataclasses.replace`
+    derives it afresh."""
+    family = tamper_sources["pool"]
+    assert [f.name for f in dataclasses.fields(family)] == [
+        "q", "a", "h", "k", "x0", "y0", "u", "v", "T", "r0", "s0", "A", "B", "C"
+    ]
+    g = math.gcd(family.u, family.v)
+    gcd = math.gcd
+    calls = []
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    for t in (0, 1, 7):
+        assert family.x_of(t) == family.x0 + family.T * (family.r0 + family.v // g * t)
+        assert family.y_of(t) == family.y0 + family.T * (family.s0 - family.u // g * t)
+    assert family.eta > 0 and calls == []
+    monkeypatch.undo()
+    moved = dataclasses.replace(family, r0=family.r0 + 1)
+    assert (moved.X0, moved.Y0, moved.dx, moved.dy) == (family.X0 + family.T, family.Y0, family.dx, family.dy)
+    assert moved.x_of(3) == family.x_of(3) + family.T
 
 
 @pytest.mark.parametrize("params", [params for params, _ in _POOL] + ["blocking"])
@@ -899,3 +932,43 @@ def test_base_without_shift_pairs_is_passed_over(monkeypatch):
     fam = build_witness_family(q, 1, 4, 8)
     assert (fam.x0, fam.y0) == (second.x0, second.y0)
     fam.verify()
+
+
+_LARGE_ROOT_SETS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from twosq.arith import factorize
+from twosq.errors import TwoSqError
+from twosq.witness import build_witness_family
+for e, h, k in ((64, 2**62 - 1, 25), (48, 2**46 - 1, 9)):
+    try:
+        build_witness_family(factorize(2**e), 1, h, k).verify()
+        print("family")
+    except TwoSqError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_family_search_lists_no_huge_root_set():
+    """At q = 2^64 and 2^48 the shift residue w = 2^62 or 2^46 has 2^32 or
+    2^24 square roots. The search answers without listing them: a family or
+    a TwoSqError for each, within 5 s, in a child held to 1 GB of address
+    space."""
+    src = str(Path(twosq.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_ROOT_SETS],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=5, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 2
+
+
+def test_local_scan_ends_before_a_root_set_past_the_cap():
+    # x^2 + y^2 = 2^38 mod 2^40 needs 2^19 | x, y; its first residue v = 0
+    # has w = 2^38, whose roots are counted as four times 2^19 lifts, past
+    # LOCAL_SCAN_CAP, so the scan ends there without listing them
+    assert list(_iter_uv_local(0, 0, 1 << 38, 2, 40, 19)) == []
+    # at 2^34 mod 2^36 the count, four times 2^17, is within it
+    pairs = list(itertools.islice(_iter_uv_local(0, 0, 1 << 34, 2, 36, 17), 3))
+    assert [v for _, v in pairs] == [0, 0, 0]
+    assert all((u * u - (1 << 34)) % (1 << 36) == 0 for u, _ in pairs)
